@@ -16,7 +16,7 @@
 #include "graph/generators.h"
 #include "graph/latency_models.h"
 #include "sim/engine.h"
-#include "sim/faults.h"
+#include "sim/dynamics.h"
 #include "util/args.h"
 #include "util/stats.h"
 #include "util/table.h"
@@ -45,10 +45,12 @@ int main(int argc, char** argv) {
       NetworkView view(g, false);
       PushPullBroadcast proto(view, 0,
                               Rng(seed + static_cast<std::uint64_t>(t)));
-      FaultPlan plan(n, seed * 3 + static_cast<std::uint64_t>(t));
-      plan.set_link_drop_probability(p);
+      DynamicSpec spec;
+      spec.drop_prob = p;
+      spec.fault_seed = seed * 3 + static_cast<std::uint64_t>(t);
+      DynamicPlan plan(n, g.num_edges(), spec);
       SimOptions opts;
-      plan.apply(opts);
+      opts.dynamics = &plan;
       opts.max_rounds = 1'000'000;
       const SimResult r = run_gossip(g, proto, opts);
       if (r.completed) {
@@ -73,18 +75,19 @@ int main(int argc, char** argv) {
     double pp_frac = 0.0;
     double rr_lost = 0.0;
     for (int t = 0; t < trials; ++t) {
-      FaultPlan plan(n, seed * 7 + crashes * 101 +
-                            static_cast<std::uint64_t>(t));
-      if (crashes > 0) plan.crash_random_nodes(crashes, 0, /*spare=*/0);
+      DynamicSpec spec;
+      spec.crash_count = crashes;  // at round 0, sparing the source 0
+      spec.fault_seed =
+          seed * 7 + crashes * 101 + static_cast<std::uint64_t>(t);
+      DynamicPlan plan(n, g.num_edges(), spec);
       {
         NetworkView view(g, false);
         PushPullBroadcast proto(view, 0,
                                 Rng(seed + 31 * static_cast<std::uint64_t>(t)));
         SimOptions opts;
-        plan.apply(opts);
+        opts.dynamics = &plan;
         opts.max_rounds = 20'000;  // far beyond the lossless ~10 rounds
         run_gossip(g, proto, opts);
-        plan.detach(opts);  // the plan is re-applied below
         std::size_t informed = 0, alive = 0;
         for (NodeId v = 0; v < n; ++v) {
           if (plan.crashed(v, 1'000'000'000)) continue;
@@ -100,7 +103,7 @@ int main(int argc, char** argv) {
         RRBroadcast proto(view, overlay, g.max_latency() * 12,
                           own_id_rumors(n));
         SimOptions opts;
-        plan.apply(opts);
+        opts.dynamics = &plan;
         opts.max_rounds = proto.budget() * 2;
         run_gossip(g, proto, opts);
         std::size_t missing = 0, alive_pairs = 0;
@@ -130,10 +133,12 @@ int main(int argc, char** argv) {
       NetworkView view(g, false);
       PushPullBroadcast proto(view, 0,
                               Rng(seed + 91 * static_cast<std::uint64_t>(t)));
+      DynamicSpec spec;
+      spec.jitter_spread = spread;
+      spec.jitter_seed = seed * 13 + static_cast<std::uint64_t>(t);
+      DynamicPlan plan(n, g.num_edges(), spec);
       SimOptions opts;
-      if (spread > 0)
-        opts.latency_jitter = make_uniform_jitter(
-            spread, seed * 13 + static_cast<std::uint64_t>(t));
+      opts.dynamics = &plan;
       opts.max_rounds = 1'000'000;
       const SimResult r = run_gossip(g, proto, opts);
       if (r.completed) {

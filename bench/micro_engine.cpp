@@ -31,27 +31,24 @@ static void BM_PushPullBroadcast(benchmark::State& state) {
 }
 BENCHMARK(BM_PushPullBroadcast)->Range(64, 4096);
 
-// Same workload with a no-op observer installed: forces the dynamic
-// hook path, so the gap to BM_PushPullBroadcast is the cost the NoHooks
+// Same workload with an inert scenario installed: forces the hooked
+// path, so the gap to BM_PushPullBroadcast is the cost the NoHooks
 // compile-time policy removes from hook-free runs.
 static void BM_PushPullBroadcastHooked(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
   Rng grng(1);
   auto g = make_erdos_renyi(n, 8.0 / static_cast<double>(n), grng);
   assign_random_uniform_latency(g, 1, 8, grng);
+  DynamicPlan inert(g.num_nodes(), g.num_edges(), DynamicSpec{});
   std::uint64_t seed = 0;
-  std::size_t activations = 0;
   for (auto _ : state) {
     NetworkView view(g, false);
     PushPullBroadcast proto(view, 0, Rng(++seed));
     SimOptions opts;
     opts.max_rounds = 1'000'000;
-    opts.on_activation = [&](NodeId, NodeId, EdgeId, Round) {
-      ++activations;
-    };
+    opts.dynamics = &inert;
     benchmark::DoNotOptimize(run_gossip(g, proto, opts).rounds);
   }
-  benchmark::DoNotOptimize(activations);
 }
 BENCHMARK(BM_PushPullBroadcastHooked)->Range(64, 4096);
 

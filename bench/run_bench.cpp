@@ -478,9 +478,11 @@ int main(int argc, char** argv) {
   }
 
   {
+    // An inert scenario forces the hooked path; the gap to the plain row
+    // is what the compile-time NoHooks policy saves.
     const WeightedGraph g = bench_graph(big_n);
+    DynamicPlan inert(g.num_nodes(), g.num_edges(), DynamicSpec{});
     std::uint64_t seed = 0;
-    std::size_t sink = 0;
     cases.push_back(make_case(
         "pushpull_broadcast_" + std::to_string(big_n) + "_hooked",
         [&] {
@@ -488,7 +490,7 @@ int main(int argc, char** argv) {
           PushPullBroadcast proto(view, 0, Rng(++seed));
           SimOptions opts;
           opts.max_rounds = 1'000'000;
-          opts.on_activation = [&](NodeId, NodeId, EdgeId, Round) { ++sink; };
+          opts.dynamics = &inert;
           (void)run_gossip(g, proto, opts);
         },
         repeats));
@@ -522,7 +524,7 @@ int main(int argc, char** argv) {
   std::string freshness_json;
   {
     // Dynamics-hooked row: a drift + adversary schedule installed on the
-    // same broadcast workload prices the DynamicsHook dispatch (the
+    // same broadcast workload prices the scenario plan's work (the
     // plain rows above take the compile-time NoHooks path). The final
     // repeat's node-age freshness rides into the JSON as an observable
     // of the dynamic scenario, not a throughput number.
@@ -542,7 +544,7 @@ int main(int argc, char** argv) {
           SimOptions opts;
           opts.max_rounds = 1'000'000;
           DynamicPlan plan(g.num_nodes(), g.num_edges(), spec);
-          plan.apply(opts);
+          opts.dynamics = &plan;
           const SimResult r = run_gossip(g, proto, opts);
           fresh = freshness_of(proto, g.num_nodes(), r.rounds);
         },
@@ -580,28 +582,25 @@ int main(int argc, char** argv) {
   {
     // Representation-threshold documentation (util/rumor_set.h,
     // kDenseNodeThreshold): the same all-to-all workload under the
-    // sparse and counting representations. Below the crossover dense
-    // must win — in all-to-all every sparse set promotes to dense
-    // mid-run anyway, so these rows price the abstraction, not a new
-    // algorithm. Compare against pushpull_alltoall_<big_n> above.
+    // sparse representation. Below the crossover dense must win — in
+    // all-to-all every sparse set promotes to dense mid-run anyway, so
+    // this row prices the abstraction, not a new algorithm. Compare
+    // against pushpull_alltoall_<big_n> above.
     const std::size_t n = big_n;
     const WeightedGraph g = bench_graph(n);
     std::uint64_t seed = 0;
-    const auto rep_row = [&]<RumorSetRep R>(const char* rep_name) {
-      cases.push_back(make_case(
-          "pushpull_alltoall_" + std::to_string(n) + "_" + rep_name,
-          [&] {
-            NetworkView view(g, false);
-            BasicPushPullGossip<R> proto(view, GossipGoal::kAllToAll, 0,
-                                         own_id_rumor_sets<R>(n), Rng(++seed));
-            SimOptions opts;
-            opts.max_rounds = 1'000'000;
-            (void)run_gossip(g, proto, opts);
-          },
-          repeats));
-    };
-    rep_row.template operator()<SparseRumorSet>("sparse");
-    rep_row.template operator()<CountRumorSet>("count");
+    cases.push_back(make_case(
+        "pushpull_alltoall_" + std::to_string(n) + "_sparse",
+        [&] {
+          NetworkView view(g, false);
+          BasicPushPullGossip<SparseRumorSet> proto(
+              view, GossipGoal::kAllToAll, 0,
+              own_id_rumor_sets<SparseRumorSet>(n), Rng(++seed));
+          SimOptions opts;
+          opts.max_rounds = 1'000'000;
+          (void)run_gossip(g, proto, opts);
+        },
+        repeats));
   }
 
   {

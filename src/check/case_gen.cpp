@@ -201,19 +201,30 @@ TestCase random_case(Rng& rng, const CaseProfile& profile) {
       if (rng.bernoulli(0.15))
         tc.max_incoming_per_round = 1 + rng.uniform(2);
       if (rng.bernoulli(0.2))
-        tc.jitter_spread = 1 + static_cast<Latency>(rng.uniform(3));
+        tc.dynamics.jitter_spread = 1 + static_cast<Latency>(rng.uniform(3));
     }
     if (profile.allow_faults && rng.bernoulli(0.4)) {
       if (rng.bernoulli(0.6) && tc.num_nodes > 2)
-        tc.faults.crash_count = 1 + rng.uniform(std::min<std::uint64_t>(
-                                        2, tc.num_nodes - 2));
-      tc.faults.crash_round = static_cast<Round>(rng.uniform(10));
+        tc.dynamics.crash_count = 1 + rng.uniform(std::min<std::uint64_t>(
+                                          2, tc.num_nodes - 2));
+      tc.dynamics.crash_round = static_cast<Round>(rng.uniform(10));
       if (rng.bernoulli(0.6))
-        tc.faults.drop_probability = 0.05 + 0.3 * rng.uniform_double();
-      if (!tc.faults.any()) tc.faults.crash_count = 0;
+        tc.dynamics.drop_prob = 0.05 + 0.3 * rng.uniform_double();
     }
   }
   return tc;
+}
+
+DynamicSpec scenario_of(const TestCase& tc) {
+  // Salts keep the fault and jitter streams apart from the protocol's
+  // own Rng(seed).
+  constexpr std::uint64_t kFaultSeedSalt = 0x9e3779b97f4a7c15ULL;
+  constexpr std::uint64_t kJitterSeedSalt = 0xda3e39cb94b95bdbULL;
+  DynamicSpec spec = tc.dynamics;
+  spec.crash_spare = tc.source;
+  spec.fault_seed = tc.seed ^ kFaultSeedSalt;
+  spec.jitter_seed = tc.seed ^ kJitterSeedSalt;
+  return spec;
 }
 
 WeightedGraph materialize_graph(const TestCase& tc) {
@@ -232,11 +243,11 @@ bool case_valid(const TestCase& tc) {
   // hand a composite a fault/jitter/dynamics knob it would ignore on
   // one side of the differential check but not the other.
   if (check_proto_is_composite(tc.proto)) {
-    if (tc.blocking || tc.max_incoming_per_round > 0 ||
-        tc.jitter_spread > 0 || tc.faults.any() || tc.dynamics.any())
+    if (tc.blocking || tc.max_incoming_per_round > 0 || tc.dynamics.any())
       return false;
   }
-  if (!dynamic_spec_error(tc.dynamics, tc.num_nodes).empty()) return false;
+  if (!dynamic_spec_error(scenario_of(tc), tc.num_nodes).empty())
+    return false;
   GraphBuilder b(tc.num_nodes);
   for (const Edge& e : tc.edges) {
     if (e.u >= tc.num_nodes || e.v >= tc.num_nodes || e.u == e.v ||
@@ -256,14 +267,8 @@ std::string describe(const TestCase& tc) {
   if (tc.blocking) out << " blocking";
   if (tc.max_incoming_per_round > 0)
     out << " max_in=" << tc.max_incoming_per_round;
-  if (tc.jitter_spread > 0) out << " jitter=" << tc.jitter_spread;
-  if (tc.faults.crash_count > 0)
-    out << " crashes=" << tc.faults.crash_count << "@"
-        << tc.faults.crash_round;
-  if (tc.faults.drop_probability > 0.0)
-    out << " drop=" << tc.faults.drop_probability;
   if (tc.dynamics.any())
-    out << " dynamics[" << describe_dynamics(tc.dynamics) << "]";
+    out << " dynamics[" << describe_dynamics(scenario_of(tc)) << "]";
   return out.str();
 }
 
@@ -274,18 +279,10 @@ void write_case(std::ostream& out, const TestCase& tc) {
       << " source=" << tc.source << " tk=" << tc.tk_estimate
       << " blocking=" << (tc.blocking ? 1 : 0)
       << " max_incoming=" << tc.max_incoming_per_round
-      << " jitter=" << tc.jitter_spread << " max_rounds=" << tc.max_rounds
-      << " crashes=" << tc.faults.crash_count << "@" << tc.faults.crash_round
-      << " drop=" << tc.faults.drop_probability << "\n";
-  if (tc.dynamics.any()) {
-    const DynamicSpec& d = tc.dynamics;
-    out << "# dynamics drift=" << d.drift_step << "/" << d.drift_bound
-        << " churn=" << d.churn_prob << " window=" << d.churn_window
-        << " absence=" << d.churn_absence
-        << " mode=" << static_cast<int>(d.churn_mode)
-        << " spare=" << d.churn_spare << " adv=" << d.adv_slow
-        << " adv_source=" << d.adv_source << " dseed=" << d.seed << "\n";
-  }
+      << " max_rounds=" << tc.max_rounds << "\n";
+  // The exact scenario (probabilities as hex floats).
+  if (tc.dynamics.any())
+    out << "# scenario " << canonical_dynamics(scenario_of(tc)) << "\n";
   write_graph(out, materialize_graph(tc));
 }
 

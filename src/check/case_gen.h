@@ -38,17 +38,6 @@ enum class CheckProto : std::uint8_t {
 const char* check_proto_name(CheckProto p);
 bool check_proto_is_composite(CheckProto p);
 
-/// Fault injection knobs (simple protocols only).
-struct FaultSpec {
-  std::size_t crash_count = 0;  ///< nodes crashed at crash_round
-  Round crash_round = 0;
-  double drop_probability = 0.0;
-
-  bool any() const {
-    return crash_count > 0 || drop_probability > 0.0;
-  }
-};
-
 struct TestCase {
   CheckProto proto = CheckProto::kPushPull;
   std::size_t num_nodes = 0;
@@ -60,14 +49,19 @@ struct TestCase {
   // Engine-model knobs (simple protocols only).
   bool blocking = false;
   std::size_t max_incoming_per_round = 0;
-  Latency jitter_spread = 0;
   Round max_rounds = 2000;
-  FaultSpec faults;
-  /// Dynamic scenario (sim/dynamics_spec.h): drift / churn / adversary,
-  /// all off by default. Simple protocols only, like the knobs above —
-  /// case_valid() rejects composite cases with any knob set.
+  /// Scenario (sim/dynamics_spec.h): random crashes, link loss, jitter,
+  /// drift, churn and the adversary, all off by default. Simple
+  /// protocols only, like the knobs above — case_valid() rejects
+  /// composite cases with any knob set. The crash spare and the fault
+  /// and jitter seeds are not stored here: scenario_of() derives them
+  /// from `source` and `seed`.
   DynamicSpec dynamics;
 };
+
+/// The scenario a case runs under: `dynamics` with crash_spare = source
+/// and the fault and jitter streams seeded from `seed`.
+DynamicSpec scenario_of(const TestCase& tc);
 
 /// Knobs for random_case(); the long-run sweep widens these.
 struct CaseProfile {

@@ -15,13 +15,9 @@
 #include "obs/metrics.h"
 #include "sim/dynamics.h"
 #include "sim/engine.h"
-#include "sim/faults.h"
 
 namespace latgossip {
 namespace {
-
-constexpr std::uint64_t kFaultSeedSalt = 0x9e3779b97f4a7c15ULL;
-constexpr std::uint64_t kJitterSeedSalt = 0xda3e39cb94b95bdbULL;
 
 /// Everything one simple-protocol run produces that the comparison and
 /// the invariant checks need afterwards.
@@ -32,38 +28,32 @@ struct RunArtifacts {
   bool has_inform = false;
 };
 
-/// One simple-protocol execution. Engine and oracle sides each call this
-/// with their own identically-seeded protocol, fault plan, and jitter —
-/// stateful hooks cannot be shared across runs (the drop hook consumes
-/// its RNG per call, so the second run would see a different stream).
-RunArtifacts run_simple_once(const TestCase& tc, const WeightedGraph& g,
-                             bool use_oracle,
-                             const oracle_detail::ModelBug& bug) {
-  RunArtifacts a;
+/// Options for one run of a simple-protocol case: its model knobs,
+/// `rec` as recorder, and its scenario built into `plan`. The engine
+/// run, the oracle run (which reads only the plan's spec()) and every
+/// rumor-set representation's rerun start from this one setup.
+SimOptions case_options(const TestCase& tc, const WeightedGraph& g,
+                        EventRecorder& rec, std::optional<DynamicPlan>& plan) {
   SimOptions opts;
   opts.max_rounds = tc.max_rounds;
   opts.blocking = tc.blocking;
   opts.max_incoming_per_round = tc.max_incoming_per_round;
-  opts.recorder = &a.recorder;
-
-  FaultPlan plan(tc.num_nodes, tc.seed ^ kFaultSeedSalt);
-  if (tc.faults.crash_count > 0)
-    plan.crash_random_nodes(tc.faults.crash_count, tc.faults.crash_round,
-                            tc.source);
-  if (tc.faults.drop_probability > 0.0)
-    plan.set_link_drop_probability(tc.faults.drop_probability);
-  if (tc.faults.any()) plan.apply(opts);
-  if (tc.jitter_spread > 0)
-    opts.latency_jitter =
-        make_uniform_jitter(tc.jitter_spread, tc.seed ^ kJitterSeedSalt);
-  // Each side builds its own DynamicPlan from the same spec: the
-  // adversary's touched set and the drift caches are per-run state, and
-  // the oracle side only ever reads the declarative spec() anyway.
-  std::optional<DynamicPlan> dyn_plan;
+  opts.recorder = &rec;
   if (tc.dynamics.any()) {
-    dyn_plan.emplace(tc.num_nodes, g.num_edges(), tc.dynamics);
-    dyn_plan->apply(opts);
+    plan.emplace(tc.num_nodes, g.num_edges(), scenario_of(tc));
+    opts.dynamics = &*plan;
   }
+  return opts;
+}
+
+/// One simple-protocol execution on the engine or the oracle, with a
+/// protocol seeded identically on both sides.
+RunArtifacts run_simple_once(const TestCase& tc, const WeightedGraph& g,
+                             bool use_oracle,
+                             const oracle_detail::ModelBug& bug) {
+  RunArtifacts a;
+  std::optional<DynamicPlan> plan;
+  const SimOptions opts = case_options(tc, g, a.recorder, plan);
 
   NetworkView view(g, /*latencies_known=*/false);
   auto drive = [&](auto& proto) {
@@ -124,34 +114,15 @@ bool proto_carries_rumor_sets(CheckProto proto) {
 }
 
 /// Engine-only rerun of a rumor-set case under representation R, with
-/// the identical seeds, fault plan, and jitter as run_simple_once. The
-/// cross-representation half of the differential contract: every
+/// the identical seeds and scenario as run_simple_once. The
+/// cross-representation half of the differential contract: the sparse
 /// representation must reproduce the dense run's SimResult and event
 /// fingerprint bit for bit.
 template <RumorSetRep R>
 SimResult run_rumor_rep_once(const TestCase& tc, const WeightedGraph& g) {
   EventRecorder recorder;
-  SimOptions opts;
-  opts.max_rounds = tc.max_rounds;
-  opts.blocking = tc.blocking;
-  opts.max_incoming_per_round = tc.max_incoming_per_round;
-  opts.recorder = &recorder;
-
-  FaultPlan plan(tc.num_nodes, tc.seed ^ kFaultSeedSalt);
-  if (tc.faults.crash_count > 0)
-    plan.crash_random_nodes(tc.faults.crash_count, tc.faults.crash_round,
-                            tc.source);
-  if (tc.faults.drop_probability > 0.0)
-    plan.set_link_drop_probability(tc.faults.drop_probability);
-  if (tc.faults.any()) plan.apply(opts);
-  if (tc.jitter_spread > 0)
-    opts.latency_jitter =
-        make_uniform_jitter(tc.jitter_spread, tc.seed ^ kJitterSeedSalt);
-  std::optional<DynamicPlan> dyn_plan;
-  if (tc.dynamics.any()) {
-    dyn_plan.emplace(tc.num_nodes, g.num_edges(), tc.dynamics);
-    dyn_plan->apply(opts);
-  }
+  std::optional<DynamicPlan> plan;
+  const SimOptions opts = case_options(tc, g, recorder, plan);
 
   NetworkView view(g, /*latencies_known=*/false);
   SimResult result;
@@ -210,15 +181,15 @@ void compare_sim_results(DiffReport& rep, const SimResult& e,
   compare_field(rep, "fingerprint", e.fingerprint, o.fingerprint);
 }
 
-/// Compare a non-dense representation's run against the dense engine
-/// run, prefixing any divergence with the representation's name. (The
-/// diverging value prints on the "engine=" side of the message.)
-void compare_rep_results(DiffReport& rep, const char* rep_name,
-                         const SimResult& dense, const SimResult& alt) {
+/// Compare the sparse representation's run against the dense engine
+/// run, prefixing any divergence with "sparse rep". (The diverging
+/// value prints on the "engine=" side of the message.)
+void compare_sparse_results(DiffReport& rep, const SimResult& dense,
+                            const SimResult& sparse) {
   const std::size_t before = rep.failures.size();
-  compare_sim_results(rep, alt, dense);
+  compare_sim_results(rep, sparse, dense);
   for (std::size_t i = before; i < rep.failures.size(); ++i)
-    rep.failures[i] = std::string(rep_name) + " rep " + rep.failures[i];
+    rep.failures[i] = "sparse rep " + rep.failures[i];
 }
 
 void apply_invariants(DiffReport& rep, const InvariantInput& in,
@@ -239,24 +210,21 @@ DiffReport diff_simple(const TestCase& tc, const WeightedGraph& g,
   compare_sim_results(rep, engine.result, oracle.result);
 
   // Cross-representation leg: replay rumor-set cases under the sparse
-  // and counting representations; both must match the dense engine run
-  // exactly (same SimResult, same event fingerprint).
-  if (proto_carries_rumor_sets(tc.proto)) {
-    compare_rep_results(rep, "sparse", engine.result,
-                        run_rumor_rep_once<SparseRumorSet>(tc, g));
-    compare_rep_results(rep, "count", engine.result,
-                        run_rumor_rep_once<CountRumorSet>(tc, g));
-  }
+  // representation; it must match the dense engine run exactly (same
+  // SimResult, same event fingerprint).
+  if (proto_carries_rumor_sets(tc.proto))
+    compare_sparse_results(rep, engine.result,
+                           run_rumor_rep_once<SparseRumorSet>(tc, g));
 
   for (const RunArtifacts* side : {&engine, &oracle}) {
     InvariantInput in;
     in.graph = &g;
     in.result = side->result;
     in.recorder = &side->recorder;
-    // Drift and the adversary perturb delivered latencies the same way
-    // jitter does, so the latency-conformance invariant degrades to its
-    // weaker (>= 1) form for them.
-    in.jitter_active = tc.jitter_spread > 0 || tc.dynamics.affects_latency();
+    // Jitter, drift and the adversary perturb delivered latencies, so
+    // the latency-conformance invariant degrades to its weaker (>= 1)
+    // form for them.
+    in.jitter_active = tc.dynamics.affects_latency();
     in.dynamics = tc.dynamics.any() ? &tc.dynamics : nullptr;
     // Rejoin-with-reset can un-inform a node, so inform-round
     // monotonicity only survives under retain-mode churn.

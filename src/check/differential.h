@@ -13,8 +13,10 @@
 // exactly the same order when they conform, whole-composite outcomes
 // must match bit for bit.
 //
-// Stateful hooks (FaultPlan's drop RNG, jitter's RNG) cannot be shared
-// across the two runs; each side gets its own identically-seeded copy.
+// Scenarios (crashes, loss, jitter, drift, churn, adversary) reach the
+// two sides differently: the engine runs the DynamicPlan built from the
+// case's scenario_of(), the oracle re-derives every schedule from that
+// plan's spec() with its own code.
 
 #include <cstdint>
 #include <string>

@@ -138,14 +138,14 @@ TestCase shrink_case(const TestCase& original,
     if (best.blocking) try_mutation([](TestCase& c) { c.blocking = false; });
     if (best.max_incoming_per_round > 0)
       try_mutation([](TestCase& c) { c.max_incoming_per_round = 0; });
-    if (best.jitter_spread > 0)
-      try_mutation([](TestCase& c) { c.jitter_spread = 0; });
-    if (best.faults.drop_probability > 0.0)
-      try_mutation([](TestCase& c) { c.faults.drop_probability = 0.0; });
-    if (best.faults.crash_count > 0)
-      try_mutation([](TestCase& c) { c.faults.crash_count = 0; });
-    // Dynamics knobs: try disabling each schedule outright, then the
+    // Scenario knobs: try disabling each schedule outright, then the
     // cheaper churn-mode downgrade (reset/mixed -> retain).
+    if (best.dynamics.jitter_active())
+      try_mutation([](TestCase& c) { c.dynamics.jitter_spread = 0; });
+    if (best.dynamics.drop_active())
+      try_mutation([](TestCase& c) { c.dynamics.drop_prob = 0.0; });
+    if (best.dynamics.crash_count > 0)
+      try_mutation([](TestCase& c) { c.dynamics.crash_count = 0; });
     if (best.dynamics.drift_active())
       try_mutation([](TestCase& c) { c.dynamics.drift_step = 0; });
     if (best.dynamics.churn_active())

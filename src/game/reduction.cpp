@@ -6,6 +6,7 @@
 #include "core/flooding.h"
 #include "core/push_pull.h"
 #include "core/rr_broadcast.h"
+#include "obs/recorder.h"
 #include "sim/dispatch.h"
 
 namespace latgossip {
@@ -52,12 +53,17 @@ ReductionResult drive(const GuessingGadget& gadget, Proto& proto,
   GuessingGame game(gadget.m, gadget.target);
   ReductionResult result;
   GameFeeder feeder(gadget, game);
+  EventRecorder recorder;
   SimOptions opts;
   opts.max_rounds = max_rounds;
-  opts.on_activation = [&](NodeId, NodeId, EdgeId e, Round r) {
-    feeder.on_activation(e, r, result);
-  };
+  opts.recorder = &recorder;
   result.sim = dispatch_gossip(gadget.graph, proto, opts);
+  // The game only watches the run, so replaying the recorded
+  // activations afterwards plays exactly the rounds it would have seen
+  // live.
+  for (const Event& e : recorder.events())
+    if (e.kind() == EventKind::kActivation)
+      feeder.on_activation(e.edge(), e.round(), result);
   feeder.finish(result.sim.rounds, result);
   result.broadcast_completed = result.sim.completed;
   return result;

@@ -37,11 +37,9 @@
 // Simulator
 #include "sim/dynamics.h"
 #include "sim/engine.h"
-#include "sim/faults.h"
 #include "sim/freshness.h"
 #include "sim/metrics.h"
 #include "sim/parallel.h"
-#include "sim/trace.h"
 
 // Algorithms
 #include "core/dtg.h"

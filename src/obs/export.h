@@ -55,9 +55,9 @@ std::string json_escape(std::string_view s);
 /// timestamped with the metrics virtual clock.
 std::string to_chrome_trace_json(const EventRecorder& rec);
 
-/// Legacy CSV of activation events: "round,initiator,responder,edge"
-/// header + one line per activation (byte-compatible with the old
-/// SimTrace::to_csv()).
+/// CSV of activation events: "round,initiator,responder,edge" header
+/// + one line per activation (the historical trace format, byte for
+/// byte).
 std::string activations_to_csv(const EventRecorder& rec);
 
 // --- metrics snapshot -------------------------------------------------

@@ -1,14 +1,12 @@
 #pragma once
 // Low-overhead structured event recorder for simulation runs.
 //
-// Replaces the chained-std::function activation log of sim/trace.h with
-// a flat append-only binary event log covering every observable engine
-// event: activations, deliveries, drops (fault-induced or crash-
-// induced), and protocol phase boundaries. The engine writes events
-// directly through a raw pointer in SimOptions (no std::function hop),
-// and a recorder-free run still takes the compile-time NoHooks fast
-// path — installing a recorder is what moves a run onto the dynamic
-// dispatch, exactly like any other hook.
+// A flat append-only binary event log covering every observable engine
+// event: activations, deliveries, drops (link loss or crash-induced),
+// and protocol phase boundaries. The engine writes events directly
+// through a raw pointer in SimOptions, and a recorder-free run still
+// takes the compile-time NoHooks fast path — installing a recorder (or
+// a scenario plan) is what moves a run onto the hooked path.
 //
 // The record path is a bare push_back: per-kind counts, max_round, the
 // monotone flag, and the fingerprint are derived lazily by a tight

@@ -1,4 +1,7 @@
-// Declarative description of a dynamic scenario: per-round edge-latency
+// Declarative description of a run's scenario: node crashes, link loss
+// and latency jitter (the paper's conclusion: "push-pull is relatively
+// robust to failures, while our other approaches are not"; footnote 1:
+// latencies fluctuate with network quality), plus per-round edge-latency
 // drift, node churn (leave/rejoin), and an adversarial latency schedule
 // that slows the current frontier cut.
 //
@@ -7,6 +10,29 @@
 // brute-force interpreters (sim/oracle.cpp) can be coded independently
 // and still agree bit-for-bit. The derivation contracts are therefore
 // part of this header's documented interface:
+//
+// Crashes (active when crash_at is non-empty or crash_count > 0):
+//   Every node starts with crash round "never". The explicit crash_at
+//   entries are applied in order (a later entry for the same node
+//   overwrites an earlier one). Then, if crash_count > 0, the fault
+//   stream Rng(fault_seed) draws v = uniform(n) repeatedly, skipping
+//   v == crash_spare and any v that already has a crash round, until
+//   crash_count further nodes crash at crash_round. Node u is crashed
+//   in round r iff its crash round is <= r. A crashed node initiates
+//   nothing, and any delivery to or from it is dropped ("crash drop").
+//
+// Link loss (active when drop_prob > 0):
+//   The loss stream is the fault stream continued after the crash draw
+//   (Rng(fault_seed) itself when crash_count == 0). Each delivery leg
+//   whose endpoints are both up — neither crashed nor absent to churn —
+//   draws bernoulli(drop_prob), in delivery order; true loses the leg
+//   ("link drop"). Legs with a down endpoint draw nothing.
+//
+// Jitter (active when jitter_spread > 0):
+//   One stream Rng(jitter_seed) draws d = uniform_int(-spread, spread)
+//   once per accepted exchange (after the bounded in-degree rejection),
+//   in selection order; the exchange's latency becomes
+//   max(1, lat + d).
 //
 // Drift (active when drift_step > 0):
 //   Each edge e performs a bounded multiplicative walk on a fixed-point
@@ -45,18 +71,43 @@
 //   guessing-game lower bound: the frontier edges that would spread the
 //   rumor are exactly the slowed ones.
 //
-// Composition order per contact: base latency -> jitter -> drift
-// (clamped to >= 1 by itself, as above) -> adversary (adv_slow >= 1024
-// never takes a latency below 1) -> final engine clamp to >= 1.
+// Composition order per contact: base latency -> jitter (clamped to
+// >= 1) -> drift (clamped to >= 1 by itself, as above) -> adversary
+// (adv_slow >= 1024 never takes a latency below 1) -> final engine
+// clamp to >= 1.
+//
+// Every stream restarts with each run: a plan replays the same scenario
+// on every run it drives.
 #pragma once
 
 #include <cstdint>
+#include <vector>
 
 #include "graph/graph.h"
 
 namespace latgossip {
 
 struct DynamicSpec {
+  /// One explicit crash: `node` is down from round `round` on.
+  struct Crash {
+    NodeId node = 0;
+    Round round = 0;
+  };
+
+  // --- node crashes ---
+  std::vector<Crash> crash_at;  // explicit (node, round) crashes
+  std::size_t crash_count = 0;  // seeded draw of this many more nodes
+  Round crash_round = 0;        // round the drawn nodes crash at
+  NodeId crash_spare = 0;       // never drawn (conventionally the source)
+
+  // --- link loss ---
+  double drop_prob = 0.0;  // per-leg loss probability (0 = off)
+  std::uint64_t fault_seed = 0;  // crash draw, then the loss stream
+
+  // --- latency jitter ---
+  Latency jitter_spread = 0;  // uniform in [-spread, spread] (0 = off)
+  std::uint64_t jitter_seed = 0;
+
   // --- edge-latency drift ---
   std::uint32_t drift_step = 0;      // per-round step, x1024 (0 = off); < 1024
   std::uint32_t drift_bound = 2048;  // factor clamp, x1024; in [1024, 1024*1024]
@@ -72,19 +123,29 @@ struct DynamicSpec {
   std::uint32_t adv_slow = 1024;  // x1024 multiplier (1024 = off); <= 1024*1024
   NodeId adv_source = 0;          // initial member of the touched set
 
-  std::uint64_t seed = 1;  // master seed for every schedule above
+  std::uint64_t seed = 1;  // master seed for drift and churn
 
+  bool crash_active() const noexcept {
+    return !crash_at.empty() || crash_count > 0;
+  }
+  bool drop_active() const noexcept { return drop_prob > 0.0; }
+  bool jitter_active() const noexcept { return jitter_spread > 0; }
   bool drift_active() const noexcept { return drift_step > 0; }
   bool churn_active() const noexcept { return churn_prob > 0.0; }
   bool adv_active() const noexcept { return adv_slow > 1024; }
-  bool any() const noexcept {
-    return drift_active() || churn_active() || adv_active();
+  /// Crashes or link loss (the failure half of the scenario).
+  bool faults_active() const noexcept {
+    return crash_active() || drop_active();
   }
-  // True when the scenario perturbs delivery latencies (drift or
-  // adversary); churn alone leaves every delivered contact's latency
-  // conformant to the latency model.
+  bool any() const noexcept {
+    return faults_active() || jitter_active() || drift_active() ||
+           churn_active() || adv_active();
+  }
+  // True when the scenario perturbs delivery latencies (jitter, drift or
+  // adversary); faults and churn leave every delivered contact's
+  // latency conformant to the latency model.
   bool affects_latency() const noexcept {
-    return drift_active() || adv_active();
+    return jitter_active() || drift_active() || adv_active();
   }
 };
 

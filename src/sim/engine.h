@@ -16,11 +16,13 @@
 //    message") — at most one outstanding self-initiated exchange;
 //  * bounded in-degree (Conclusion, citing Daum et al.): a cap on how
 //    many incoming initiations a node accepts per round;
-//  * node crashes and lossy links (Conclusion: "push-pull is relatively
-//    robust to failures, while our other approaches are not") — see
-//    sim/faults.h;
-//  * latency jitter (footnote 1: "due to fluctuations in network
-//    quality ... a node cannot necessarily predict the latency").
+//  * node crashes, lossy links and latency jitter (Conclusion:
+//    "push-pull is relatively robust to failures, while our other
+//    approaches are not"; footnote 1: "due to fluctuations in network
+//    quality ... a node cannot necessarily predict the latency"), along
+//    with drift, churn and an adversarial schedule — one declarative
+//    scenario (sim/dynamics_spec.h) that a DynamicPlan (sim/dynamics.h)
+//    implements.
 //
 // The engine is generic over a Protocol type (duck-typed, checked by the
 // GossipProtocol concept below) so payloads stay strongly typed and
@@ -31,10 +33,11 @@
 //    buckets covering the latency horizon; buckets are cleared but
 //    never deallocated between rounds, so steady state allocates
 //    nothing;
-//  * the four std::function hooks are hoisted out of the per-event loop
-//    by a compile-time policy: run_gossip() dispatches to a NoHooks
-//    instantiation when no hook is installed and to the dynamic path
-//    otherwise, so hook-free runs pay zero test-and-branch per event;
+//  * the two observer pointers (recorder, scenario plan) are hoisted
+//    out of the per-event loop by a compile-time policy: run_gossip()
+//    dispatches to a NoHooks instantiation when neither is set and to
+//    the hooked path otherwise, so hook-free runs pay zero
+//    test-and-branch per event;
 //  * protocols that already know which half-edge they picked can return
 //    a Contact{node, edge} and skip the per-activation find_edge() hash
 //    lookup; the plain NodeId return stays supported;
@@ -47,7 +50,6 @@
 #include <algorithm>
 #include <concepts>
 #include <cstdint>
-#include <functional>
 #include <optional>
 #include <span>
 #include <stdexcept>
@@ -56,7 +58,7 @@
 
 #include "graph/graph.h"
 #include "obs/recorder.h"
-#include "sim/dynamics_spec.h"
+#include "sim/dynamics.h"
 #include "sim/metrics.h"
 #include "sim/workspace.h"
 
@@ -208,41 +210,10 @@ std::size_t payload_bits_of(const typename P::Payload& pay) {
 
 }  // namespace detail
 
-/// Engine-side interface of a dynamic scenario (sim/dynamics_spec.h
-/// documents the semantics; sim/dynamics.h provides the concrete
-/// DynamicPlan). The engine consults it only on the hooked path:
-///  - resets_at(r) runs at the top of round r, BEFORE deliveries:
-///    each listed node's protocol state is re-initialised (rejoin with
-///    reset) via detail::reset_protocol_node, in the returned
-///    (ascending id) order;
-///  - absent(u, r) removes u from the network for round r: u initiates
-///    nothing and any delivery touching u is dropped like a crash;
-///  - adjust_latency runs after jitter, before the >= 1 clamp — drift
-///    and the adversarial frontier slowdown compose here;
-///  - note_delivery(to, r) reports every successful delivery so the
-///    adversary can track the touched set.
-/// Like every other observer, the hook's owner must outlive the run.
-class DynamicsHook {
- public:
-  virtual ~DynamicsHook() = default;
-  /// The declarative spec this hook implements; the oracle reads only
-  /// this and re-derives every schedule with independent code.
-  virtual const DynamicSpec& spec() const noexcept = 0;
-  virtual bool absent(NodeId u, Round r) const noexcept = 0;
-  virtual Latency adjust_latency(NodeId u, NodeId peer, EdgeId e, Latency lat,
-                                 Round r) = 0;
-  virtual void note_delivery(NodeId to, Round r) = 0;
-  virtual std::span<const NodeId> resets_at(Round r) const = 0;
-};
-
-/// Observer lifetime contract: every hook below (and the recorder
-/// pointer) references state owned by its installer — a SimTrace, a
-/// FaultPlan, an EventRecorder, or a capturing lambda. The owner must
-/// outlive every run_gossip() call made with these options. If an
-/// observer dies first, call reset_observers() before reusing the
-/// options object; SimTrace asserts (debug builds) when it is
-/// re-attached without being cleared, which catches the most common
-/// reuse-after-move footgun.
+/// Observer lifetime contract: `recorder` and `dynamics` are borrowed
+/// pointers, never owned. Their owners must outlive every run_gossip()
+/// call made with these options; clear the pointer before reusing the
+/// options object once an owner is gone.
 struct SimOptions {
   Round max_rounds = 1'000'000;
   /// Stop (as incomplete) once no exchange is in flight and no node
@@ -256,22 +227,9 @@ struct SimOptions {
   /// Cap on accepted incoming initiations per node per round; excess
   /// exchanges fail entirely (neither side receives anything). 0 = off.
   std::size_t max_incoming_per_round = 0;
-  /// Observer invoked at every edge activation (initiator, responder,
-  /// edge, round); the guessing-game reduction (Lemma 3) listens here.
-  std::function<void(NodeId, NodeId, EdgeId, Round)> on_activation;
-  /// Fault hooks (see sim/faults.h for a convenient builder):
-  /// crashed nodes neither initiate nor receive from their crash round.
-  std::function<bool(NodeId, Round)> is_crashed;
-  /// Per-delivery loss: drop the payload traveling to `to` from `from`.
-  std::function<bool(NodeId to, NodeId from, EdgeId, Round start, Round now)>
-      drop_delivery;
-  /// Per-exchange latency override (jitter). Receives the edge and its
-  /// nominal latency; the result is clamped to >= 1.
-  std::function<Latency(EdgeId, Latency)> latency_jitter;
   /// Structured event recorder (obs/recorder.h): activations,
-  /// deliveries, and drops are appended through this raw pointer — no
-  /// std::function hop. Not owned; must outlive the run. One recorder
-  /// per concurrent trial (the recorder is not thread-safe).
+  /// deliveries, and drops are appended through this raw pointer. One
+  /// recorder per concurrent trial (the recorder is not thread-safe).
   EventRecorder* recorder = nullptr;
   /// Reusable per-thread scratch (sim/workspace.h). When set, the engine
   /// keeps its calendar-queue state in a workspace slot instead of run-
@@ -282,32 +240,15 @@ struct SimOptions {
   /// hands each trial its worker's workspace; direct callers may pass
   /// trial_workspace() themselves.
   TrialWorkspace* workspace = nullptr;
-  /// Dynamic scenario (churn / latency drift / adversarial schedules);
-  /// see DynamicsHook above and sim/dynamics.h. Not owned; must outlive
-  /// the run. DynamicPlan::apply() installs it.
-  DynamicsHook* dynamics = nullptr;
+  /// Scenario: crashes, link loss, jitter, drift, churn and the
+  /// adversary (sim/dynamics_spec.h). The engine rewinds the plan with
+  /// begin_run() as each run starts; one plan per concurrent trial.
+  DynamicPlan* dynamics = nullptr;
 
-  /// True iff any dynamic hook (or the recorder) is installed;
-  /// hook-free runs take the compile-time NoHooks fast path through the
-  /// event loop.
+  /// True iff the recorder or a scenario is set; runs without either
+  /// take the compile-time NoHooks fast path through the event loop.
   bool any_hooks() const {
-    return static_cast<bool>(on_activation) || static_cast<bool>(is_crashed) ||
-           static_cast<bool>(drop_delivery) ||
-           static_cast<bool>(latency_jitter) || recorder != nullptr ||
-           dynamics != nullptr;
-  }
-
-  /// Detach every observer: clears all four hooks, the recorder
-  /// pointer, and the dynamics hook. Call when an installed observer's
-  /// owner may die before the next run_gossip() with this options
-  /// object.
-  void reset_observers() {
-    on_activation = nullptr;
-    is_crashed = nullptr;
-    drop_delivery = nullptr;
-    latency_jitter = nullptr;
-    recorder = nullptr;
-    dynamics = nullptr;
+    return recorder != nullptr || dynamics != nullptr;
   }
 };
 
@@ -334,7 +275,8 @@ struct EngineDelivery {
 /// One state per payload type per workspace; protocols sharing a payload
 /// type share the state, which is safe because runs on one workspace are
 /// sequential (in_use guards the one exception: a run nested inside
-/// another run's hook falls back to run-local state).
+/// another run, say from a protocol callback, falls back to run-local
+/// state).
 template <typename PayloadT>
 class EngineState {
  public:
@@ -427,9 +369,9 @@ inline void reset_protocol_node(P& proto, NodeId u, Round r) {
 }
 
 /// Engine core, instantiated twice per protocol: kHooked=false elides
-/// every std::function test from the loops; kHooked=true is the fully
-/// dynamic path. Both produce bit-identical results for the same seed
-/// when no hook alters behavior (covered by engine_test).
+/// every recorder and scenario test from the loops; kHooked=true is the
+/// observed path. Both produce bit-identical results for the same seed
+/// when no scenario alters behavior (covered by engine_test).
 template <bool kHooked, typename P>
 SimResult run_gossip_impl(const WeightedGraph& g, P& proto,
                           const SimOptions& opts) {
@@ -441,8 +383,11 @@ SimResult run_gossip_impl(const WeightedGraph& g, P& proto,
   // every event (it cannot change mid-run; see the lifetime contract).
   [[maybe_unused]] EventRecorder* const recorder =
       kHooked ? opts.recorder : nullptr;
-  [[maybe_unused]] DynamicsHook* const dynamics =
+  [[maybe_unused]] DynamicPlan* const plan =
       kHooked ? opts.dynamics : nullptr;
+  if constexpr (kHooked) {
+    if (plan) plan->begin_run();
+  }
   SimResult result;
   if (n == 0) {
     result.completed = proto.done(0);
@@ -460,7 +405,8 @@ SimResult run_gossip_impl(const WeightedGraph& g, P& proto,
   // (so the next run on this thread reuses the buckets) and falls back
   // to run-local state otherwise — or when the workspace slot is
   // already driving an enclosing run (a run_gossip nested inside a
-  // hook), which keeps reuse transparent even for re-entrant callers.
+  // protocol callback), which keeps reuse transparent even for
+  // re-entrant callers.
   State local_state;
   State* state = &local_state;
   if (opts.workspace != nullptr) {
@@ -509,8 +455,8 @@ SimResult run_gossip_impl(const WeightedGraph& g, P& proto,
     // 0. Churn rejoin-with-reset: re-initialise returning nodes before
     // any delivery of this round can reach them.
     if constexpr (kHooked) {
-      if (dynamics) {
-        for (const NodeId u : dynamics->resets_at(r))
+      if (plan) {
+        for (const NodeId u : plan->resets_at(r))
           detail::reset_protocol_node(proto, u, r);
       }
     }
@@ -531,23 +477,17 @@ SimResult run_gossip_impl(const WeightedGraph& g, P& proto,
           if (outstanding[d.to] > 0) --outstanding[d.to];
         }
         if constexpr (kHooked) {
-          // Churn absence folds into the crash flag BEFORE the loss
-          // hook is consulted, so drop_delivery's RNG draw count stays
-          // identical between the engine and the oracle.
-          const bool crashed =
-              (opts.is_crashed && opts.is_crashed(d.to, r)) ||
-              (opts.is_crashed && opts.is_crashed(d.from, r)) ||
-              (dynamics &&
-               (dynamics->absent(d.to, r) || dynamics->absent(d.from, r)));
-          const bool dropped =
-              crashed ||
-              (opts.drop_delivery &&
-               opts.drop_delivery(d.to, d.from, d.edge, d.start, r));
-          if (dropped) {
-            ++result.messages_dropped;
-            if (recorder)
-              recorder->record_drop(d.to, d.from, d.edge, d.start, r, crashed);
-            continue;
+          // A leg touching a crashed or churned-away endpoint is a crash
+          // drop; only the other legs draw from the loss stream.
+          if (plan) {
+            const bool crashed = plan->down(d.to, r) || plan->down(d.from, r);
+            if (crashed || plan->drop_leg()) {
+              ++result.messages_dropped;
+              if (recorder)
+                recorder->record_drop(d.to, d.from, d.edge, d.start, r,
+                                      crashed);
+              continue;
+            }
           }
         }
         proto.deliver(d.to, d.from, std::move(d.payload), d.edge, d.start, r);
@@ -555,7 +495,7 @@ SimResult run_gossip_impl(const WeightedGraph& g, P& proto,
         if constexpr (kHooked) {
           if (recorder)
             recorder->record_delivery(d.to, d.from, d.edge, d.start, r);
-          if (dynamics) dynamics->note_delivery(d.to, r);
+          if (plan) plan->note_delivery(d.to);
         }
       }
       inflight -= due.size();
@@ -574,8 +514,7 @@ SimResult run_gossip_impl(const WeightedGraph& g, P& proto,
     bool any_selected = false;
     for (NodeId u = 0; u < n; ++u) {
       if constexpr (kHooked) {
-        if (opts.is_crashed && opts.is_crashed(u, r)) continue;
-        if (dynamics && dynamics->absent(u, r)) continue;
+        if (plan && plan->down(u, r)) continue;
       }
       if (opts.blocking && outstanding[u] > 0) continue;
 
@@ -606,7 +545,6 @@ SimResult run_gossip_impl(const WeightedGraph& g, P& proto,
       any_selected = true;
       ++result.activations;
       if constexpr (kHooked) {
-        if (opts.on_activation) opts.on_activation(u, peer, edge, r);
         if (recorder) recorder->record_activation(u, peer, edge, r);
       }
 
@@ -623,14 +561,8 @@ SimResult run_gossip_impl(const WeightedGraph& g, P& proto,
       }
 
       if constexpr (kHooked) {
-        if (opts.latency_jitter) {
-          lat = opts.latency_jitter(edge, lat);
-          if (lat < 1) lat = 1;
-          if (static_cast<std::size_t>(lat) > capacity)
-            grow(static_cast<std::size_t>(lat) + 1);
-        }
-        if (dynamics) {
-          lat = dynamics->adjust_latency(u, peer, edge, lat, r);
+        if (plan) {
+          lat = plan->adjust_latency(u, peer, edge, lat, r);
           if (lat < 1) lat = 1;
           if (static_cast<std::size_t>(lat) > capacity)
             grow(static_cast<std::size_t>(lat) + 1);
@@ -678,8 +610,8 @@ SimResult run_gossip_impl(const WeightedGraph& g, P& proto,
 /// endpoints of each completed exchange), (2) done() check, (3) contact
 /// selection in node-id order with payload snapshots taken immediately.
 ///
-/// Dispatches to a hook-free fast instantiation when no SimOptions hook
-/// is installed; both paths are semantically identical.
+/// Dispatches to a hook-free fast instantiation when neither a recorder
+/// nor a scenario is set; both paths are semantically identical.
 template <typename P>
   requires GossipProtocol<P>
 SimResult run_gossip(const WeightedGraph& g, P& proto,

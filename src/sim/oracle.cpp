@@ -90,6 +90,30 @@ bool oracle_node_resets_at(const DynamicSpec& spec, NodeId u, Round r,
   return c.leaves && c.reset && r == c.leave + c.absence + absence_bias;
 }
 
+OracleFaults oracle_faults(const DynamicSpec& spec, std::size_t num_nodes) {
+  OracleFaults f{{}, Rng(spec.fault_seed)};
+  for (const DynamicSpec::Crash& c : spec.crash_at)
+    f.log.emplace_back(c.node, c.round);
+  std::size_t drawn = 0;
+  while (drawn < spec.crash_count) {
+    const auto v = static_cast<NodeId>(f.loss.uniform(num_nodes));
+    const bool logged =
+        std::any_of(f.log.begin(), f.log.end(),
+                    [v](const auto& entry) { return entry.first == v; });
+    if (v == spec.crash_spare || logged) continue;
+    f.log.emplace_back(v, spec.crash_round);
+    ++drawn;
+  }
+  return f;
+}
+
+bool oracle_node_crashed(const OracleFaults& faults, NodeId u, Round r,
+                         Round delay) {
+  for (auto it = faults.log.rbegin(); it != faults.log.rend(); ++it)
+    if (it->first == u) return r >= it->second + delay;
+  return false;
+}
+
 }  // namespace oracle_detail
 
 }  // namespace latgossip

@@ -6,7 +6,8 @@
 // The oracle drives the same Protocol concept as run_gossip(), honors
 // the same SimOptions, and emits the same observable event stream
 // (activations / deliveries / drops through SimOptions::recorder), but
-// shares NO scheduling or adjacency machinery with the engine:
+// shares NO scheduling, adjacency or scenario machinery with the
+// engine:
 //
 //   engine (run_gossip)              oracle (run_gossip_oracle)
 //   -------------------------------  --------------------------------
@@ -23,6 +24,10 @@
 //   shared copy-on-write payload     naive private deep copy per
 //   snapshots (PayloadTraits::       capture (PayloadTraits::
 //   capture)                         capture_private)
+//   DynamicPlan: crash table, saved  spec() only: crash log re-derived
+//   loss-stream state, churn         and scanned, its own loss and
+//   intervals, drift cache           jitter streams, churn and drift
+//                                    recomputed per query
 //
 // The payload row is load-bearing for the COW snapshot work (DESIGN.md
 // §5g): the oracle deliberately stays on full copy-at-capture, so any
@@ -48,6 +53,7 @@
 
 #include "graph/graph.h"
 #include "sim/engine.h"
+#include "util/rng.h"
 
 namespace latgossip {
 
@@ -88,11 +94,8 @@ struct ModelBug {
   bool freeze_drift = false;
   /// Extend every churned node's absence by this many rounds.
   Round churn_absence_bias = 0;
-
-  bool any() const noexcept {
-    return latency_bias != 0 || drop_initiator_leg || freeze_drift ||
-           churn_absence_bias != 0;
-  }
+  /// Delay every crash by this many rounds.
+  Round crash_delay = 0;
 };
 
 /// Edge joining u and v found by a linear walk of u's adjacency slice
@@ -116,6 +119,21 @@ bool oracle_node_absent(const DynamicSpec& spec, NodeId u, Round r,
                         Round absence_bias = 0);
 bool oracle_node_resets_at(const DynamicSpec& spec, NodeId u, Round r,
                            Round absence_bias = 0);
+
+/// The crash contract re-derived independently of DynamicPlan's
+/// per-node table: crashes are kept as an assignment log (the last
+/// entry for a node wins), and the random draw rejects a node by
+/// searching that log. `loss` is the fault stream as the draw leaves
+/// it — the link-loss stream.
+struct OracleFaults {
+  std::vector<std::pair<NodeId, Round>> log;
+  Rng loss;
+};
+OracleFaults oracle_faults(const DynamicSpec& spec, std::size_t num_nodes);
+/// Linear scan of the log for u's last entry. `delay` is the ModelBug
+/// knob — always 0 outside tests.
+bool oracle_node_crashed(const OracleFaults& faults, NodeId u, Round r,
+                         Round delay = 0);
 
 }  // namespace oracle_detail
 
@@ -150,37 +168,38 @@ SimResult run_gossip_oracle(const WeightedGraph& g, P& proto,
 
   std::vector<Exchange> in_flight;
 
-  // Dynamic scenario: the oracle reads only the declarative spec and
-  // interprets it with the independent brute-force helpers in
-  // oracle_detail (sim/oracle.cpp) — never DynamicPlan's caches.
+  // Scenario: the oracle reads only the declarative spec and interprets
+  // it with the independent brute-force helpers in oracle_detail
+  // (sim/oracle.cpp) — never DynamicPlan's tables, caches or streams.
   const DynamicSpec* const dyn =
       opts.dynamics != nullptr ? &opts.dynamics->spec() : nullptr;
+  oracle_detail::OracleFaults faults;
+  Rng jitter;
   std::vector<char> adv_touched;
-  if (dyn && dyn->adv_active()) {
-    adv_touched.assign(n, 0);
-    adv_touched[dyn->adv_source] = 1;
+  if (dyn) {
+    faults = oracle_detail::oracle_faults(*dyn, n);
+    jitter = Rng(dyn->jitter_seed);
+    if (dyn->adv_active()) {
+      adv_touched.assign(n, 0);
+      adv_touched[dyn->adv_source] = 1;
+    }
   }
+  // Crashed or away to churn: u takes no part in round r.
+  auto down = [&](NodeId u, Round r) {
+    return dyn != nullptr &&
+           (oracle_detail::oracle_node_crashed(faults, u, r, bug.crash_delay) ||
+            oracle_detail::oracle_node_absent(*dyn, u, r,
+                                              bug.churn_absence_bias));
+  };
 
-  // One delivery leg, replicating the engine's fault semantics exactly:
-  // a leg whose either endpoint has crashed by `now` — or is absent to
-  // churn — is a crash-drop; drop_delivery is consulted only for
-  // non-crashed legs (the hook may own random state, so call counts
-  // must match the engine's).
+  // One delivery leg: a leg whose either endpoint is down at `now` is a
+  // crash-drop; only the other legs draw from the loss stream.
   auto deliver_leg = [&](NodeId to, NodeId from, EdgeId edge, Round started,
                          Round now, typename P::Payload&& payload) {
-    bool crashed = false;
-    if (opts.is_crashed && opts.is_crashed(to, now)) crashed = true;
-    if (!crashed && opts.is_crashed && opts.is_crashed(from, now))
-      crashed = true;
-    if (!crashed && dyn &&
-        (oracle_detail::oracle_node_absent(*dyn, to, now,
-                                           bug.churn_absence_bias) ||
-         oracle_detail::oracle_node_absent(*dyn, from, now,
-                                           bug.churn_absence_bias)))
-      crashed = true;
+    const bool crashed = down(to, now) || down(from, now);
     bool dropped = crashed;
-    if (!dropped && opts.drop_delivery)
-      dropped = opts.drop_delivery(to, from, edge, started, now);
+    if (!dropped && dyn && dyn->drop_prob > 0.0)
+      dropped = faults.loss.bernoulli(dyn->drop_prob);
     if (dropped) {
       ++result.messages_dropped;
       if (opts.recorder)
@@ -240,10 +259,7 @@ SimResult run_gossip_oracle(const WeightedGraph& g, P& proto,
         opts.max_incoming_per_round > 0 ? n : 0, 0);
     bool any_selected = false;
     for (NodeId u = 0; u < n; ++u) {
-      if (opts.is_crashed && opts.is_crashed(u, r)) continue;
-      if (dyn && oracle_detail::oracle_node_absent(*dyn, u, r,
-                                                   bug.churn_absence_bias))
-        continue;
+      if (down(u, r)) continue;
       if (opts.blocking) {
         // Blocking model: u may not initiate while one of its own
         // exchanges is still in flight — answered by scanning the list.
@@ -276,7 +292,6 @@ SimResult run_gossip_oracle(const WeightedGraph& g, P& proto,
       }
       any_selected = true;
       ++result.activations;
-      if (opts.on_activation) opts.on_activation(u, peer, edge, r);
       if (opts.recorder) opts.recorder->record_activation(u, peer, edge, r);
 
       if (opts.max_incoming_per_round > 0 &&
@@ -286,8 +301,8 @@ SimResult run_gossip_oracle(const WeightedGraph& g, P& proto,
       }
 
       Latency lat = g.edge(edge).latency;
-      if (opts.latency_jitter) {
-        lat = opts.latency_jitter(edge, lat);
+      if (dyn && dyn->jitter_spread > 0) {
+        lat += jitter.uniform_int(-dyn->jitter_spread, dyn->jitter_spread);
         if (lat < 1) lat = 1;
       }
       // Dynamics compose after jitter: drift (with its own >= 1 clamp),

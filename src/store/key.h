@@ -101,7 +101,8 @@ struct CellSpec {
   NodeId source = 0;
   Round max_rounds = 0;
   std::string kind = "sim";
-  std::string faults;          ///< serialized fault plan; "" = none
+  /// canonical_dynamics() of the run's scenario; "" = none.
+  std::string faults;
   std::string model{kStoreModelVersion};
 };
 

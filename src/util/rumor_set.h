@@ -11,7 +11,7 @@
 // item 2).
 //
 // This header factors the representation into a compile-time concept,
-// RumorSetRep, modeled by three interchangeable types:
+// RumorSetRep, modeled by two interchangeable types:
 //
 //  * Bitset           (util/bitset.h) — the unchanged dense fast path.
 //  * SparseRumorSet   — sorted u32 vector for broadcast-style workloads
@@ -19,20 +19,11 @@
 //                       large graph); promotes itself to dense past the
 //                       break-even point so adversarial growth degrades
 //                       to Bitset behavior instead of O(k) inserts.
-//  * CountRumorSet    — dense membership plus a saturation collapse for
-//                       all-to-all: once a set holds every rumor its
-//                       words are freed and every union/capture against
-//                       it is O(1). Membership below saturation stays
-//                       exact — a count alone cannot reproduce union
-//                       results, so this is "counting mode" in the
-//                       sense that only |set| drives the observables
-//                       and a full set needs no words.
 //
-// All three are observationally identical: the engine-vs-oracle
-// differential harness (check/differential.cpp) runs the same case
-// under every representation and requires bit-identical SimResults and
-// event fingerprints (the cross-representation satellite of ROADMAP
-// item 2). Protocols are templated over the representation
+// Both are observationally identical: the engine-vs-oracle
+// differential harness (check/differential.cpp) runs every rumor-set
+// case under both representations and requires bit-identical
+// SimResults and event fingerprints. Protocols are templated over the representation
 // (core/push_pull.h BasicPushPullGossip<R> etc.) with Bitset-typedefs
 // preserving the historical names, so the dense instantiation inlines
 // exactly as before.
@@ -50,8 +41,7 @@
 namespace latgossip {
 
 /// Compile-time contract every rumor-set representation satisfies.
-/// Bitset models it natively; SparseRumorSet / CountRumorSet mirror the
-/// subset of Bitset's API the protocols and the snapshot arena use.
+/// Bitset models it natively; SparseRumorSet mirrors the subset of Bitset's API the protocols and the snapshot arena use.
 template <typename R>
 concept RumorSetRep =
     std::copyable<R> && requires(R r, const R& cr, std::size_t i) {
@@ -236,117 +226,8 @@ class SparseRumorSet {
   std::size_t count_ = 0;             ///< popcount mirror when dense_
 };
 
-/// Dense membership with a cached cardinality and a saturation
-/// collapse. Below saturation this is a Bitset plus a count; the moment
-/// a set holds all `size` elements its words are released and every
-/// subsequent operation answers from the count alone — unions into or
-/// from a full set are O(1), and snapshot captures of a full set copy
-/// no words. In the late phase of an all-to-all run, where almost every
-/// delivery lands on an already-complete node, that converts the O(n/64)
-/// per-delivery union walk into a flag test.
-class CountRumorSet {
- public:
-  using OrDelta = Bitset::OrDelta;
-
-  CountRumorSet() = default;
-  explicit CountRumorSet(std::size_t size)
-      : size_(size), bits_(size), full_(size == 0) {}
-
-  std::size_t size() const noexcept { return size_; }
-  bool empty() const noexcept { return size_ == 0; }
-
-  bool test(std::size_t i) const {
-    check(i);
-    return full_ || bits_.test(i);
-  }
-
-  void set(std::size_t i) {
-    check(i);
-    if (full_) return;
-    if (!bits_.test(i)) {
-      bits_.set(i);
-      ++count_;
-      maybe_saturate();
-    }
-  }
-
-  void clear() {
-    full_ = size_ == 0;
-    count_ = 0;
-    bits_.reinit(size_);
-  }
-
-  void reinit(std::size_t size) {
-    size_ = size;
-    clear();
-  }
-
-  std::size_t count() const noexcept { return full_ ? size_ : count_; }
-  bool all() const noexcept { return full_; }
-
-  OrDelta or_assign_changed(const CountRumorSet& other) {
-    check_same(other);
-    if (full_) return OrDelta{};
-    if (other.full_) {
-      // Everything missing arrives at once; the receiver saturates.
-      const std::size_t added = size_ - count_;
-      saturate();
-      return OrDelta{added > 0, added};
-    }
-    const OrDelta delta = bits_.or_assign_changed(other.bits_);
-    count_ += delta.added;
-    maybe_saturate();
-    return delta;
-  }
-
-  std::size_t assign_and_count(const CountRumorSet& other) {
-    *this = other;
-    return count();
-  }
-
-  bool operator==(const CountRumorSet& other) const {
-    if (size_ != other.size_ || count() != other.count()) return false;
-    if (full_ || other.full_) return true;  // equal full counts
-    return bits_ == other.bits_;
-  }
-
-  std::vector<std::size_t> to_indices() const {
-    if (!full_) return bits_.to_indices();
-    std::vector<std::size_t> out(size_);
-    for (std::size_t i = 0; i < size_; ++i) out[i] = i;
-    return out;
-  }
-
-  /// True once the saturation collapse fired (words released).
-  bool saturated() const noexcept { return full_; }
-
- private:
-  void check(std::size_t i) const {
-    if (i >= size_)
-      throw std::out_of_range("CountRumorSet index out of range");
-  }
-  void check_same(const CountRumorSet& other) const {
-    if (size_ != other.size_)
-      throw std::invalid_argument("CountRumorSet size mismatch");
-  }
-  void maybe_saturate() {
-    if (count_ == size_) saturate();
-  }
-  void saturate() {
-    full_ = true;
-    count_ = 0;
-    bits_ = Bitset();  // release the words; membership is implied
-  }
-
-  std::size_t size_ = 0;
-  Bitset bits_;            ///< valid when !full_
-  std::size_t count_ = 0;  ///< popcount mirror when !full_
-  bool full_ = false;
-};
-
 static_assert(RumorSetRep<Bitset>);
 static_assert(RumorSetRep<SparseRumorSet>);
-static_assert(RumorSetRep<CountRumorSet>);
 
 /// Starting rumor sets where each node knows exactly its own id — the
 /// representation-generic twin of the protocols' own_id_rumors().
@@ -380,7 +261,7 @@ inline void prefetch_rumor_set(const R& r) noexcept {
 
 /// Which rumor-set representation a run should instantiate. kAuto picks
 /// dense below kDenseNodeThreshold nodes and sparse at or above it.
-enum class RumorRep : std::uint8_t { kDense, kSparse, kCount, kAuto };
+enum class RumorRep : std::uint8_t { kDense, kSparse, kAuto };
 
 /// Auto-selection crossover. Below this node count a dense rumor set is
 /// at most 8 KiB (n/8 bytes) and word-parallel unions beat any sparse
@@ -394,7 +275,6 @@ constexpr std::string_view rumor_rep_name(RumorRep rep) noexcept {
   switch (rep) {
     case RumorRep::kDense: return "dense";
     case RumorRep::kSparse: return "sparse";
-    case RumorRep::kCount: return "count";
     case RumorRep::kAuto: return "auto";
   }
   return "?";
@@ -404,7 +284,6 @@ constexpr std::string_view rumor_rep_name(RumorRep rep) noexcept {
 inline RumorRep parse_rumor_rep(std::string_view name) {
   if (name == "dense") return RumorRep::kDense;
   if (name == "sparse") return RumorRep::kSparse;
-  if (name == "count") return RumorRep::kCount;
   if (name == "auto") return RumorRep::kAuto;
   throw std::invalid_argument("unknown rumor representation: " +
                               std::string(name));
@@ -427,8 +306,6 @@ decltype(auto) with_rumor_rep(RumorRep rep, std::size_t num_nodes, Fn&& fn) {
   switch (resolve_rumor_rep(rep, num_nodes)) {
     case RumorRep::kSparse:
       return fn.template operator()<SparseRumorSet>();
-    case RumorRep::kCount:
-      return fn.template operator()<CountRumorSet>();
     case RumorRep::kDense:
     case RumorRep::kAuto:
       break;

@@ -11,8 +11,8 @@
 // reference-count bumps in steady state.
 //
 // Three pieces, each templated over the rumor-set representation R
-// (util/rumor_set.h) — Bitset for the dense fast path, SparseRumorSet /
-// CountRumorSet for the million-node regime — with the historical
+// (util/rumor_set.h) — Bitset for the dense fast path, SparseRumorSet
+// for the million-node regime — with the historical
 // Bitset-instantiation names kept as aliases:
 //  * BasicSnapshotArena<R> — owns ref-counted immutable R blocks;
 //    blocks whose last reference dies are recycled through a free pool,

@@ -9,7 +9,7 @@
 #include "graph/generators.h"
 #include "graph/latency_models.h"
 #include "sim/engine.h"
-#include "sim/faults.h"
+#include "sim/dynamics.h"
 
 namespace latgossip {
 namespace {
@@ -135,10 +135,12 @@ TEST(AntiEntropy, SurvivesLinkLoss) {
   const auto g = make_clique(10);
   NetworkView view(g, false);
   AntiEntropy proto(view, seeded_stores(10), Rng(7));
-  FaultPlan plan(10, 9);
-  plan.set_link_drop_probability(0.25);
+  DynamicSpec lossy;
+  lossy.drop_prob = 0.25;
+  lossy.fault_seed = 9;
+  DynamicPlan plan(10, g.num_edges(), lossy);
   SimOptions opts;
-  plan.apply(opts);
+  opts.dynamics = &plan;
   opts.max_rounds = 200'000;
   EXPECT_TRUE(run_gossip(g, proto, opts).completed);
 }

@@ -46,7 +46,7 @@ void sweep(Rng& rng, const CaseProfile& profile, int cases,
     ASSERT_TRUE(rep.ok) << failure_dump(tc, rep);
     if (!cov) continue;
     ++cov->per_proto[static_cast<std::size_t>(tc.proto)];
-    if (tc.faults.any())
+    if (tc.dynamics.faults_active())
       ++cov->faulted;
     else
       ++cov->fault_free;
@@ -89,7 +89,7 @@ TEST(Differential, ForcedModelKnobs) {
     TestCase tc = random_case(rng, profile);
     tc.blocking = (i % 3) == 0;
     tc.max_incoming_per_round = (i % 3) == 1 ? 1 : 0;
-    tc.jitter_spread = (i % 3) == 2 ? 2 : 0;
+    tc.dynamics.jitter_spread = (i % 3) == 2 ? 2 : 0;
     const DiffReport rep = run_differential(tc);
     ASSERT_TRUE(rep.ok) << failure_dump(tc, rep);
   }
@@ -153,8 +153,6 @@ TEST(Differential, CompositeCasesKeepKnobsOff) {
     ++composites_seen;
     EXPECT_FALSE(tc.blocking) << describe(tc);
     EXPECT_EQ(tc.max_incoming_per_round, 0u) << describe(tc);
-    EXPECT_EQ(tc.jitter_spread, 0) << describe(tc);
-    EXPECT_FALSE(tc.faults.any()) << describe(tc);
     EXPECT_FALSE(tc.dynamics.any()) << describe(tc);
   }
   EXPECT_GT(composites_seen, 30);
@@ -169,10 +167,10 @@ TEST(Differential, CompositeCasesKeepKnobsOff) {
   with_dynamics.dynamics.drift_step = 64;
   EXPECT_FALSE(case_valid(with_dynamics));
   TestCase with_faults = tc;
-  with_faults.faults.drop_probability = 0.5;
+  with_faults.dynamics.drop_prob = 0.5;
   EXPECT_FALSE(case_valid(with_faults));
   TestCase with_jitter = tc;
-  with_jitter.jitter_spread = 2;
+  with_jitter.dynamics.jitter_spread = 2;
   EXPECT_FALSE(case_valid(with_jitter));
 }
 
@@ -213,6 +211,28 @@ TEST(Differential, InjectedLegDropIsDetected) {
     const TestCase tc = random_case(rng, profile);
     const DiffReport rep = run_differential(tc, bug);
     if (rep.engine_result.messages_delivered > 0 && !rep.ok) ++detected;
+  }
+  EXPECT_GT(detected, 10);
+}
+
+// The oracle interprets the crash contract with its own code, so a crash
+// bug planted there must surface as a divergence.
+TEST(Differential, InjectedCrashDelayIsDetected) {
+  Rng rng(321);
+  CaseProfile profile;
+  profile.min_nodes = 4;
+  profile.composites = false;
+  profile.allow_faults = false;
+  profile.allow_model_variants = false;
+  profile.allow_dynamics = false;
+  oracle_detail::ModelBug bug;
+  bug.crash_delay = 5;
+  int detected = 0;
+  for (int i = 0; i < 20; ++i) {
+    TestCase tc = random_case(rng, profile);
+    tc.dynamics.crash_count = 1;
+    ASSERT_TRUE(case_valid(tc)) << describe(tc);
+    if (!run_differential(tc, bug).ok) ++detected;
   }
   EXPECT_GT(detected, 10);
 }

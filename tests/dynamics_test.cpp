@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <vector>
 
 #include "check/case_gen.h"
@@ -83,6 +84,18 @@ TEST(DynamicSpecTest, ValidationCatchesBadKnobs) {
   d.seed = 0;
   EXPECT_FALSE(dynamic_spec_error(d, 4).empty());
 
+  // Non-finite probabilities fail the range test instead of slipping
+  // through it (NaN compares false both ways).
+  d = churn_spec(std::nan(""), 8, 4, 1, 0, 7);
+  EXPECT_FALSE(dynamic_spec_error(d, 4).empty());
+  d = churn_spec(INFINITY, 8, 4, 1, 0, 7);
+  EXPECT_FALSE(dynamic_spec_error(d, 4).empty());
+  d = DynamicSpec{};
+  d.drop_prob = std::nan("");
+  EXPECT_FALSE(dynamic_spec_error(d, 4).empty());
+  d.drop_prob = -INFINITY;
+  EXPECT_FALSE(dynamic_spec_error(d, 4).empty());
+
   // The plan constructor enforces the same contract.
   EXPECT_THROW(DynamicPlan(4, 6, drift_spec(2000, 2048, 7)),
                std::invalid_argument);
@@ -119,19 +132,53 @@ TEST(DynamicSpecTest, ParseRoundTripAndDefaults) {
   EXPECT_THROW(parse_dynamics_spec("churn-mode=gone", 8, 0),
                std::invalid_argument);
   EXPECT_THROW(parse_dynamics_spec("churn=0.5", 1, 0), std::invalid_argument);
+
+  // Hostile values: trailing garbage, non-finite probabilities, and
+  // numbers that only fit after narrowing are all rejected.
+  for (const char* text :
+       {"churn=0.5abc", "churn=nan", "churn=inf", "churn=-nan", "churn=1e999",
+        "drift=4294967297", "drift-bound=4294969344", "adv=4294968320",
+        "churn=0.5,churn-window=9223372036854775808",
+        "churn=0.5,churn-absence=18446744073709551615",
+        "churn=0.5,churn-window=2000000000000", "seed=18446744073709551616",
+        "drift=16x"})
+    EXPECT_THROW(parse_dynamics_spec(text, 8, 0), std::invalid_argument)
+        << text;
+}
+
+TEST(DynamicSpecTest, CanonicalFormIsExact) {
+  // No scenario serializes to "" (the store key every existing record
+  // was written under).
+  EXPECT_EQ(canonical_dynamics(DynamicSpec{}), "");
+  EXPECT_EQ(canonical_dynamics(parse_dynamics_spec("seed=9", 8, 0)), "");
+  // Probabilities that print alike at 6 significant digits still
+  // serialize apart, and so does every seed that drives a schedule.
+  const DynamicSpec a = parse_dynamics_spec("churn=0.1234567", 8, 0);
+  const DynamicSpec b = parse_dynamics_spec("churn=0.1234568", 8, 0);
+  EXPECT_EQ(describe_dynamics(a), describe_dynamics(b));
+  EXPECT_NE(canonical_dynamics(a), canonical_dynamics(b));
+  EXPECT_NE(canonical_dynamics(parse_dynamics_spec("drift=16,seed=5", 8, 0)),
+            canonical_dynamics(parse_dynamics_spec("drift=16,seed=6", 8, 0)));
+  // The adversary draws no randomness, so its key ignores the seed.
+  EXPECT_EQ(canonical_dynamics(parse_dynamics_spec("adv=2048,seed=5", 8, 0)),
+            canonical_dynamics(parse_dynamics_spec("adv=2048,seed=6", 8, 0)));
+  DynamicSpec lossy;
+  lossy.drop_prob = 0.25;
+  lossy.fault_seed = 3;
+  DynamicSpec other_stream = lossy;
+  other_stream.fault_seed = 4;
+  EXPECT_NE(canonical_dynamics(lossy), canonical_dynamics(other_stream));
 }
 
 // The plan's incremental per-edge drift cache and the oracle's
 // from-scratch recomputation are independent mechanisations of the same
 // contract; they must agree on every (edge, round), stay inside the
-// clamp band, and replay identically across detach()/apply() cycles.
+// clamp band, and replay identically after begin_run().
 TEST(DynamicsDriftTest, PlanMatchesOracleAndReplays) {
   const std::size_t num_edges = 9;
   for (std::uint64_t seed : {1ull, 42ull, 9001ull}) {
     const DynamicSpec spec = drift_spec(128, 4096, seed);
     DynamicPlan plan(6, num_edges, spec);
-    SimOptions opts;
-    plan.apply(opts);
     std::vector<Latency> first_pass;
     for (Round r = 0; r <= 40; ++r) {
       for (EdgeId e = 0; e < num_edges; ++e) {
@@ -149,9 +196,8 @@ TEST(DynamicsDriftTest, PlanMatchesOracleAndReplays) {
         EXPECT_GE(adj, 1);
       }
     }
-    // Replay: detach + re-apply rewinds the incremental cache.
-    plan.detach();
-    plan.apply(opts);
+    // Replay: begin_run() rewinds the incremental cache.
+    plan.begin_run();
     std::size_t i = 0;
     for (Round r = 0; r <= 40; ++r)
       for (EdgeId e = 0; e < num_edges; ++e) {
@@ -165,9 +211,7 @@ TEST(DynamicsChurnTest, PlanMatchesOracleOnAbsenceAndResets) {
   const std::size_t n = 12;
   for (std::uint64_t seed : {3ull, 77ull, 500ull}) {
     const DynamicSpec spec = churn_spec(0.6, 10, 6, 2, /*spare=*/4, seed);
-    DynamicPlan plan(n, 20, spec);
-    SimOptions opts;
-    plan.apply(opts);
+    const DynamicPlan plan(n, 20, spec);
     bool anyone_left = false;
     for (Round r = 0; r <= 30; ++r) {
       // Membership of the reset span vs the oracle's per-node answer.
@@ -214,19 +258,16 @@ TEST(DynamicsAdversaryTest, SlowsOnlyFrontierCrossingEdges) {
   spec.adv_source = 0;
   spec.seed = 5;
   DynamicPlan plan(4, 4, spec);
-  SimOptions opts;
-  plan.apply(opts);
   // Initially touched = {0}: edges leaving node 0 cross the frontier.
   EXPECT_EQ(plan.adjust_latency(0, 1, 0, 10, 1), 20);
   EXPECT_EQ(plan.adjust_latency(1, 0, 0, 10, 1), 20);
   EXPECT_EQ(plan.adjust_latency(1, 2, 1, 10, 1), 10);  // both untouched
   // A successful delivery moves node 1 inside the frontier.
-  plan.note_delivery(1, 2);
+  plan.note_delivery(1);
   EXPECT_EQ(plan.adjust_latency(0, 1, 0, 10, 3), 10);  // now interior
   EXPECT_EQ(plan.adjust_latency(1, 2, 1, 10, 3), 20);  // new frontier
-  // Re-apply resets the touched set back to the adversary's source.
-  plan.detach();
-  plan.apply(opts);
+  // begin_run() resets the touched set back to the adversary's source.
+  plan.begin_run();
   EXPECT_EQ(plan.adjust_latency(1, 2, 1, 10, 1), 10);
   EXPECT_EQ(plan.adjust_latency(0, 1, 0, 10, 1), 20);
 }
@@ -241,11 +282,10 @@ TEST(DynamicsEngineTest, HookWiringAndDeterministicReplay) {
 
   SimOptions opts;
   EXPECT_FALSE(opts.any_hooks());
-  plan.apply(opts);
+  opts.dynamics = &plan;
   EXPECT_TRUE(opts.any_hooks());
-  opts.reset_observers();
+  opts.dynamics = nullptr;
   EXPECT_FALSE(opts.any_hooks());
-  plan.detach();
 
   auto run_once = [&]() {
     thread_local EventRecorder rec;
@@ -254,7 +294,7 @@ TEST(DynamicsEngineTest, HookWiringAndDeterministicReplay) {
     o.max_rounds = 5000;
     o.recorder = &rec;
     DynamicPlan p(g.num_nodes(), g.num_edges(), spec);
-    p.apply(o);
+    o.dynamics = &p;
     NetworkView view(g, false);
     PushPullBroadcast proto(view, 0, Rng(17));
     const SimResult res = run_gossip(g, proto, o);
@@ -278,7 +318,7 @@ TEST(DynamicsEngineTest, ChurnRunSatisfiesAbsenceInvariants) {
   SimOptions opts;
   opts.max_rounds = 5000;
   opts.recorder = &rec;
-  plan.apply(opts);
+  opts.dynamics = &plan;
   NetworkView view(g, false);
   PushPullBroadcast proto(view, 0, Rng(6));
   const SimResult res = run_gossip(g, proto, opts);

@@ -10,6 +10,7 @@
 #include "graph/builder.h"
 #include "graph/graph.h"
 #include "graph/latency_models.h"
+#include "obs/recorder.h"
 #include "sim/engine.h"
 
 namespace latgossip {
@@ -159,12 +160,14 @@ TEST(Engine, ActivationObserverSeesEveryInitiation) {
   ScriptedProtocol proto(3);
   proto.schedule(0, 0, 1);
   proto.schedule(1, 1, 2);
-  std::vector<std::tuple<NodeId, NodeId, Round>> seen;
+  EventRecorder rec;
   SimOptions opts;
-  opts.on_activation = [&](NodeId u, NodeId v, EdgeId, Round r) {
-    seen.emplace_back(u, v, r);
-  };
+  opts.recorder = &rec;
   run_gossip(g, proto, opts);
+  std::vector<std::tuple<NodeId, NodeId, Round>> seen;
+  for (const Event& e : rec.events())
+    if (e.kind() == EventKind::kActivation)
+      seen.emplace_back(e.a(), e.b(), e.round());
   ASSERT_EQ(seen.size(), 2u);
   EXPECT_EQ(seen[0], std::make_tuple(NodeId{0}, NodeId{1}, Round{0}));
   EXPECT_EQ(seen[1], std::make_tuple(NodeId{1}, NodeId{2}, Round{1}));
@@ -256,8 +259,9 @@ TEST(Engine, MismatchedContactEdgeThrows) {
 }
 
 TEST(Engine, HookedAndFastPathsProduceIdenticalResults) {
-  // A no-op observer forces the dynamic-hook instantiation; with the
-  // same protocol seed it must match the NoHooks fast path exactly.
+  // A recorder plus an inert scenario force the hooked instantiation;
+  // with the same protocol seed it must match the NoHooks fast path
+  // exactly.
   Rng grng(11);
   auto g = make_erdos_renyi(96, 0.1, grng);
   assign_random_uniform_latency(g, 1, 7, grng);
@@ -268,43 +272,51 @@ TEST(Engine, HookedAndFastPathsProduceIdenticalResults) {
   const SimResult fast_result = run_gossip(g, fast, plain);
 
   PushPullBroadcast hooked(view, 0, Rng(5));
+  EventRecorder rec;
+  DynamicPlan inert(g.num_nodes(), g.num_edges(), DynamicSpec{});
   SimOptions with_hook;
-  std::size_t observed = 0;
-  with_hook.on_activation = [&](NodeId, NodeId, EdgeId, Round) {
-    ++observed;
-  };
+  with_hook.recorder = &rec;
+  with_hook.dynamics = &inert;
   const SimResult hooked_result = run_gossip(g, hooked, with_hook);
 
   EXPECT_EQ(fast_result, hooked_result);
-  EXPECT_EQ(observed, hooked_result.activations);
+  EXPECT_EQ(rec.activations(), hooked_result.activations);
   for (NodeId u = 0; u < g.num_nodes(); ++u)
     EXPECT_EQ(fast.inform_round(u), hooked.inform_round(u));
 }
 
 TEST(Engine, JitterBeyondLatencyHorizonGrowsCalendarQueue) {
-  // Nominal max latency is 2, so the calendar ring starts tiny; a
-  // jitter hook stretching one exchange to 1000 rounds must trigger the
-  // re-bucketing growth path and still deliver at the right round.
+  // Nominal max latency is 2, so the calendar ring starts at 4 slots;
+  // a jitter spread of 1000 stretches the exchanges far past it, which
+  // must trigger the re-bucketing growth path and still deliver at the
+  // right rounds.
   const auto g = build_graph(2, {{0, 1, 2}});
   ScriptedProtocol proto(2);
   proto.schedule(0, 0, 1);
   proto.schedule(0, 1, 1);
+  DynamicSpec spec;
+  spec.jitter_spread = 1000;
+  spec.jitter_seed = 3;
+  DynamicPlan plan(2, g.num_edges(), spec);
   SimOptions opts;
   opts.max_rounds = 5000;
-  opts.latency_jitter = [first = true](EdgeId, Latency nominal) mutable
-      -> Latency {
-    if (first) {
-      first = false;
-      return 1000;
-    }
-    return nominal;
-  };
+  opts.dynamics = &plan;
   const SimResult result = run_gossip(g, proto, opts);
+
+  // The jitter contract: one draw per exchange, in initiation order.
+  Rng jitter(spec.jitter_seed);
+  const Latency first =
+      std::max<Latency>(1, 2 + jitter.uniform_int(-1000, 1000));
+  const Latency second =
+      std::max<Latency>(1, 2 + jitter.uniform_int(-1000, 1000));
+  ASSERT_GT(std::max(first, second), 4);  // beyond the initial ring
+  std::vector<Round> expected{first, first, 1 + second, 1 + second};
+  std::sort(expected.begin(), expected.end());
   ASSERT_EQ(proto.deliveries.size(), 4u);
   std::vector<Round> arrivals;
   for (const auto& d : proto.deliveries) arrivals.push_back(d.now);
   std::sort(arrivals.begin(), arrivals.end());
-  EXPECT_EQ(arrivals, (std::vector<Round>{3, 3, 1000, 1000}));
+  EXPECT_EQ(arrivals, expected);
   EXPECT_EQ(result.messages_delivered, 4u);
 }
 

@@ -1,8 +1,14 @@
-// Tests for failure injection (sim/faults.h) and the robustness claims
-// of the paper's conclusion: push-pull tolerates crashes and lossy
-// links; the spanner route is brittle once its overlay loses nodes.
+// Tests for failure injection — the crash, link-loss and jitter fields
+// of DynamicSpec (sim/dynamics_spec.h), run by DynamicPlan — and the
+// robustness claims of the paper's conclusion: push-pull tolerates
+// crashes and lossy links; the spanner route is brittle once its
+// overlay loses nodes. Suite FaultPlan covers the plan's fault schedule
+// itself (draws, validation, replay), Faults whole runs under it, and
+// Jitter the latency stream.
 
 #include <gtest/gtest.h>
+
+#include <cmath>
 
 #include "core/push_pull.h"
 #include "core/rr_broadcast.h"
@@ -10,37 +16,66 @@
 #include "graph/generators.h"
 #include "graph/latency_models.h"
 #include "obs/recorder.h"
+#include "sim/dynamics.h"
 #include "sim/engine.h"
-#include "sim/faults.h"
+#include "sim/oracle.h"
 
 namespace latgossip {
 namespace {
 
+/// A scenario with only the fault stream seeded; tests add the knobs.
+DynamicSpec faults(std::uint64_t fault_seed) {
+  DynamicSpec spec;
+  spec.fault_seed = fault_seed;
+  return spec;
+}
+
+std::size_t crashed_by(const DynamicPlan& plan, std::size_t n, Round r) {
+  std::size_t c = 0;
+  for (NodeId u = 0; u < n; ++u)
+    if (plan.crashed(u, r)) ++c;
+  return c;
+}
+
 TEST(FaultPlan, CrashScheduling) {
-  FaultPlan plan(4, 1);
-  plan.crash_node(2, 10);
+  DynamicSpec spec = faults(1);
+  spec.crash_at = {{2, 10}};
+  const DynamicPlan plan(4, 0, spec);
   EXPECT_FALSE(plan.crashed(2, 9));
   EXPECT_TRUE(plan.crashed(2, 10));
   EXPECT_TRUE(plan.crashed(2, 999));
   EXPECT_FALSE(plan.crashed(1, 999));
-  EXPECT_EQ(plan.num_crashed_by(10), 1u);
-  EXPECT_THROW(plan.crash_node(7, 0), std::out_of_range);
-  EXPECT_THROW(plan.crash_node(0, -1), std::invalid_argument);
+  EXPECT_EQ(crashed_by(plan, 4, 10), 1u);
+  spec.crash_at = {{7, 0}};  // node out of range
+  EXPECT_FALSE(dynamic_spec_error(spec, 4).empty());
+  EXPECT_THROW(DynamicPlan(4, 0, spec), std::invalid_argument);
+  spec.crash_at = {{0, -1}};  // negative round
+  EXPECT_FALSE(dynamic_spec_error(spec, 4).empty());
+  EXPECT_THROW(DynamicPlan(4, 0, spec), std::invalid_argument);
 }
 
 TEST(FaultPlan, RandomCrashesSpareTheSource) {
   for (std::uint64_t seed = 0; seed < 20; ++seed) {
-    FaultPlan plan(10, seed);
-    plan.crash_random_nodes(5, 0, /*spare=*/3);
+    DynamicSpec spec = faults(seed);
+    spec.crash_count = 5;
+    spec.crash_spare = 3;
+    const DynamicPlan plan(10, 0, spec);
     EXPECT_FALSE(plan.crashed(3, 100));
-    EXPECT_EQ(plan.num_crashed_by(0), 5u);
+    EXPECT_EQ(crashed_by(plan, 10, 0), 5u);
   }
 }
 
 TEST(FaultPlan, ValidatesDropProbability) {
-  FaultPlan plan(3, 1);
-  EXPECT_THROW(plan.set_link_drop_probability(1.5), std::invalid_argument);
-  EXPECT_THROW(plan.crash_random_nodes(3, 0, 0), std::invalid_argument);
+  DynamicSpec spec = faults(1);
+  spec.drop_prob = 1.5;
+  EXPECT_FALSE(dynamic_spec_error(spec, 3).empty());
+  EXPECT_THROW(DynamicPlan(3, 0, spec), std::invalid_argument);
+  spec.drop_prob = std::nan("");
+  EXPECT_FALSE(dynamic_spec_error(spec, 3).empty());
+  spec = faults(1);
+  spec.crash_count = 3;  // no room beside the spare
+  EXPECT_FALSE(dynamic_spec_error(spec, 3).empty());
+  EXPECT_THROW(DynamicPlan(3, 0, spec), std::invalid_argument);
 }
 
 TEST(Faults, CrashedNodeNeverInitiatesOrReceives) {
@@ -48,10 +83,11 @@ TEST(Faults, CrashedNodeNeverInitiatesOrReceives) {
   const auto g = make_path(3);
   NetworkView view(g, false);
   PushPullBroadcast proto(view, 0, Rng(3));
-  FaultPlan plan(3, 5);
-  plan.crash_node(1, 0);
+  DynamicSpec spec = faults(5);
+  spec.crash_at = {{1, 0}};
+  DynamicPlan plan(3, g.num_edges(), spec);
   SimOptions opts;
-  plan.apply(opts);
+  opts.dynamics = &plan;
   opts.max_rounds = 500;
   const SimResult r = run_gossip(g, proto, opts);
   EXPECT_FALSE(r.completed);
@@ -64,10 +100,11 @@ TEST(Faults, LateCrashAfterInformDoesNotUndo) {
   const auto g = make_clique(8);
   NetworkView view(g, false);
   PushPullBroadcast proto(view, 0, Rng(7));
-  FaultPlan plan(8, 9);
-  plan.crash_node(3, 100);  // long after completion
+  DynamicSpec spec = faults(9);
+  spec.crash_at = {{3, 100}};  // long after completion
+  DynamicPlan plan(8, g.num_edges(), spec);
   SimOptions opts;
-  plan.apply(opts);
+  opts.dynamics = &plan;
   opts.max_rounds = 90;
   const SimResult r = run_gossip(g, proto, opts);
   EXPECT_TRUE(r.completed);
@@ -90,10 +127,11 @@ TEST(Faults, PushPullSurvivesHeavyLinkLoss) {
   {
     NetworkView view(g, false);
     PushPullBroadcast proto(view, 0, Rng(11));
-    FaultPlan plan(24, 13);
-    plan.set_link_drop_probability(0.3);
+    DynamicSpec spec = faults(13);
+    spec.drop_prob = 0.3;
+    DynamicPlan plan(24, g.num_edges(), spec);
     SimOptions opts;
-    plan.apply(opts);
+    opts.dynamics = &plan;
     opts.max_rounds = 100'000;
     const SimResult r = run_gossip(g, proto, opts);
     EXPECT_TRUE(r.completed);
@@ -108,10 +146,13 @@ TEST(Faults, PushPullSurvivesCrashesOfNonCutNodes) {
   const auto g = make_clique(16);
   NetworkView view(g, false);
   PushPullBroadcast proto(view, 0, Rng(17));
-  FaultPlan plan(16, 19);
-  plan.crash_random_nodes(4, 2, /*spare=*/0);
+  DynamicSpec spec = faults(19);
+  spec.crash_count = 4;
+  spec.crash_round = 2;
+  spec.crash_spare = 0;
+  DynamicPlan plan(16, g.num_edges(), spec);
   SimOptions opts;
-  plan.apply(opts);
+  opts.dynamics = &plan;
   opts.max_rounds = 100'000;
   run_gossip(g, proto, opts);
   // Completion flag can't fire (crashed nodes never inform), so check
@@ -139,10 +180,11 @@ TEST(Faults, SpannerOverlayBrittleUnderCrash) {
     }
   NetworkView view(g, true);
   RRBroadcast proto(view, spanner, g.max_latency() * 10, own_id_rumors(24));
-  FaultPlan plan(24, 31);
-  plan.crash_node(victim, 0);
+  DynamicSpec spec = faults(31);
+  spec.crash_at = {{victim, 0}};
+  DynamicPlan plan(24, g.num_edges(), spec);
   SimOptions opts;
-  plan.apply(opts);
+  opts.dynamics = &plan;
   opts.max_rounds = proto.budget() * 2;
   run_gossip(g, proto, opts);
   // The crashed node's rumor cannot have reached anyone.
@@ -161,11 +203,12 @@ TEST(Faults, RecorderCountsMatchSimResultUnderLinkLoss) {
   const auto g = make_clique(24);
   NetworkView view(g, false);
   PushPullBroadcast proto(view, 0, Rng(11));
-  FaultPlan plan(24, 13);
-  plan.set_link_drop_probability(0.3);
+  DynamicSpec spec = faults(13);
+  spec.drop_prob = 0.3;
+  DynamicPlan plan(24, g.num_edges(), spec);
   EventRecorder rec;
   SimOptions opts;
-  plan.apply(opts);
+  opts.dynamics = &plan;
   opts.recorder = &rec;
   opts.max_rounds = 100'000;
   const SimResult r = run_gossip(g, proto, opts);
@@ -185,11 +228,12 @@ TEST(Faults, RecorderSeparatesCrashDropsFromLinkDrops) {
   const auto g = make_path(3);
   NetworkView view(g, false);
   PushPullBroadcast proto(view, 0, Rng(3));
-  FaultPlan plan(3, 5);
-  plan.crash_node(1, 0);
+  DynamicSpec spec = faults(5);
+  spec.crash_at = {{1, 0}};
+  DynamicPlan plan(3, g.num_edges(), spec);
   EventRecorder rec;
   SimOptions opts;
-  plan.apply(opts);
+  opts.dynamics = &plan;
   opts.recorder = &rec;
   opts.max_rounds = 500;
   const SimResult r = run_gossip(g, proto, opts);
@@ -200,18 +244,27 @@ TEST(Faults, RecorderSeparatesCrashDropsFromLinkDrops) {
 }
 
 TEST(FaultPlan, CrashAllButOneLeavesOnlyTheSpare) {
-  // count = n - 1 is the extreme the sampler allows: every node except
-  // the spare ends up crashed, and the loop still terminates.
+  // count = n - 1 is the extreme the draw allows: every node except
+  // the spare ends up crashed, and the draw still terminates.
   const std::size_t n = 10;
-  FaultPlan plan(n, 17);
-  plan.crash_random_nodes(n - 1, 0, /*spare=*/4);
-  EXPECT_EQ(plan.num_crashed_by(0), n - 1);
+  DynamicSpec spec = faults(17);
+  spec.crash_count = n - 1;
+  spec.crash_spare = 4;
+  const DynamicPlan plan(n, 0, spec);
+  EXPECT_EQ(crashed_by(plan, n, 0), n - 1);
   EXPECT_FALSE(plan.crashed(4, 1'000'000));
-  for (NodeId u = 0; u < n; ++u)
-    if (u != 4) EXPECT_TRUE(plan.crashed(u, 0));
-  // One more than n - 1 must throw, not spin forever.
-  FaultPlan over(n, 17);
-  EXPECT_THROW(over.crash_random_nodes(n, 0, 4), std::invalid_argument);
+  for (NodeId u = 0; u < n; ++u) {
+    if (u != 4) {
+      EXPECT_TRUE(plan.crashed(u, 0));
+    }
+  }
+  // One more than n - 1 must be rejected, not spin forever; so must a
+  // draw that explicit crashes leave no room for.
+  spec.crash_count = n;
+  EXPECT_THROW(DynamicPlan(n, 0, spec), std::invalid_argument);
+  spec.crash_count = n - 1;
+  spec.crash_at = {{0, 5}};
+  EXPECT_THROW(DynamicPlan(n, 0, spec), std::invalid_argument);
 }
 
 TEST(FaultPlan, CrashEveryoneButSourceAtRoundZeroStallsTheRun) {
@@ -220,10 +273,12 @@ TEST(FaultPlan, CrashEveryoneButSourceAtRoundZeroStallsTheRun) {
   const auto g = make_clique(8);
   NetworkView view(g, false);
   PushPullBroadcast proto(view, 0, Rng(21));
-  FaultPlan plan(8, 9);
-  plan.crash_random_nodes(7, 0, /*spare=*/0);
+  DynamicSpec spec = faults(9);
+  spec.crash_count = 7;
+  spec.crash_spare = 0;
+  DynamicPlan plan(8, g.num_edges(), spec);
   SimOptions opts;
-  plan.apply(opts);
+  opts.dynamics = &plan;
   opts.max_rounds = 2000;
   const SimResult r = run_gossip(g, proto, opts);
   EXPECT_FALSE(r.completed);
@@ -231,31 +286,38 @@ TEST(FaultPlan, CrashEveryoneButSourceAtRoundZeroStallsTheRun) {
 }
 
 TEST(FaultPlan, DropProbabilityExtremes) {
-  // p = 0.0 installs no drop hook at all: the run is loss-free and
-  // bit-identical to a run without the plan.
+  // p = 0.0 draws nothing from the loss stream: the run is loss-free
+  // and bit-identical to a run without the plan.
   const auto g = make_clique(12);
   {
     NetworkView view(g, false);
+    PushPullBroadcast plain(view, 0, Rng(31));
+    SimOptions no_plan;
+    no_plan.max_rounds = 2000;
+    const SimResult expected = run_gossip(g, plain, no_plan);
+
     PushPullBroadcast proto(view, 0, Rng(31));
-    FaultPlan plan(12, 7);
-    plan.set_link_drop_probability(0.0);
+    DynamicSpec spec = faults(7);
+    spec.drop_prob = 0.0;
+    DynamicPlan plan(12, g.num_edges(), spec);
     SimOptions opts;
-    plan.apply(opts);
-    EXPECT_FALSE(static_cast<bool>(opts.drop_delivery));
+    opts.dynamics = &plan;
     opts.max_rounds = 2000;
     const SimResult r = run_gossip(g, proto, opts);
     EXPECT_TRUE(r.completed);
     EXPECT_EQ(r.messages_dropped, 0u);
+    EXPECT_EQ(r, expected);
   }
   // p = 1.0 loses every payload: nothing is ever delivered, the source
   // stays alone, and every initiated exchange turns into drops.
   {
     NetworkView view(g, false);
     PushPullBroadcast proto(view, 0, Rng(31));
-    FaultPlan plan(12, 7);
-    plan.set_link_drop_probability(1.0);
+    DynamicSpec spec = faults(7);
+    spec.drop_prob = 1.0;
+    DynamicPlan plan(12, g.num_edges(), spec);
     SimOptions opts;
-    plan.apply(opts);
+    opts.dynamics = &plan;
     opts.max_rounds = 2000;
     const SimResult r = run_gossip(g, proto, opts);
     EXPECT_FALSE(r.completed);
@@ -265,33 +327,78 @@ TEST(FaultPlan, DropProbabilityExtremes) {
   }
 }
 
-TEST(FaultPlan, DetachReArmsApplyAndClearsHooks) {
-  FaultPlan plan(6, 3);
-  plan.set_link_drop_probability(0.5);
-  SimOptions opts;
-  plan.apply(opts);
-  EXPECT_TRUE(static_cast<bool>(opts.is_crashed));
-  EXPECT_TRUE(static_cast<bool>(opts.drop_delivery));
-  plan.detach(opts);
-  EXPECT_FALSE(static_cast<bool>(opts.is_crashed));
-  EXPECT_FALSE(static_cast<bool>(opts.drop_delivery));
-  // detach() re-arms apply(): a second cycle works (the assert inside
-  // apply() would abort a debug build if the flag were stuck).
-  plan.apply(opts);
-  EXPECT_TRUE(static_cast<bool>(opts.is_crashed));
-  plan.detach(opts);
+TEST(FaultPlan, EveryRunReplaysTheSameScenario) {
+  // The engine rewinds the plan's loss and jitter streams as each run
+  // starts, so one plan drives any number of runs identically.
+  const auto g = make_clique(16);
+  DynamicSpec spec = faults(3);
+  spec.crash_count = 2;
+  spec.crash_round = 1;
+  spec.drop_prob = 0.4;
+  spec.jitter_spread = 2;
+  spec.jitter_seed = 8;
+  DynamicPlan plan(16, g.num_edges(), spec);
+  auto run_once = [&] {
+    EventRecorder rec;
+    NetworkView view(g, false);
+    PushPullBroadcast proto(view, 0, Rng(41));
+    SimOptions opts;
+    opts.dynamics = &plan;
+    opts.recorder = &rec;
+    opts.max_rounds = 5000;
+    SimResult r = run_gossip(g, proto, opts);
+    r.fingerprint = rec.fingerprint();
+    return r;
+  };
+  const SimResult first = run_once();
+  EXPECT_GT(first.messages_dropped, 0u);
+  EXPECT_EQ(run_once(), first);
+}
+
+TEST(FaultPlan, PlanMatchesOracleOnCrashesAndLossStream) {
+  // The plan's crash table and the oracle's crash log are independent
+  // mechanisations of the crash contract; both leave the fault stream
+  // in the same state for the loss draws.
+  const std::size_t n = 9;
+  for (std::uint64_t seed : {0ull, 5ull, 77ull, 1234ull}) {
+    DynamicSpec spec = faults(seed);
+    spec.crash_at = {{2, 4}, {6, 1}, {2, 7}};  // the later entry for 2 wins
+    spec.crash_count = 3;
+    spec.crash_round = 3;
+    spec.crash_spare = 5;
+    spec.drop_prob = 0.5;
+    DynamicPlan plan(n, 0, spec);
+    oracle_detail::OracleFaults oracle = oracle_detail::oracle_faults(spec, n);
+    for (NodeId u = 0; u < n; ++u)
+      for (Round r = 0; r <= 10; ++r)
+        EXPECT_EQ(plan.crashed(u, r),
+                  oracle_detail::oracle_node_crashed(oracle, u, r))
+            << "node " << u << " round " << r << " seed " << seed;
+    EXPECT_FALSE(plan.crashed(5, 1'000'000));
+    EXPECT_FALSE(plan.crashed(2, 6));
+    EXPECT_TRUE(plan.crashed(2, 7));
+    for (int i = 0; i < 64; ++i)
+      EXPECT_EQ(plan.drop_leg(), oracle.loss.bernoulli(spec.drop_prob));
+  }
 }
 
 TEST(Jitter, UniformJitterStaysPositiveAndBounded) {
-  auto jitter = make_uniform_jitter(3, 41);
+  DynamicSpec spec;
+  spec.jitter_spread = 3;
+  spec.jitter_seed = 41;
+  DynamicPlan jitter(2, 1, spec);
   for (int i = 0; i < 1000; ++i) {
-    const Latency l = jitter(0, 5);
+    const Latency l = jitter.adjust_latency(0, 1, 0, 5, 0);
     EXPECT_GE(l, 2);
     EXPECT_LE(l, 8);
   }
-  auto tight = make_uniform_jitter(10, 43);
-  for (int i = 0; i < 1000; ++i) EXPECT_GE(tight(0, 2), 1);
-  EXPECT_THROW(make_uniform_jitter(-1, 1), std::invalid_argument);
+  spec.jitter_spread = 10;
+  spec.jitter_seed = 43;
+  DynamicPlan tight(2, 1, spec);
+  for (int i = 0; i < 1000; ++i)
+    EXPECT_GE(tight.adjust_latency(0, 1, 0, 2, 0), 1);
+  spec.jitter_spread = -1;
+  EXPECT_THROW(DynamicPlan(2, 1, spec), std::invalid_argument);
 }
 
 TEST(Jitter, PushPullCompletesUnderJitter) {
@@ -299,8 +406,12 @@ TEST(Jitter, PushPullCompletesUnderJitter) {
   assign_uniform_latency(g, 6);
   NetworkView view(g, false);
   PushPullBroadcast proto(view, 0, Rng(47));
+  DynamicSpec spec;
+  spec.jitter_spread = 4;
+  spec.jitter_seed = 53;
+  DynamicPlan plan(16, g.num_edges(), spec);
   SimOptions opts;
-  opts.latency_jitter = make_uniform_jitter(4, 53);
+  opts.dynamics = &plan;
   opts.max_rounds = 100'000;
   const SimResult r = run_gossip(g, proto, opts);
   EXPECT_TRUE(r.completed);

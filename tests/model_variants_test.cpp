@@ -168,12 +168,13 @@ TEST(Blocking, ResponseLossStillUnblocks) {
     bool done(Round) const { return false; }
   } proto;
 
+  DynamicSpec lose_all;
+  lose_all.drop_prob = 1.0;  // lose every payload
+  DynamicPlan plan(2, g.num_edges(), lose_all);
   SimOptions opts;
   opts.blocking = true;
   opts.max_rounds = 30;
-  opts.drop_delivery = [](NodeId, NodeId, EdgeId, Round, Round) {
-    return true;  // lose every payload
-  };
+  opts.dynamics = &plan;
   run_gossip(g, proto, opts);
   // One initiation per 2-round trip over 30 rounds: ~15, and certainly
   // more than one (the deadlock symptom).
@@ -186,10 +187,13 @@ TEST(Blocking, CrashedPeerDoesNotWedgeInitiator) {
   const auto g = build_graph(2, {{0, 1, 3}});
   NetworkView view(g, false);
   PushPullBroadcast proto(view, 0, Rng(3));
+  DynamicSpec crash;
+  crash.crash_at = {{1, 0}};
+  DynamicPlan plan(2, g.num_edges(), crash);
   SimOptions opts;
   opts.blocking = true;
   opts.max_rounds = 40;
-  opts.is_crashed = [](NodeId u, Round) { return u == 1; };
+  opts.dynamics = &plan;
   const SimResult r = run_gossip(g, proto, opts);
   EXPECT_FALSE(r.completed);
   EXPECT_GE(r.activations, 8u);

@@ -12,8 +12,11 @@
 #include <sstream>
 
 #include "core/eid.h"
+#include "core/flooding.h"
 #include "core/push_pull.h"
+#include "core/rr_broadcast.h"
 #include "core/tk_schedule.h"
+#include "graph/builder.h"
 #include "graph/generators.h"
 #include "graph/latency_models.h"
 #include "obs/export.h"
@@ -21,7 +24,6 @@
 #include "obs/metrics.h"
 #include "obs/recorder.h"
 #include "sim/engine.h"
-#include "sim/trace.h"
 
 namespace latgossip {
 namespace {
@@ -334,23 +336,105 @@ TEST(GoldenFingerprint, SeededPathDiscovery) {
 
 // --- exports -----------------------------------------------------------
 
-TEST(Export, CsvByteCompatibleWithSimTrace) {
-  const WeightedGraph g = golden_graph();
-  const auto run_with = [&](SimOptions& opts) {
-    NetworkView view(g, false);
-    PushPullBroadcast proto(view, 0, Rng(3));
-    opts.max_rounds = 1'000'000;
-    run_gossip(g, proto, opts);
-  };
+TEST(Trace, RecordsEveryActivation) {
+  const auto g = make_path(4);
+  NetworkView view(g, false);
+  RoundRobinFlooding proto(view, GossipGoal::kAllToAll, 0, own_id_rumors(4));
   EventRecorder rec;
   SimOptions opts;
   opts.recorder = &rec;
-  run_with(opts);
-  SimTrace trace;
-  SimOptions legacy;
-  trace.attach(legacy);
-  run_with(legacy);
-  EXPECT_EQ(activations_to_csv(rec), trace.to_csv());
+  opts.max_rounds = 10'000;
+  const SimResult r = run_gossip(g, proto, opts);
+  ASSERT_TRUE(r.completed);
+  EXPECT_EQ(rec.activations(), r.activations);
+}
+
+TEST(Trace, PerRoundAndPerEdgeCounts) {
+  GraphBuilder b(3);
+  const EdgeId e01 = b.add_edge(0, 1, 1);
+  const EdgeId e12 = b.add_edge(1, 2, 1);
+  const WeightedGraph g = b.build();
+
+  struct TwoShots {
+    using Payload = int;
+    std::optional<NodeId> select_contact(NodeId u, Round r) {
+      if (u == 0 && r == 0) return 1;
+      if (u == 1 && r == 2) return 2;
+      return std::nullopt;
+    }
+    Payload capture_payload(NodeId, Round) const { return 0; }
+    void deliver(NodeId, NodeId, Payload, EdgeId, Round, Round) {}
+    bool done(Round) const { return false; }
+  } proto;
+
+  EventRecorder rec;
+  SimOptions opts;
+  opts.recorder = &rec;
+  opts.max_rounds = 10;
+  opts.stop_when_idle = false;  // round 1 is silent by design
+  run_gossip(g, proto, opts);
+  EXPECT_EQ(rec.activations_in_round(0), 1u);
+  EXPECT_EQ(rec.activations_in_round(1), 0u);
+  EXPECT_EQ(rec.activations_in_round(2), 1u);
+  const auto counts = rec.per_edge_counts(g.num_edges());
+  EXPECT_EQ(counts[e01], 1u);
+  EXPECT_EQ(counts[e12], 1u);
+}
+
+TEST(Trace, CsvFormat) {
+  // The activation CSV keeps the historical trace format byte for byte:
+  // header, then "round,initiator,responder,edge" per activation.
+  const auto g = build_graph(2, {{0, 1, 1}});
+  struct OneShot {
+    using Payload = int;
+    std::optional<NodeId> select_contact(NodeId u, Round r) {
+      return (u == 0 && r == 0) ? std::optional<NodeId>(1) : std::nullopt;
+    }
+    Payload capture_payload(NodeId, Round) const { return 0; }
+    void deliver(NodeId, NodeId, Payload, EdgeId, Round, Round) {}
+    bool done(Round) const { return false; }
+  } proto;
+  EventRecorder rec;
+  SimOptions opts;
+  opts.recorder = &rec;
+  opts.max_rounds = 5;
+  run_gossip(g, proto, opts);
+  EXPECT_EQ(activations_to_csv(rec),
+            "round,initiator,responder,edge\n0,0,1,0\n");
+  rec.clear();
+  EXPECT_EQ(rec.activations(), 0u);
+  EXPECT_EQ(activations_to_csv(rec), "round,initiator,responder,edge\n");
+}
+
+TEST(Export, CsvByteCompatibleWithSimTrace) {
+  // A full seeded run exports one CSV row per activation, in record
+  // order, each row the "round,initiator,responder,edge" of its event.
+  const WeightedGraph g = golden_graph();
+  NetworkView view(g, false);
+  PushPullBroadcast proto(view, 0, Rng(3));
+  EventRecorder rec;
+  SimOptions opts;
+  opts.recorder = &rec;
+  opts.max_rounds = 1'000'000;
+  const SimResult r = run_gossip(g, proto, opts);
+  ASSERT_TRUE(r.completed);
+  ASSERT_GT(r.activations, 0u);
+
+  std::istringstream csv(activations_to_csv(rec));
+  std::string line;
+  ASSERT_TRUE(std::getline(csv, line));
+  EXPECT_EQ(line, "round,initiator,responder,edge");
+  std::size_t rows = 0;
+  for (const Event& e : rec.events()) {
+    if (e.kind() != EventKind::kActivation) continue;
+    ASSERT_TRUE(std::getline(csv, line));
+    EXPECT_EQ(line, std::to_string(e.round()) + ',' + std::to_string(e.a()) +
+                        ',' + std::to_string(e.b()) + ',' +
+                        std::to_string(e.edge()));
+    ++rows;
+  }
+  EXPECT_FALSE(std::getline(csv, line));
+  EXPECT_EQ(rows, r.activations);
 }
 
 TEST(Export, ChromeTraceStructure) {

@@ -17,7 +17,7 @@
 #include "core/rr_broadcast.h"
 #include "core/spanner.h"
 #include "core/tk_schedule.h"
-#include "sim/faults.h"
+#include "sim/dynamics.h"
 #include "graph/generators.h"
 #include "graph/latency_models.h"
 #include "sim/engine.h"
@@ -281,10 +281,12 @@ TEST_P(FaultSweep, PushPullCompletesUnderLinkLoss) {
   const auto g = build(family, LatModel::kTwoLevel, seed);
   NetworkView view(g, false);
   PushPullBroadcast proto(view, 0, Rng(seed * 101 + 1));
-  FaultPlan plan(g.num_nodes(), seed * 103 + 5);
-  plan.set_link_drop_probability(drop_pct / 100.0);
+  DynamicSpec lossy;
+  lossy.drop_prob = drop_pct / 100.0;
+  lossy.fault_seed = seed * 103 + 5;
+  DynamicPlan plan(g.num_nodes(), g.num_edges(), lossy);
   SimOptions opts;
-  plan.apply(opts);
+  opts.dynamics = &plan;
   opts.max_rounds = 2'000'000;
   const SimResult r = run_gossip(g, proto, opts);
   EXPECT_TRUE(r.completed);
@@ -296,10 +298,12 @@ TEST_P(FaultSweep, FloodingCompletesUnderLinkLoss) {
   NetworkView view(g, false);
   RoundRobinFlooding proto(view, GossipGoal::kAllToAll, 0,
                            own_id_rumors(g.num_nodes()));
-  FaultPlan plan(g.num_nodes(), seed * 107 + 9);
-  plan.set_link_drop_probability(drop_pct / 100.0);
+  DynamicSpec lossy;
+  lossy.drop_prob = drop_pct / 100.0;
+  lossy.fault_seed = seed * 107 + 9;
+  DynamicPlan plan(g.num_nodes(), g.num_edges(), lossy);
   SimOptions opts;
-  plan.apply(opts);
+  opts.dynamics = &plan;
   opts.max_rounds = 2'000'000;
   const SimResult r = run_gossip(g, proto, opts);
   EXPECT_TRUE(r.completed);

@@ -1,6 +1,6 @@
 // Unit tests for the rumor-set representation layer (util/rumor_set.h):
-// SparseRumorSet and CountRumorSet must be observationally identical to
-// the dense Bitset reference through every concept operation, including
+// SparseRumorSet must be observationally identical to the dense Bitset
+// reference through every concept operation, including
 // the exact OrDelta accounting the protocols' incremental cardinality
 // counters depend on.
 
@@ -20,7 +20,7 @@ namespace {
 template <typename R>
 class RumorSetRepTest : public ::testing::Test {};
 
-using AltReps = ::testing::Types<SparseRumorSet, CountRumorSet>;
+using AltReps = ::testing::Types<SparseRumorSet>;
 TYPED_TEST_SUITE(RumorSetRepTest, AltReps);
 
 TYPED_TEST(RumorSetRepTest, EmptyAndSingleton) {
@@ -209,42 +209,6 @@ TEST(SparseRumorSet, SparseAbsorbsDenseOperand) {
   EXPECT_TRUE(sparse_side.test(0));
 }
 
-TEST(CountRumorSet, SaturationCollapse) {
-  constexpr std::size_t kN = 200;
-  CountRumorSet r(kN);
-  for (std::size_t i = 0; i < kN - 1; ++i) r.set(i);
-  EXPECT_FALSE(r.saturated());
-  r.set(kN - 1);
-  EXPECT_TRUE(r.saturated());
-  EXPECT_EQ(r.count(), kN);
-  EXPECT_TRUE(r.test(57));
-  // Union FROM a full set delivers everything missing at once.
-  CountRumorSet receiver(kN);
-  receiver.set(3);
-  const auto d = receiver.or_assign_changed(r);
-  EXPECT_TRUE(d.changed);
-  EXPECT_EQ(d.added, kN - 1);
-  EXPECT_TRUE(receiver.saturated());
-  // Full == full, and full == dense-with-all-bits.
-  CountRumorSet dense_full(kN);
-  for (std::size_t i = 0; i < kN; ++i) dense_full.set(i);
-  EXPECT_TRUE(r == dense_full);
-  r.clear();
-  EXPECT_FALSE(r.saturated());
-  EXPECT_EQ(r.count(), 0u);
-}
-
-TEST(CountRumorSet, SaturationViaUnion) {
-  constexpr std::size_t kN = 100;
-  CountRumorSet a(kN), b(kN);
-  for (std::size_t i = 0; i < kN; i += 2) a.set(i);
-  for (std::size_t i = 1; i < kN; i += 2) b.set(i);
-  const auto d = a.or_assign_changed(b);
-  EXPECT_EQ(d.added, kN / 2);
-  EXPECT_TRUE(a.saturated());
-  EXPECT_FALSE(b.saturated());
-}
-
 // --- snapshot arena over alternative representations -----------------------
 
 TYPED_TEST(RumorSetRepTest, SnapshotCacheRoundTrip) {
@@ -279,9 +243,9 @@ TYPED_TEST(RumorSetRepTest, SnapshotCacheRoundTrip) {
 TEST(RumorRepSelection, ParseAndNames) {
   EXPECT_EQ(parse_rumor_rep("dense"), RumorRep::kDense);
   EXPECT_EQ(parse_rumor_rep("sparse"), RumorRep::kSparse);
-  EXPECT_EQ(parse_rumor_rep("count"), RumorRep::kCount);
   EXPECT_EQ(parse_rumor_rep("auto"), RumorRep::kAuto);
   EXPECT_THROW(parse_rumor_rep("bitmap"), std::invalid_argument);
+  EXPECT_THROW(parse_rumor_rep("count"), std::invalid_argument);
   EXPECT_EQ(rumor_rep_name(RumorRep::kSparse), "sparse");
 }
 
@@ -291,7 +255,6 @@ TEST(RumorRepSelection, AutoResolvesByNodeCount) {
             RumorRep::kSparse);
   EXPECT_EQ(resolve_rumor_rep(RumorRep::kAuto, 1u << 20), RumorRep::kSparse);
   EXPECT_EQ(resolve_rumor_rep(RumorRep::kSparse, 10), RumorRep::kSparse);
-  EXPECT_EQ(resolve_rumor_rep(RumorRep::kCount, 1u << 20), RumorRep::kCount);
 }
 
 struct Probe {
@@ -300,15 +263,13 @@ struct Probe {
     R r(5);
     r.set(2);
     return r.count() + (std::is_same_v<R, Bitset> ? 100 : 0) +
-           (std::is_same_v<R, SparseRumorSet> ? 200 : 0) +
-           (std::is_same_v<R, CountRumorSet> ? 300 : 0);
+           (std::is_same_v<R, SparseRumorSet> ? 200 : 0);
   }
 };
 
 TEST(RumorRepSelection, WithRumorRepBridges) {
   EXPECT_EQ(with_rumor_rep(RumorRep::kDense, 10, Probe{}), 101u);
   EXPECT_EQ(with_rumor_rep(RumorRep::kSparse, 10, Probe{}), 201u);
-  EXPECT_EQ(with_rumor_rep(RumorRep::kCount, 10, Probe{}), 301u);
   EXPECT_EQ(with_rumor_rep(RumorRep::kAuto, 10, Probe{}), 101u);
   EXPECT_EQ(with_rumor_rep(RumorRep::kAuto, kDenseNodeThreshold, Probe{}),
             201u);

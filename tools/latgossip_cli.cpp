@@ -4,7 +4,7 @@
 //   latgossip analyze --in=FILE [--sweep-iters=N]
 //   latgossip run --in=FILE --proto=<pushpull|flooding|eid|tk|unified>
 //                 [--source=0] [--seed=1] [--trials=N] [--threads=T]
-//                 [--rumor-rep=<dense|sparse|count|auto>]
+//                 [--rumor-rep=<dense|sparse|auto>]
 //                 [--dynamics=SPEC]
 //                 [--trace=FILE[.json]] [--manifest=FILE.jsonl]
 //                 [--curve-out=FILE.csv]
@@ -40,9 +40,9 @@
 // per-round informed-count spread across trials as round,min,mean,max.
 // --rumor-rep picks the rumor-set representation for rumor-carrying
 // protocols (currently flooding): dense Bitset, sorted-vector sparse,
-// counting/saturating, or auto (dense below 65536 nodes, sparse at or
-// above — see util/rumor_set.h kDenseNodeThreshold and DESIGN.md §5i).
-// All representations are observationally identical; the choice only
+// or auto (dense below 65536 nodes, sparse at or above — see
+// util/rumor_set.h kDenseNodeThreshold and DESIGN.md §5i). Both
+// representations are observationally identical; the choice only
 // moves memory/time. The resolved name is echoed and recorded in the
 // manifest protocol field as e.g. "flooding/sparse".
 //
@@ -53,8 +53,8 @@
 // churn-mode=retain|reset|mixed] (node leave/rejoin; the source is
 // always spared), adv=SLOW (adversary slows frontier-crossing edges by
 // SLOW/1024), seed=S. Only single-phase protocols (pushpull, flooding)
-// accept it — composite protocols own their SimOptions — and it is
-// incompatible with --store (dynamics are not part of the cell key).
+// accept it — composite protocols own their SimOptions. With --store,
+// the scenario's exact canonical form is part of every cell key.
 // Runs report the node-age freshness of the final state: per informed
 // node, rounds since it last gained a rumor ("node age max/mean",
 // recorded in manifests as node_age_* metrics).
@@ -262,10 +262,6 @@ int cmd_run(const Args& args) {
       throw std::invalid_argument(
           "--dynamics only applies to --proto=pushpull|flooding; composite "
           "protocols own their SimOptions");
-    if (!store_dir.empty())
-      throw std::invalid_argument(
-          "--dynamics is not part of the store cell key; drop --store or "
-          "the dynamics");
     dynamics_spec = parse_dynamics_spec(dynamics_str, n, source);
   }
   const bool dynamics_on = dynamics_spec.any();
@@ -330,7 +326,7 @@ int cmd_run(const Args& args) {
     std::optional<DynamicPlan> dyn_plan;
     if (dynamics_on) {
       dyn_plan.emplace(n, g.num_edges(), dynamics_spec);
-      dyn_plan->apply(opts);
+      opts.dynamics = &*dyn_plan;
     }
     SimResult result;
     if (proto_name == "pushpull") {
@@ -464,6 +460,7 @@ int cmd_run(const Args& args) {
       binding.cell.graph = graph_digest(g);
       binding.cell.source = source;
       binding.cell.max_rounds = max_rounds;
+      binding.cell.faults = canonical_dynamics(dynamics_spec);
       agg = run_trials_stored(binding, &store_stats, trials, threads, seed,
                               run_single, mspec);
     } else {
