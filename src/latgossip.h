@@ -59,6 +59,7 @@
 #include "store/cached_trials.h"
 #include "store/json.h"
 #include "store/key.h"
+#include "store/run.h"
 #include "store/server.h"
 #include "store/store.h"
 #include "store/wire.h"

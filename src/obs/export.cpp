@@ -74,19 +74,53 @@ std::string build_info_json() {
 
 namespace {
 
-void append_u64(std::string& out, std::uint64_t v) {
-  char buf[24];
-  std::snprintf(buf, sizeof(buf), "%" PRIu64, v);
-  out += buf;
-}
-
-void append_i64(std::string& out, std::int64_t v) {
+void json_append_i64(std::string& out, std::int64_t v) {
   char buf[24];
   std::snprintf(buf, sizeof(buf), "%" PRId64, v);
   out += buf;
 }
 
 }  // namespace
+
+void json_append_u64(std::string& out, std::uint64_t v) {
+  char buf[24];
+  std::snprintf(buf, sizeof(buf), "%" PRIu64, v);
+  out += buf;
+}
+
+void json_append_fixed(std::string& out, double v, int decimals) {
+  char buf[32];
+  std::snprintf(buf, sizeof(buf), "%.*f", decimals, v);
+  out += buf;
+}
+
+void json_append_fingerprint(std::string& out, std::uint64_t fingerprint) {
+  char buf[24];
+  std::snprintf(buf, sizeof(buf), "\"0x%016" PRIx64 "\"", fingerprint);
+  out += buf;
+}
+
+void json_append_sim_result(std::string& out, const SimResult& result) {
+  out += "{\"rounds\":";
+  json_append_i64(out, result.rounds);
+  out += ",\"completed\":";
+  out += result.completed ? "true" : "false";
+  out += ",\"activations\":";
+  json_append_u64(out, result.activations);
+  out += ",\"messages_delivered\":";
+  json_append_u64(out, result.messages_delivered);
+  out += ",\"messages_dropped\":";
+  json_append_u64(out, result.messages_dropped);
+  out += ",\"exchanges_rejected\":";
+  json_append_u64(out, result.exchanges_rejected);
+  out += ",\"payload_bits\":";
+  json_append_u64(out, result.payload_bits);
+  out += ",\"max_inflight\":";
+  json_append_u64(out, result.max_inflight);
+  out += ",\"fingerprint\":";
+  json_append_fingerprint(out, result.fingerprint);
+  out += '}';
+}
 
 std::string to_chrome_trace_json(const EventRecorder& rec) {
   std::string out = "{\"traceEvents\":[";
@@ -101,13 +135,13 @@ std::string to_chrome_trace_json(const EventRecorder& rec) {
         sep();
         out += "{\"name\":\"activate\",\"ph\":\"i\",\"s\":\"t\",\"pid\":1,"
                "\"tid\":";
-        append_u64(out, e.a());
+        json_append_u64(out, e.a());
         out += ",\"ts\":";
-        append_i64(out, e.round());
+        json_append_i64(out, e.round());
         out += ",\"args\":{\"peer\":";
-        append_u64(out, e.b());
+        json_append_u64(out, e.b());
         out += ",\"edge\":";
-        append_u64(out, e.edge());
+        json_append_u64(out, e.edge());
         out += "}}";
         break;
       case EventKind::kDelivery:
@@ -120,15 +154,15 @@ std::string to_chrome_trace_json(const EventRecorder& rec) {
         out += "{\"name\":\"";
         out += name;
         out += "\",\"ph\":\"X\",\"pid\":1,\"tid\":";
-        append_u64(out, e.a());
+        json_append_u64(out, e.a());
         out += ",\"ts\":";
-        append_i64(out, e.start());
+        json_append_i64(out, e.start());
         out += ",\"dur\":";
-        append_i64(out, e.round() - e.start());
+        json_append_i64(out, e.round() - e.start());
         out += ",\"args\":{\"from\":";
-        append_u64(out, e.b());
+        json_append_u64(out, e.b());
         out += ",\"edge\":";
-        append_u64(out, e.edge());
+        json_append_u64(out, e.edge());
         out += "}}";
         break;
       }
@@ -140,7 +174,7 @@ std::string to_chrome_trace_json(const EventRecorder& rec) {
         out += e.kind() == EventKind::kPhaseBegin ? "\",\"ph\":\"B\""
                                                 : "\",\"ph\":\"E\"";
         out += ",\"pid\":0,\"tid\":0,\"ts\":";
-        append_i64(out, e.round());
+        json_append_i64(out, e.round());
         out += '}';
         break;
     }
@@ -180,7 +214,7 @@ std::string metrics_json(const MetricsRegistry& metrics) {
     out += '"';
     out += json_escape(name);
     out += "\":";
-    append_u64(out, c.value());
+    json_append_u64(out, c.value());
   }
   out += "},\"histograms\":{";
   first = true;
@@ -190,11 +224,11 @@ std::string metrics_json(const MetricsRegistry& metrics) {
     out += '"';
     out += json_escape(name);
     out += "\":{\"count\":";
-    append_u64(out, h.count());
+    json_append_u64(out, h.count());
     out += ",\"sum\":";
-    append_u64(out, h.sum());
+    json_append_u64(out, h.sum());
     out += ",\"max\":";
-    append_u64(out, h.max());
+    json_append_u64(out, h.max());
     out += ",\"buckets\":{";
     bool bfirst = true;
     for (std::size_t b = 0; b < Histogram::kBuckets; ++b) {
@@ -202,9 +236,9 @@ std::string metrics_json(const MetricsRegistry& metrics) {
       if (!bfirst) out += ',';
       bfirst = false;
       out += '"';
-      append_u64(out, Histogram::bucket_lo(b));
+      json_append_u64(out, Histogram::bucket_lo(b));
       out += "\":";
-      append_u64(out, h.bucket(b));
+      json_append_u64(out, h.bucket(b));
     }
     out += "}}";
   }
@@ -216,19 +250,19 @@ std::string metrics_json(const MetricsRegistry& metrics) {
     out += '"';
     out += json_escape(name);
     out += "\":{\"rounds\":";
-    append_i64(out, p.rounds);
+    json_append_i64(out, p.rounds);
     out += ",\"activations\":";
-    append_u64(out, p.activations);
+    json_append_u64(out, p.activations);
     out += ",\"messages_delivered\":";
-    append_u64(out, p.messages_delivered);
+    json_append_u64(out, p.messages_delivered);
     out += ",\"messages_dropped\":";
-    append_u64(out, p.messages_dropped);
+    json_append_u64(out, p.messages_dropped);
     out += ",\"exchanges_rejected\":";
-    append_u64(out, p.exchanges_rejected);
+    json_append_u64(out, p.exchanges_rejected);
     out += ",\"payload_bits\":";
-    append_u64(out, p.payload_bits);
+    json_append_u64(out, p.payload_bits);
     out += ",\"entries\":";
-    append_u64(out, p.entries);
+    json_append_u64(out, p.entries);
     out += '}';
   }
   out += "}}";
@@ -250,54 +284,30 @@ std::string manifest_record(const RunInfo& info, std::size_t trial,
   out += "\",\"params\":\"";
   out += json_escape(info.graph_params);
   out += "\",\"nodes\":";
-  append_u64(out, info.nodes);
+  json_append_u64(out, info.nodes);
   out += ",\"edges\":";
-  append_u64(out, info.edges);
+  json_append_u64(out, info.edges);
   out += "},\"seed\":";
-  append_u64(out, info.seed);
+  json_append_u64(out, info.seed);
   out += ",\"threads\":";
-  append_u64(out, info.threads);
+  json_append_u64(out, info.threads);
   out += ",\"threads_effective\":";
-  append_u64(out, info.threads_effective);
+  json_append_u64(out, info.threads_effective);
   if (!info.threads_env.empty()) {
     out += ",\"threads_env\":\"";
     out += json_escape(info.threads_env);
     out += '"';
   }
   out += ",\"trial\":";
-  append_u64(out, trial);
+  json_append_u64(out, trial);
   out += ",\"trial_seed\":";
-  append_u64(out, trial_seed);
-  out += ",\"result\":{\"rounds\":";
-  append_i64(out, result.rounds);
-  out += ",\"completed\":";
-  out += result.completed ? "true" : "false";
-  out += ",\"activations\":";
-  append_u64(out, result.activations);
-  out += ",\"messages_delivered\":";
-  append_u64(out, result.messages_delivered);
-  out += ",\"messages_dropped\":";
-  append_u64(out, result.messages_dropped);
-  out += ",\"exchanges_rejected\":";
-  append_u64(out, result.exchanges_rejected);
-  out += ",\"payload_bits\":";
-  append_u64(out, result.payload_bits);
-  out += ",\"max_inflight\":";
-  append_u64(out, result.max_inflight);
-  out += ",\"fingerprint\":\"";
-  {
-    char buf[24];
-    std::snprintf(buf, sizeof(buf), "0x%016" PRIx64, result.fingerprint);
-    out += buf;
-  }
-  out += "\"},\"wall_ms\":";
-  {
-    char buf[32];
-    std::snprintf(buf, sizeof(buf), "%.3f", wall_ms);
-    out += buf;
-  }
+  json_append_u64(out, trial_seed);
+  out += ",\"result\":";
+  json_append_sim_result(out, result);
+  out += ",\"wall_ms\":";
+  json_append_fixed(out, wall_ms, 3);
   out += ",\"peak_rss_bytes\":";
-  append_u64(out, peak_rss_bytes());
+  json_append_u64(out, peak_rss_bytes());
   if (!metrics_json_snapshot.empty()) {
     out += ",\"metrics\":";
     out += metrics_json_snapshot;

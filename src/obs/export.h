@@ -45,6 +45,18 @@ std::size_t peak_rss_bytes();
 /// Escape a string for embedding in a JSON string literal.
 std::string json_escape(std::string_view s);
 
+// --- JSON fragments shared by manifests, store records and serve ------
+// responses; appended in place (no JSON tree) since they run per trial.
+
+void json_append_u64(std::string& out, std::uint64_t v);
+/// `v` with exactly `decimals` digits after the point ("%.*f").
+void json_append_fixed(std::string& out, double v, int decimals);
+/// An event fingerprint as the quoted string "0x" + 16 hex digits.
+void json_append_fingerprint(std::string& out, std::uint64_t fingerprint);
+/// The SimResult object manifests and store records embed:
+/// {"rounds":…,"completed":…,…,"max_inflight":…,"fingerprint":"0x…"}.
+void json_append_sim_result(std::string& out, const SimResult& result);
+
 // --- event stream exports ---------------------------------------------
 
 /// Chrome trace-event JSON: {"traceEvents": [...]}. Rounds map 1:1 to

@@ -18,9 +18,8 @@
 //
 // Caveat for callers: the trial body must stamp result.fingerprint
 // (record with an EventRecorder) if verify-grade caching is wanted —
-// a zero fingerprint verifies only the SimResult counters. The CLI
-// forces recording on whenever --store is active for exactly this
-// reason.
+// a zero fingerprint verifies only the SimResult counters. execute()
+// (store/run.h) records every stored batch for exactly this reason.
 //
 // Concurrency: lookups and inserts happen on TrialPool workers; the
 // store serializes internally (store/store.h). Counters here are

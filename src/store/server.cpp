@@ -6,341 +6,155 @@
 
 #include <algorithm>
 #include <cerrno>
-#include <cinttypes>
 #include <cstdio>
 #include <cstring>
+#include <iterator>
 #include <stdexcept>
+#include <string_view>
 #include <utility>
-#include <vector>
 
-#include "core/flooding.h"
-#include "core/push_pull.h"
-#include "graph/generators.h"
-#include "graph/latency_models.h"
-#include "obs/fingerprint.h"
-#include "obs/recorder.h"
-#include "store/cached_trials.h"
+#include "obs/export.h"
 #include "store/json.h"
+#include "store/run.h"
 #include "store/store.h"
 #include "store/wire.h"
-#include "util/rumor_set.h"
 
 namespace latgossip {
 
 namespace {
-
-void append_u64(std::string& out, std::uint64_t v) {
-  char buf[24];
-  std::snprintf(buf, sizeof buf, "%" PRIu64, v);
-  out += buf;
-}
-
-void append_mean(std::string& out, double v) {
-  char buf[32];
-  std::snprintf(buf, sizeof buf, "%.4f", v);
-  out += buf;
-}
 
 std::string error_response(const std::string& what) {
   JsonValue msg = JsonValue::make_string(what);
   return "{\"ok\":false,\"error\":" + json_serialize(msg) + "}";
 }
 
-/// Deterministic graph construction from a request's "graph" object.
-/// Returns the graph plus its canonical spec string (fixed field
-/// order) — the single-entry cache key and the provenance echo.
-struct BuiltGraph {
-  WeightedGraph graph;
-  std::string spec;
-};
-
-BuiltGraph build_graph(const JsonValue& spec) {
-  const std::string family = spec.get_string("family", "er");
-  const auto n = static_cast<std::size_t>(spec.get_i64("n", 64));
-  const auto rows = static_cast<std::size_t>(spec.get_i64("rows", 4));
-  const auto cols = static_cast<std::size_t>(spec.get_i64("cols", 4));
-  const double p = spec.get_double("p", 0.1);
-  const auto d = static_cast<std::size_t>(spec.get_i64("d", 4));
-  const auto attach = static_cast<std::size_t>(spec.get_i64("attach", 2));
-  const auto seed = spec.get_u64("seed", 1);
-  const std::string lat = spec.get_string("lat", "unit");
-  const Latency lat_lo = spec.get_i64("lat_lo", 1);
-  const Latency lat_hi = spec.get_i64("lat_hi", 8);
-  const Latency lat_l = spec.get_i64("l", 1);
-
-  Rng rng(seed);
-  WeightedGraph g;
-  std::string canon = "family=" + family;
-  if (family == "clique") {
-    g = make_clique(n);
-  } else if (family == "cycle") {
-    g = make_cycle(n);
-  } else if (family == "path") {
-    g = make_path(n);
-  } else if (family == "star") {
-    g = make_star(n);
-  } else if (family == "ring") {
-    g = make_ring_streaming(n);
-  } else if (family == "torus") {
-    g = make_torus_streaming(rows, cols);
-    canon += ",rows=" + std::to_string(rows) + ",cols=" + std::to_string(cols);
-  } else if (family == "er") {
-    g = make_erdos_renyi(n, p, rng);
-    char buf[32];
-    std::snprintf(buf, sizeof buf, ",p=%.6g", p);
-    canon += buf;
-  } else if (family == "regular") {
-    g = make_random_regular(n, d, rng);
-    canon += ",d=" + std::to_string(d);
-  } else if (family == "ba") {
-    g = make_barabasi_albert(n, attach, rng);
-    canon += ",attach=" + std::to_string(attach);
-  } else {
-    throw std::invalid_argument("unknown graph family '" + family + "'");
-  }
-  if (family != "torus") canon += ",n=" + std::to_string(n);
-  canon += ",seed=" + std::to_string(seed);
-
-  if (lat == "unit") {
-    // Latencies stay at the builder default of 1.
-  } else if (lat == "uniform") {
-    assign_uniform_latency(g, lat_l);
-    canon += ",lat=uniform,l=" + std::to_string(lat_l);
-  } else if (lat == "range") {
-    assign_random_uniform_latency(g, lat_lo, lat_hi, rng);
-    canon += ",lat=range," + std::to_string(lat_lo) + ".." +
-             std::to_string(lat_hi);
-  } else {
-    throw std::invalid_argument("unknown latency model '" + lat + "'");
-  }
-  return BuiltGraph{std::move(g), std::move(canon)};
-}
-
 /// The daemon rebuilds at most one graph per distinct spec in a row —
 /// warm traffic repeats one spec, so a single-entry cache removes graph
-/// generation from the hit path entirely.
-class GraphCache {
- public:
-  const BuiltGraph& get(const JsonValue& spec_json) {
-    const std::string raw = json_serialize(spec_json);
-    if (raw != raw_spec_) {
-      built_ = build_graph(spec_json);
-      raw_spec_ = raw;
-    }
-    return built_;
+/// generation from the hit path entirely. Thread-local because
+/// handle_request may run on several threads at once.
+const WeightedGraph& cached_graph(const JsonValue& spec_json) {
+  thread_local std::string raw_spec;
+  thread_local WeightedGraph graph;
+  std::string raw = json_serialize(spec_json);
+  if (raw != raw_spec) {
+    graph = generate_graph(parse_graph_spec(spec_json));
+    raw_spec = std::move(raw);
   }
+  return graph;
+}
 
- private:
-  std::string raw_spec_;
-  BuiltGraph built_;
-};
-
-/// Outcome of one cell batch, serialization-ready.
-struct CellOutcome {
-  TrialAggregate agg;
-  StoredBatchStats stats;
-  std::vector<std::vector<std::uint32_t>> curves;  ///< spread_curve only
-  std::size_t nodes = 0;
-};
-
-void append_completion_result(std::string& out, const CellOutcome& cell) {
+void append_completion_result(std::string& out, const TrialAggregate& agg) {
   out += "{\"trials\":";
-  append_u64(out, cell.agg.trials.size());
+  json_append_u64(out, agg.trials.size());
   out += ",\"completed\":";
-  append_u64(out, cell.agg.num_completed);
+  json_append_u64(out, agg.num_completed);
   out += ",\"rounds_mean\":";
-  append_mean(out, cell.agg.rounds.mean());
+  json_append_fixed(out, agg.rounds.mean(), 4);
   out += ",\"rounds_min\":";
-  append_mean(out, cell.agg.rounds.min());
+  json_append_fixed(out, agg.rounds.min(), 4);
   out += ",\"rounds_max\":";
-  append_mean(out, cell.agg.rounds.max());
+  json_append_fixed(out, agg.rounds.max(), 4);
   out += ",\"activations_mean\":";
-  append_mean(out, cell.agg.activations.mean());
+  json_append_fixed(out, agg.activations.mean(), 4);
   out += ",\"messages_mean\":";
-  append_mean(out, cell.agg.messages_delivered.mean());
-  out += ",\"fingerprint\":\"";
-  char buf[24];
-  std::snprintf(buf, sizeof buf, "0x%016" PRIx64, cell.agg.fingerprint);
-  out += buf;
-  out += "\"}";
+  json_append_fixed(out, agg.messages_delivered.mean(), 4);
+  out += ",\"fingerprint\":";
+  json_append_fingerprint(out, agg.fingerprint);
+  out += '}';
+}
+
+void append_curve_result(std::string& out, const RunOutcome& run) {
+  const SpreadEnvelope env = spread_envelope(run.curves);
+  out += "{\"trials\":";
+  json_append_u64(out, run.agg.trials.size());
+  out += ",\"rounds\":";
+  json_append_u64(out, env.rounds() == 0 ? 0 : env.rounds() - 1);
+  const auto array = [&](const char* key, auto append) {
+    out += key;
+    for (std::size_t r = 0; r < env.rounds(); ++r) {
+      if (r > 0) out += ',';
+      append(r);
+    }
+    out += ']';
+  };
+  array(",\"curve_min\":[", [&](auto r) { json_append_u64(out, env.min[r]); });
+  array(",\"curve_mean\":[",
+        [&](auto r) { json_append_fixed(out, env.mean(r), 4); });
+  array(",\"curve_max\":[", [&](auto r) { json_append_u64(out, env.max[r]); });
+  out += ",\"fingerprint\":";
+  json_append_fingerprint(out, run.agg.fingerprint);
+  out += '}';
 }
 
 void append_store_block(std::string& out, const StoredBatchStats& stats) {
   out += "{\"hits\":";
-  append_u64(out, stats.hits);
+  json_append_u64(out, stats.hits);
   out += ",\"misses\":";
-  append_u64(out, stats.misses);
+  json_append_u64(out, stats.misses);
   out += '}';
-}
-
-/// Per-round informed-node counts from a finished PushPullBroadcast:
-/// curve[r] = |{v : inform_round(v) <= r}| for r in [0, result.rounds].
-std::vector<std::uint32_t> informed_curve(const PushPullBroadcast& proto,
-                                          std::size_t n, Round rounds) {
-  std::vector<std::uint32_t> curve(static_cast<std::size_t>(rounds) + 1, 0);
-  for (NodeId v = 0; v < n; ++v) {
-    const Round r = proto.inform_round(v);
-    if (r >= 0 && r <= rounds) ++curve[static_cast<std::size_t>(r)];
-  }
-  for (std::size_t i = 1; i < curve.size(); ++i) curve[i] += curve[i - 1];
-  return curve;
 }
 
 /// Run one cell batch through the store. `want_curve` switches the cell
 /// kind to "curve" and captures per-trial informed curves (from cache
 /// meta on hits, from the live protocol on misses).
-CellOutcome run_cell(ExperimentStore& store, const JsonValue& req,
-                     GraphCache& graphs, std::size_t threads,
-                     bool want_curve) {
+RunOutcome run_cell(ExperimentStore& store, const JsonValue& req,
+                    std::size_t threads, bool want_curve) {
   const JsonValue* graph_spec = req.get("graph");
   if (graph_spec == nullptr || !graph_spec->is_object())
     throw std::invalid_argument("missing \"graph\" object");
-  const BuiltGraph& built = graphs.get(*graph_spec);
-  const WeightedGraph& g = built.graph;
-  const std::size_t n = g.num_nodes();
+  const WeightedGraph& g = cached_graph(*graph_spec);
 
-  const std::string proto_name = req.get_string("proto", "pushpull");
-  const auto seed = req.get_u64("seed", 1);
-  const auto trials = static_cast<std::size_t>(req.get_i64("trials", 1));
-  const auto source = static_cast<NodeId>(req.get_u64("source", 0));
-  const Round max_rounds = req.get_i64("max_rounds", 5'000'000);
-  if (trials == 0 || trials > 1'000'000)
-    throw std::invalid_argument("trials must be in [1, 1000000]");
-  if (source >= n) throw std::invalid_argument("source out of range");
-  if (want_curve && proto_name != "pushpull")
+  RunSpec spec;
+  spec.protocol = req.get_string("proto", "pushpull");
+  if (spec.protocol != "pushpull" && spec.protocol != "flooding")
+    throw std::invalid_argument(
+        "serve supports proto pushpull|flooding, got '" + spec.protocol + "'");
+  if (want_curve && spec.protocol != "pushpull")
     throw std::invalid_argument("spread_curve supports proto=pushpull only");
+  spec.rumor_rep = parse_rumor_rep(req.get_string("rumor_rep", "auto"));
+  spec.seed = req.get_u64("seed", 1);
+  spec.trials = req.get_i64("trials", 1);
+  spec.source = static_cast<std::int64_t>(req.get_u64("source", 0));
+  spec.max_rounds = req.get_i64("max_rounds", 5'000'000);
+  spec.threads = threads;
 
-  CellOutcome cell;
-  cell.nodes = n;
-  if (want_curve) cell.curves.resize(trials);
-
-  const RumorRep rep = resolve_rumor_rep(
-      parse_rumor_rep(req.get_string("rumor_rep", "auto")), n);
-
-  StoreBinding binding;
-  binding.store = &store;
-  binding.cell.protocol =
-      proto_name == "flooding"
-          ? proto_name + "/" + std::string(rumor_rep_name(rep))
-          : proto_name;
-  binding.cell.graph = graph_digest(g);
-  binding.cell.source = source;
-  binding.cell.max_rounds = max_rounds;
-  binding.cell.kind = want_curve ? "curve" : "sim";
-
-  TrialWsFn trial;
-  if (proto_name == "pushpull") {
-    trial = [&, want_curve](std::size_t t, Rng rng,
-                            TrialWorkspace& ws) -> SimResult {
-      thread_local EventRecorder recorder;
-      recorder.clear();
-      NetworkView view(g, false);
-      auto& proto = ws.slot<PushPullBroadcast>(view, source, rng);
-      proto.reset(view, source, rng);
-      SimOptions opts;
-      opts.max_rounds = max_rounds;
-      opts.workspace = &ws;
-      opts.recorder = &recorder;
-      SimResult result = run_gossip(g, proto, opts);
-      result.fingerprint = recorder.fingerprint();
-      if (want_curve) cell.curves[t] = informed_curve(proto, n, result.rounds);
-      return result;
-    };
-  } else if (proto_name == "flooding") {
-    trial = [&, rep](std::size_t, Rng, TrialWorkspace& ws) -> SimResult {
-      thread_local EventRecorder recorder;
-      recorder.clear();
-      NetworkView view(g, false);
-      SimOptions opts;
-      opts.max_rounds = max_rounds;
-      opts.workspace = &ws;
-      opts.recorder = &recorder;
-      SimResult result = with_rumor_rep(rep, n, [&]<RumorSetRep R>() {
-        BasicRoundRobinFlooding<R> proto(view, GossipGoal::kAllToAll, source,
-                                         own_id_rumor_sets<R>(n));
-        return run_gossip(g, proto, opts);
-      });
-      result.fingerprint = recorder.fingerprint();
-      return result;
-    };
-  } else {
-    throw std::invalid_argument("serve supports proto pushpull|flooding, got '" +
-                                proto_name + "'");
-  }
-
-  if (want_curve) {
-    binding.meta_fn = [&cell](std::size_t t) {
-      std::string meta = "{\"curve\":[";
-      const std::vector<std::uint32_t>& curve = cell.curves[t];
-      for (std::size_t i = 0; i < curve.size(); ++i) {
-        if (i > 0) meta += ',';
-        append_u64(meta, curve[i]);
-      }
-      meta += "]}";
-      return meta;
-    };
-    binding.on_hit_meta = [&cell](std::size_t t, const std::string& meta) {
-      const std::optional<JsonValue> doc = json_parse(meta);
-      if (!doc) return;
-      const JsonValue* curve = doc->get("curve");
-      if (curve == nullptr || !curve->is_array()) return;
-      cell.curves[t].reserve(curve->items().size());
-      for (const JsonValue& v : curve->items())
-        cell.curves[t].push_back(static_cast<std::uint32_t>(v.as_u64()));
-    };
-  }
-
-  cell.agg = run_trials_stored(binding, &cell.stats, trials, threads, seed,
-                               trial);
-  return cell;
-}
-
-void append_curve_result(std::string& out, const CellOutcome& cell) {
-  // Align trials on round index; a trial that finished early holds at
-  // its final count (complete stays complete).
-  std::size_t horizon = 0;
-  for (const auto& curve : cell.curves)
-    horizon = std::max(horizon, curve.size());
-  out += "{\"trials\":";
-  append_u64(out, cell.agg.trials.size());
-  out += ",\"rounds\":";
-  append_u64(out, horizon == 0 ? 0 : horizon - 1);
-  const auto at = [](const std::vector<std::uint32_t>& c, std::size_t r) {
-    if (c.empty()) return std::uint32_t{0};
-    return r < c.size() ? c[r] : c.back();
-  };
-  for (const char* field : {"curve_min", "curve_mean", "curve_max"}) {
-    out += ",\"";
-    out += field;
-    out += "\":[";
-    for (std::size_t r = 0; r < horizon; ++r) {
-      if (r > 0) out += ',';
-      std::uint64_t lo = ~0ull, hi = 0, sum = 0;
-      for (const auto& curve : cell.curves) {
-        const std::uint64_t c = at(curve, r);
-        lo = std::min(lo, c);
-        hi = std::max(hi, c);
-        sum += c;
-      }
-      if (std::strcmp(field, "curve_min") == 0) {
-        append_u64(out, lo);
-      } else if (std::strcmp(field, "curve_max") == 0) {
-        append_u64(out, hi);
-      } else {
-        append_mean(out, static_cast<double>(sum) /
-                             static_cast<double>(cell.curves.size()));
-      }
-    }
-    out += ']';
-  }
-  out += ",\"fingerprint\":\"";
-  char buf[24];
-  std::snprintf(buf, sizeof buf, "0x%016" PRIx64, cell.agg.fingerprint);
-  out += buf;
-  out += "\"}";
+  RunSinks sinks;
+  sinks.store = &store;
+  sinks.curves = want_curve;
+  return execute(spec, g, sinks);
 }
 
 }  // namespace
+
+GraphSpec parse_graph_spec(const JsonValue& spec) {
+  GraphSpec g;
+  g.family = spec.get_string("family", "er");
+  static constexpr std::string_view kFamilies[] = {
+      "clique", "cycle", "path", "star", "ring",
+      "torus",  "er",    "regular", "ba"};
+  if (std::find(std::begin(kFamilies), std::end(kFamilies), g.family) ==
+      std::end(kFamilies))
+    throw std::invalid_argument("unknown graph family '" + g.family + "'");
+  g.n = static_cast<std::size_t>(spec.get_i64("n", 64));
+  g.rows = static_cast<std::size_t>(spec.get_i64("rows", 4));
+  g.cols = static_cast<std::size_t>(spec.get_i64("cols", 4));
+  g.p = spec.get_double("p", 0.1);
+  g.d = static_cast<std::size_t>(spec.get_i64("d", 4));
+  g.attach = static_cast<std::size_t>(spec.get_i64("attach", 2));
+  g.seed = spec.get_u64("seed", 1);
+  const std::string lat = spec.get_string("lat", "unit");
+  if (lat == "uniform") {
+    g.latency = LatencyModel::kUniform;
+    g.lat_lo = spec.get_i64("l", 1);
+  } else if (lat == "range") {
+    g.latency = LatencyModel::kRange;
+    g.lat_lo = spec.get_i64("lat_lo", 1);
+    g.lat_hi = spec.get_i64("lat_hi", 8);
+  } else if (lat != "unit") {
+    throw std::invalid_argument("unknown latency model '" + lat + "'");
+  }
+  return g;
+}
 
 std::string handle_request(ExperimentStore& store, const std::string& request,
                            std::size_t threads, bool* shutdown) {
@@ -351,9 +165,6 @@ std::string handle_request(ExperimentStore& store, const std::string& request,
     return error_response("bad request: " +
                           (parse_error.empty() ? "not an object" : parse_error));
   const std::string op = req->get_string("op", "");
-  // One cache per handler call chain: the static would leak graphs
-  // across stores in tests, so keep it thread_local per server thread.
-  thread_local GraphCache graphs;
   try {
     if (op == "ping") return "{\"ok\":true,\"op\":\"ping\"}";
     if (op == "shutdown") {
@@ -363,29 +174,29 @@ std::string handle_request(ExperimentStore& store, const std::string& request,
     if (op == "stats") {
       const StoreStats s = store.stats();
       std::string out = "{\"ok\":true,\"op\":\"stats\",\"store\":{\"records\":";
-      append_u64(out, s.records);
+      json_append_u64(out, s.records);
       out += ",\"hits\":";
-      append_u64(out, s.hits);
+      json_append_u64(out, s.hits);
       out += ",\"misses\":";
-      append_u64(out, s.misses);
+      json_append_u64(out, s.misses);
       out += ",\"inserts\":";
-      append_u64(out, s.inserts);
+      json_append_u64(out, s.inserts);
       out += ",\"recovered_records\":";
-      append_u64(out, s.recovered_records);
+      json_append_u64(out, s.recovered_records);
       out += "}}";
       return out;
     }
     if (op == "completion_time" || op == "spread_curve") {
       const bool want_curve = op == "spread_curve";
-      const CellOutcome cell =
-          run_cell(store, *req, graphs, threads, want_curve);
+      const RunOutcome cell =
+          run_cell(store, *req, threads, want_curve);
       std::string out = "{\"ok\":true,\"op\":\"" + op + "\",\"result\":";
       if (want_curve)
         append_curve_result(out, cell);
       else
-        append_completion_result(out, cell);
+        append_completion_result(out, cell.agg);
       out += ",\"store\":";
-      append_store_block(out, cell.stats);
+      append_store_block(out, cell.store);
       out += '}';
       return out;
     }
@@ -399,11 +210,11 @@ std::string handle_request(ExperimentStore& store, const std::string& request,
       StoredBatchStats total;
       for (std::size_t i = 0; i < cells->items().size(); ++i) {
         if (i > 0) out += ',';
-        const CellOutcome cell =
-            run_cell(store, cells->items()[i], graphs, threads, false);
-        append_completion_result(out, cell);
-        total.hits += cell.stats.hits;
-        total.misses += cell.stats.misses;
+        const RunOutcome cell =
+            run_cell(store, cells->items()[i], threads, false);
+        append_completion_result(out, cell.agg);
+        total.hits += cell.store.hits;
+        total.misses += cell.store.misses;
       }
       out += "],\"store\":";
       append_store_block(out, total);

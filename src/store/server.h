@@ -8,9 +8,10 @@
 // count — exactly the identity the store keys on; cells already in the
 // store are answered from memory, the rest are computed on the shared
 // TrialPool and inserted, so the first client to ask pays and everyone
-// after reads. This is the "heavy traffic from many users"
-// architecture of ROADMAP item 3: many clients, one warm cache,
-// throughput measured in queries/sec (BENCH_store.json).
+// after reads: many clients, one warm cache, throughput measured in
+// queries/sec (BENCH_store.json). The server only parses requests and
+// renders responses; graphs and trial batches come from the same
+// generate_graph() and execute() as `latgossip run` (store/run.h).
 //
 // Request ops (one JSON object per frame; see DESIGN.md §5j for the
 // full field tables):
@@ -43,6 +44,8 @@
 namespace latgossip {
 
 class ExperimentStore;
+class JsonValue;
+struct GraphSpec;
 
 struct ServeOptions {
   std::string store_dir;    ///< required
@@ -65,5 +68,10 @@ int run_server(const ServeOptions& opts);
 /// Sets `*shutdown` when the request was a shutdown op.
 std::string handle_request(ExperimentStore& store, const std::string& request,
                            std::size_t threads, bool* shutdown);
+
+/// A request's "graph" object as a GraphSpec, with serve's defaults and
+/// its families and latency models (DESIGN.md §5j). Throws
+/// std::invalid_argument for anything else.
+GraphSpec parse_graph_spec(const JsonValue& spec);
 
 }  // namespace latgossip

@@ -1,66 +1,25 @@
 #include "store/store.h"
 
-#include <cinttypes>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <stdexcept>
 #include <vector>
 
-#include "obs/export.h"  // json_escape
+#include "obs/export.h"
 #include "store/json.h"
 
 namespace latgossip {
-
-namespace {
-
-void append_u64(std::string& out, std::uint64_t v) {
-  char buf[24];
-  std::snprintf(buf, sizeof buf, "%" PRIu64, v);
-  out += buf;
-}
-
-void append_i64(std::string& out, std::int64_t v) {
-  char buf[24];
-  std::snprintf(buf, sizeof buf, "%" PRId64, v);
-  out += buf;
-}
-
-}  // namespace
 
 std::string store_record_line(const StoreKey& key, const StoreRecord& rec) {
   std::string out = "{\"schema\":\"";
   out += ExperimentStore::kSchema;
   out += "\",\"key\":\"";
   out += key.hex();
-  out += "\",\"result\":{\"rounds\":";
-  append_i64(out, rec.result.rounds);
-  out += ",\"completed\":";
-  out += rec.result.completed ? "true" : "false";
-  out += ",\"activations\":";
-  append_u64(out, rec.result.activations);
-  out += ",\"messages_delivered\":";
-  append_u64(out, rec.result.messages_delivered);
-  out += ",\"messages_dropped\":";
-  append_u64(out, rec.result.messages_dropped);
-  out += ",\"exchanges_rejected\":";
-  append_u64(out, rec.result.exchanges_rejected);
-  out += ",\"payload_bits\":";
-  append_u64(out, rec.result.payload_bits);
-  out += ",\"max_inflight\":";
-  append_u64(out, rec.result.max_inflight);
-  out += ",\"fingerprint\":\"";
-  {
-    char buf[24];
-    std::snprintf(buf, sizeof buf, "0x%016" PRIx64, rec.result.fingerprint);
-    out += buf;
-  }
-  out += "\"},\"wall_ms\":";
-  {
-    char buf[32];
-    std::snprintf(buf, sizeof buf, "%.3f", rec.wall_ms);
-    out += buf;
-  }
+  out += "\",\"result\":";
+  json_append_sim_result(out, rec.result);
+  out += ",\"wall_ms\":";
+  json_append_fixed(out, rec.wall_ms, 3);
   if (!rec.meta.empty()) {
     out += ",\"meta\":";
     out += rec.meta;  // already-serialized JSON object

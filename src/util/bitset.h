@@ -33,8 +33,12 @@ class Bitset {
   /// All-zero bitset with `size` bits.
   explicit Bitset(std::size_t size)
       : size_(size), num_words_((size + 63) / 64) {
-    if (num_words_ > kInlineWords) heap_ = new std::uint64_t[num_words_];
-    std::fill_n(data(), num_words_, 0);
+    // Zero the member just chosen, not data(): GCC 12 warns
+    // -Wmaybe-uninitialized about the inactive one otherwise.
+    if (num_words_ > kInlineWords)
+      heap_ = new std::uint64_t[num_words_]();
+    else
+      std::fill_n(inline_, num_words_, 0);
   }
 
   Bitset(const Bitset& other)

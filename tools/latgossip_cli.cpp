@@ -14,16 +14,22 @@
 //                   [--max-requests=N] [--quiet]
 //   latgossip query --socket=PATH (--req='{"op":…}' | --op=<name>)
 //
+// Every `run` is one RunSpec handed to execute() (store/run.h), as in
+// `serve`; a single trial is a batch of one, seeded trial_seed(seed, 0)
+// with or without a store. One trial prints its own counters, more the
+// aggregate.
+//
 // --store=DIR: content-addressed result cache (store/store.h). Each
 // trial's key is the canonical digest of (protocol, graph content,
-// source, max_rounds, derived trial seed); cells already in the store
-// are answered without simulating, the rest are computed and inserted —
-// re-running a sweep only pays for cells it has never seen. Implies
-// recording (fingerprints must land in the records); incompatible with
-// --trace/--curve-out, whose outputs cannot be replayed from a cache
-// hit. --store-verify recomputes every hit and fails loudly unless the
+// source, max_rounds, scenario, derived trial seed); cells already in
+// the store are answered without simulating, the rest are computed and
+// inserted — re-running a sweep only pays for cells it has never seen.
+// Implies recording (fingerprints must land in the records).
+// --store-verify recomputes every hit and fails loudly unless the
 // result is bit-identical to the cached record — the tripwire for
-// engine changes that forgot to bump kStoreModelVersion.
+// engine changes that forgot to bump kStoreModelVersion. --trace
+// recomputes hits the same way (a hit has no event stream);
+// --curve-out uses spread_curve's "curve" cells, whose hits replay.
 //
 // serve/query: daemon + client for the same store over a Unix socket
 // (length-prefixed JSON frames; ops ping/stats/completion_time/
@@ -68,13 +74,10 @@
 // intermediate edge list). Latency options: --lat-uniform=L |
 // --lat-range=LO,HI | --lat-twolevel=FAST,SLOW,PFAST.
 
-#include <algorithm>
-#include <chrono>
 #include <cstdio>
-#include <cstdlib>
+#include <optional>
 #include <stdexcept>
 #include <string>
-#include <vector>
 
 #include "latgossip.h"
 
@@ -90,87 +93,55 @@ int usage() {
   return 2;
 }
 
-void apply_latency_flags(WeightedGraph& g, const Args& args, Rng& rng) {
+/// `gen`'s flags as a GraphSpec, with gen's defaults.
+GraphSpec gen_spec(const Args& args) {
+  GraphSpec spec;
+  spec.family = args.get("family", "er");
+  spec.n = static_cast<std::size_t>(args.get_int("n", 32));
+  spec.rows = static_cast<std::size_t>(args.get_int("rows", 4));
+  spec.cols = static_cast<std::size_t>(args.get_int("cols", 4));
+  spec.p = args.get_double("p", 0.2);
+  spec.d = static_cast<std::size_t>(args.get_int("d", 4));
+  spec.k = static_cast<std::size_t>(args.get_int("k", 2));
+  spec.beta = args.get_double("beta", 0.1);
+  spec.attach = static_cast<std::size_t>(args.get_int("attach", 2));
+  spec.cliques = static_cast<std::size_t>(args.get_int("cliques", 4));
+  spec.size = static_cast<std::size_t>(
+      args.get_int("size", spec.family == "dumbbell" ? 5 : 4));
+  spec.bridge = args.get_int("bridge", 1);
+  spec.alpha = args.get_double("alpha", 0.25);
+  spec.ell = args.get_int("ell", 8);
+  // --streaming routes er/regular/ba through the two-pass CSR builders
+  // — the path that makes n = 10^6 fit in laptop RAM.
+  spec.streaming = args.get_bool("streaming");
+  spec.seed = static_cast<std::uint64_t>(args.get_int("seed", 1));
   if (args.has("lat-uniform")) {
-    assign_uniform_latency(g, args.get_int("lat-uniform", 1));
+    spec.latency = LatencyModel::kUniform;
+    spec.lat_lo = args.get_int("lat-uniform", 1);
   } else if (args.has("lat-range")) {
-    const std::string spec = args.get("lat-range", "1,1");
-    const auto comma = spec.find(',');
+    const std::string lat = args.get("lat-range", "1,1");
+    const auto comma = lat.find(',');
     if (comma == std::string::npos)
       throw std::invalid_argument("--lat-range wants LO,HI");
-    assign_random_uniform_latency(
-        g, std::stoll(spec.substr(0, comma)),
-        std::stoll(spec.substr(comma + 1)), rng);
+    spec.latency = LatencyModel::kRange;
+    spec.lat_lo = std::stoll(lat.substr(0, comma));
+    spec.lat_hi = std::stoll(lat.substr(comma + 1));
   } else if (args.has("lat-twolevel")) {
-    const std::string spec = args.get("lat-twolevel", "1,10,0.5");
-    const auto c1 = spec.find(',');
-    const auto c2 = spec.find(',', c1 + 1);
+    const std::string lat = args.get("lat-twolevel", "1,10,0.5");
+    const auto c1 = lat.find(',');
+    const auto c2 = lat.find(',', c1 + 1);
     if (c1 == std::string::npos || c2 == std::string::npos)
       throw std::invalid_argument("--lat-twolevel wants FAST,SLOW,PFAST");
-    assign_two_level_latency(g, std::stoll(spec.substr(0, c1)),
-                             std::stoll(spec.substr(c1 + 1, c2 - c1 - 1)),
-                             std::stod(spec.substr(c2 + 1)), rng);
+    spec.latency = LatencyModel::kTwoLevel;
+    spec.lat_lo = std::stoll(lat.substr(0, c1));
+    spec.lat_hi = std::stoll(lat.substr(c1 + 1, c2 - c1 - 1));
+    spec.lat_p_fast = std::stod(lat.substr(c2 + 1));
   }
-}
-
-WeightedGraph generate(const Args& args, Rng& rng) {
-  const std::string family = args.get("family", "er");
-  const auto n = static_cast<std::size_t>(args.get_int("n", 32));
-  // --streaming routes er/regular/ba through the two-pass CSR builders
-  // (same distributions, explicit seed, no intermediate edge list) —
-  // the path that makes n = 10^6 fit in laptop RAM.
-  const bool streaming = args.get_bool("streaming");
-  const auto seed = static_cast<std::uint64_t>(args.get_int("seed", 1));
-  if (family == "clique") return make_clique(n);
-  if (family == "cycle") return make_cycle(n);
-  if (family == "path") return make_path(n);
-  if (family == "star") return make_star(n);
-  if (family == "ring") return make_ring_streaming(n);
-  if (family == "torus")
-    return make_torus_streaming(
-        static_cast<std::size_t>(args.get_int("rows", 4)),
-        static_cast<std::size_t>(args.get_int("cols", 4)));
-  if (family == "grid")
-    return make_grid(static_cast<std::size_t>(args.get_int("rows", 4)),
-                     static_cast<std::size_t>(args.get_int("cols", 4)));
-  if (family == "er") {
-    const double p = args.get_double("p", 0.2);
-    if (streaming) return make_erdos_renyi_streaming(n, p, seed);
-    return make_erdos_renyi(n, p, rng);
-  }
-  if (family == "regular") {
-    const auto d = static_cast<std::size_t>(args.get_int("d", 4));
-    if (streaming) return make_random_regular_streaming(n, d, seed);
-    return make_random_regular(n, d, rng);
-  }
-  if (family == "ws")
-    return make_watts_strogatz(
-        n, static_cast<std::size_t>(args.get_int("k", 2)),
-        args.get_double("beta", 0.1), rng);
-  if (family == "ba") {
-    const auto attach = static_cast<std::size_t>(args.get_int("attach", 2));
-    if (streaming) return make_preferential_attachment_streaming(n, attach, seed);
-    return make_barabasi_albert(n, attach, rng);
-  }
-  if (family == "ring_cliques")
-    return make_ring_of_cliques(
-        static_cast<std::size_t>(args.get_int("cliques", 4)),
-        static_cast<std::size_t>(args.get_int("size", 4)),
-        args.get_int("bridge", 1));
-  if (family == "dumbbell")
-    return make_dumbbell(static_cast<std::size_t>(args.get_int("size", 5)),
-                         1, args.get_int("bridge", 1));
-  if (family == "thm8")
-    return make_theorem8_network(n, args.get_double("alpha", 0.25),
-                                 args.get_int("ell", 8), rng)
-        .graph;
-  throw std::invalid_argument("unknown family '" + family + "'");
+  return spec;
 }
 
 int cmd_gen(const Args& args) {
-  Rng rng(static_cast<std::uint64_t>(args.get_int("seed", 1)));
-  WeightedGraph g = generate(args, rng);
-  apply_latency_flags(g, args, rng);
+  const WeightedGraph g = generate_graph(gen_spec(args));
   const std::string out = args.get("out", "");
   if (out.empty()) {
     std::fputs(graph_to_string(g).c_str(), stdout);
@@ -214,263 +185,64 @@ int cmd_analyze(const Args& args) {
   return 0;
 }
 
-void write_file_or_throw(const std::string& path, const std::string& body) {
-  FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) throw std::runtime_error("cannot open " + path);
-  std::fputs(body.c_str(), f);
-  std::fclose(f);
-}
-
 int cmd_run(const Args& args) {
   const std::string in = args.get("in", "");
   if (in.empty()) return usage();
   const WeightedGraph g = load_graph(in);
   const std::size_t n = g.num_nodes();
-  const std::string proto_name = args.get("proto", "pushpull");
-  const auto source = static_cast<NodeId>(args.get_int("source", 0));
-  const auto seed = static_cast<std::uint64_t>(args.get_int("seed", 1));
-  const auto trials = static_cast<std::size_t>(args.get_int("trials", 1));
-  // 0 = hardware concurrency; only consulted when trials > 1.
-  const auto threads = static_cast<std::size_t>(args.get_int("threads", 0));
-  const Round max_rounds = args.get_int("max-rounds", 5'000'000);
-  // Rumor-set representation for rumor-carrying protocols; kAuto is
-  // resolved against the loaded graph's node count up front so the
-  // echoed/manifested name is the concrete choice.
-  const RumorRep rumor_rep =
-      resolve_rumor_rep(parse_rumor_rep(args.get("rumor-rep", "auto")), n);
-  Rng rng(seed);
+  RunSpec spec;
+  spec.protocol = args.get("proto", "pushpull");
+  spec.rumor_rep = parse_rumor_rep(args.get("rumor-rep", "auto"));
+  spec.source = args.get_int("source", 0);
+  spec.seed = static_cast<std::uint64_t>(args.get_int("seed", 1));
+  spec.trials = args.get_int("trials", 1);
+  spec.threads = static_cast<std::size_t>(args.get_int("threads", 0));
+  spec.max_rounds = args.get_int("max-rounds", 5'000'000);
+  spec.known_latencies = args.get_bool("known-latencies");
+  // Validate before the scenario parser narrows the source to a NodeId;
+  // execute() re-checks the completed spec.
+  validate_run(spec, n);
+  const std::string dynamics = args.get("dynamics", "");
+  if (!dynamics.empty())
+    spec.dynamics =
+        parse_dynamics_spec(dynamics, n, static_cast<NodeId>(spec.source));
 
-  const std::string trace_path = args.get("trace", "");
-  const std::string manifest_path = args.get("manifest", "");
+  RunSinks sinks;
+  sinks.trace_path = args.get("trace", "");
+  sinks.manifest_path = args.get("manifest", "");
+  sinks.manifest_info.tool = "latgossip run";
+  sinks.manifest_info.graph_source = in;
   const std::string curve_path = args.get("curve-out", "");
+  sinks.curves = !curve_path.empty();
+  sinks.freshness = true;
   const std::string store_dir = args.get("store", "");
-  const bool store_verify = args.get_bool("store-verify");
-  if (!curve_path.empty() && proto_name != "pushpull")
-    throw std::invalid_argument(
-        "--curve-out needs per-node inform rounds; only --proto=pushpull "
-        "exposes them");
-  if (store_verify && store_dir.empty())
+  sinks.store_verify = args.get_bool("store-verify");
+  if (sinks.store_verify && store_dir.empty())
     throw std::invalid_argument("--store-verify needs --store=DIR");
-  // Dynamic scenario: parsed once, validated against the loaded graph;
-  // one DynamicPlan per trial is constructed inside run_single (the
-  // schedule itself is a deterministic function of the spec, so every
-  // trial replays the same scenario with its own protocol randomness).
-  const std::string dynamics_str = args.get("dynamics", "");
-  DynamicSpec dynamics_spec;
-  if (!dynamics_str.empty()) {
-    if (proto_name != "pushpull" && proto_name != "flooding")
-      throw std::invalid_argument(
-          "--dynamics only applies to --proto=pushpull|flooding; composite "
-          "protocols own their SimOptions");
-    dynamics_spec = parse_dynamics_spec(dynamics_str, n, source);
-  }
-  const bool dynamics_on = dynamics_spec.any();
-  // A store hit skips the trial body, so exports that only the live
-  // body can produce are incompatible with caching.
-  if (!store_dir.empty() && (!trace_path.empty() || !curve_path.empty()))
-    throw std::invalid_argument(
-        "--store cannot replay --trace/--curve-out from cache hits; drop "
-        "those flags or the store");
-  // Recording (events + metrics) is enabled per trial whenever an
-  // export that needs it was requested. A store implies it: records
-  // carry fingerprints, the observable --store-verify compares by.
-  const bool recording =
-      !trace_path.empty() || !manifest_path.empty() || !store_dir.empty();
+  std::optional<ExperimentStore> store;
+  if (!store_dir.empty()) sinks.store = &store.emplace(store_dir);
 
-  // A trace ending in .json is exported as Chrome trace-event JSON
-  // (open in Perfetto / chrome://tracing); anything else as the
-  // activation CSV. With trials > 1, each trial writes its own file
-  // with ".t<k>" spliced in before the extension.
-  auto trial_trace_path = [&](std::size_t t) -> std::string {
-    if (trials == 1) return trace_path;
-    const std::string tag = ".t" + std::to_string(t);
-    const auto dot = trace_path.find_last_of('.');
-    if (dot == std::string::npos ||
-        trace_path.find('/', dot) != std::string::npos)
-      return trace_path + tag;
-    return trace_path.substr(0, dot) + tag + trace_path.substr(dot);
-  };
-  const bool trace_json =
-      trace_path.size() >= 5 &&
-      trace_path.compare(trace_path.size() - 5, 5, ".json") == 0;
+  const RunOutcome out = execute(spec, g, sinks);
+  const TrialAggregate& agg = out.agg;
+  const std::size_t trials = agg.trials.size();
+  const bool one = trials == 1;
+  const SimResult& first = agg.trials[0];
 
-  // Per-trial side channels, pre-sized so worker threads write disjoint
-  // slots (same pattern as run_trials itself).
-  std::vector<std::string> metrics_snapshots(trials);
-  std::vector<std::size_t> trace_events(trials, 0);
-  std::vector<std::vector<Round>> inform_rounds(
-      curve_path.empty() ? 0 : trials);
-  // Node-age freshness of the final protocol state (valid only for
-  // protocols exposing last_gain_round — pushpull and flooding).
-  std::vector<FreshnessStats> freshness(trials);
-
-  // One trial with a private RNG; .completed carries protocol-level
-  // success so the multi-trial aggregate can count completions.
-  const bool known_latencies = args.get_bool("known-latencies");
-  auto run_single = [&](std::size_t trial, Rng trial_rng,
-                        TrialWorkspace& ws) -> SimResult {
-    // One recorder per worker thread, reused across that thread's
-    // trials: clear() keeps the event-log storage, so only the first
-    // trial per thread pays the allocation (the recorder's designed
-    // steady state). Trials never share a recorder concurrently. The
-    // workspace likewise recycles the engine calendar queue per worker.
-    thread_local EventRecorder recorder;
-    recorder.clear();
-    MetricsRegistry metrics;
-    ObsContext obs{&recorder, &metrics};
-    ObsContext* obs_ptr = recording ? &obs : nullptr;
-    SimOptions opts;
-    opts.max_rounds = max_rounds;
-    opts.workspace = &ws;
-    if (recording) opts.recorder = &recorder;
-    std::optional<DynamicPlan> dyn_plan;
-    if (dynamics_on) {
-      dyn_plan.emplace(n, g.num_edges(), dynamics_spec);
-      opts.dynamics = &*dyn_plan;
-    }
-    SimResult result;
-    if (proto_name == "pushpull") {
-      NetworkView view(g, false);
-      PushPullBroadcast proto(view, source, trial_rng);
-      result = run_gossip(g, proto, opts);
-      freshness[trial] = freshness_of(proto, n, result.rounds);
-      if (!curve_path.empty()) {
-        inform_rounds[trial].resize(n);
-        for (NodeId v = 0; v < n; ++v)
-          inform_rounds[trial][v] = proto.inform_round(v);
-      }
-    } else if (proto_name == "flooding") {
-      NetworkView view(g, false);
-      result = with_rumor_rep(rumor_rep, n, [&]<RumorSetRep R>() {
-        BasicRoundRobinFlooding<R> proto(view, GossipGoal::kAllToAll, source,
-                                         own_id_rumor_sets<R>(n));
-        const SimResult rr = run_gossip(g, proto, opts);
-        freshness[trial] = freshness_of(proto, n, rr.rounds);
-        return rr;
-      });
-    } else if (proto_name == "eid") {
-      const GeneralEidOutcome out =
-          run_general_eid(g, 0, trial_rng, 1, obs_ptr, &ws);
-      result = out.sim;
-      result.completed = out.success;
-    } else if (proto_name == "tk") {
-      const PathDiscoveryOutcome out = run_path_discovery(g, obs_ptr);
-      result = out.sim;
-      result.completed = out.success;
-    } else if (proto_name == "unified") {
-      UnifiedOptions uopts;
-      uopts.latencies_known = known_latencies;
-      uopts.obs = obs_ptr;
-      const UnifiedOutcome out = run_unified(g, uopts, trial_rng);
-      result.rounds = out.unified_rounds;
-      result.completed = out.completed;
-      if (trials == 1)
-        std::printf("winner         %s\n",
-                    out.winner == UnifiedWinner::kPushPull ? "push-pull"
-                                                           : "spanner");
-    } else {
-      throw std::invalid_argument("unknown protocol '" + proto_name + "'");
-    }
-    if (recording) {
-      result.fingerprint = recorder.fingerprint();
-      record_sim_result(metrics, result);
-      record_event_histograms(metrics, recorder);
-      record_freshness(metrics, freshness[trial]);
-      metrics_snapshots[trial] = metrics_json(metrics);
-      if (!trace_path.empty()) {
-        trace_events[trial] = recorder.events().size();
-        write_file_or_throw(trial_trace_path(trial),
-                            trace_json ? to_chrome_trace_json(recorder)
-                                       : activations_to_csv(recorder));
-      }
-    }
-    return result;
-  };
-
-  // Only flooding carries rumor sets today; other protocols ignore the
-  // representation flag entirely, so tagging them would be noise.
-  const bool rep_applies = proto_name == "flooding";
-  const std::string rep_name{rumor_rep_name(rumor_rep)};
-
-  RunInfo info;
-  info.tool = "latgossip run";
-  info.protocol = rep_applies ? proto_name + "/" + rep_name : proto_name;
-  info.graph_source = in;
-  info.nodes = n;
-  info.edges = g.num_edges();
-  info.seed = seed;
-  info.threads = threads;
-
-  // Informed-count spread curve: counts of informed nodes per round,
-  // min/mean/max across trials ("round,min,mean,max" CSV).
-  auto write_curve = [&]() {
-    if (curve_path.empty()) return;
-    Round horizon = 0;
-    for (const auto& rounds_v : inform_rounds)
-      for (Round r : rounds_v) horizon = std::max(horizon, r);
-    std::string body = "round,min,mean,max\n";
-    std::vector<std::size_t> counts(trials);
-    for (Round r = 0; r <= horizon; ++r) {
-      for (std::size_t t = 0; t < trials; ++t) {
-        std::size_t c = 0;
-        for (Round ir : inform_rounds[t])
-          if (ir >= 0 && ir <= r) ++c;
-        counts[t] = c;
-      }
-      std::size_t lo = counts[0], hi = counts[0], sum = 0;
-      for (std::size_t c : counts) {
-        lo = std::min(lo, c);
-        hi = std::max(hi, c);
-        sum += c;
-      }
-      char line[96];
-      std::snprintf(line, sizeof line, "%lld,%zu,%.2f,%zu\n",
-                    static_cast<long long>(r), lo,
-                    static_cast<double>(sum) / static_cast<double>(trials),
-                    hi);
-      body += line;
-    }
-    write_file_or_throw(curve_path, body);
-    std::printf("curve          %s (%lld rounds)\n", curve_path.c_str(),
-                static_cast<long long>(horizon) + 1);
-  };
-
-  // Store runs always take the batch path (even --trials=1): per-trial
-  // keys come from the same trial_seed() derivation either way, so a
-  // single-trial probe and a later sweep share cache entries.
-  if (trials > 1 || !store_dir.empty()) {
-    ManifestSpec manifest;
-    if (!manifest_path.empty()) {
-      manifest.path = manifest_path;
-      manifest.info = info;
-      manifest.metrics_json_snapshot = [&](std::size_t t) {
-        return metrics_snapshots[t];
-      };
-    }
-    const ManifestSpec* mspec = manifest_path.empty() ? nullptr : &manifest;
-    std::optional<ExperimentStore> store;
-    StoredBatchStats store_stats;
-    TrialAggregate agg;
-    if (!store_dir.empty()) {
-      store.emplace(store_dir);
-      StoreBinding binding;
-      binding.store = &*store;
-      binding.verify = store_verify;
-      binding.cell.protocol = info.protocol;
-      binding.cell.graph = graph_digest(g);
-      binding.cell.source = source;
-      binding.cell.max_rounds = max_rounds;
-      binding.cell.faults = canonical_dynamics(dynamics_spec);
-      agg = run_trials_stored(binding, &store_stats, trials, threads, seed,
-                              run_single, mspec);
-    } else {
-      agg = run_trials(trials, threads, seed, run_single, mspec);
-    }
-    std::printf("protocol       %s\n", proto_name.c_str());
-    if (rep_applies)
-      std::printf("rumor rep      %s\n", rep_name.c_str());
-    std::printf("trials         %zu (threads %zu%s)\n", trials, threads,
-                threads == 0 ? " = hardware" : "");
+  if (one && !out.winners.empty() && !out.winners[0].empty())
+    std::printf("winner         %s\n", out.winners[0].c_str());
+  std::printf("protocol       %s\n", spec.protocol.c_str());
+  // Only flooding carries rumor sets; other protocols ignore the flag.
+  if (spec.protocol == "flooding")
+    std::printf("rumor rep      %s\n",
+                std::string(rumor_rep_name(spec.rumor_rep)).c_str());
+  if (one) {
+    std::printf("rounds         %lld\n", static_cast<long long>(first.rounds));
+    std::printf("complete       %s\n", first.completed ? "yes" : "NO");
+    std::printf("exchanges      %zu\n", first.activations);
+    std::printf("payload bits   %zu\n", first.payload_bits);
+  } else {
+    std::printf("trials         %zu (threads %zu%s)\n", trials, spec.threads,
+                spec.threads == 0 ? " = hardware" : "");
     std::printf("rounds mean    %.2f\n", agg.rounds.mean());
     std::printf("rounds stddev  %.2f\n", agg.rounds.stddev());
     std::printf("rounds range   [%.0f, %.0f]\n", agg.rounds.min(),
@@ -478,91 +250,67 @@ int cmd_run(const Args& args) {
     std::printf("complete       %zu/%zu\n", agg.num_completed, trials);
     std::printf("exchanges mean %.1f\n", agg.activations.mean());
     std::printf("payload bits   %.1f (mean)\n", agg.payload_bits.mean());
-    if (dynamics_on)
-      std::printf("dynamics       %s\n",
-                  describe_dynamics(dynamics_spec).c_str());
-    {
-      // Freshness aggregate across the trials that produced it (every
-      // trial for pushpull/flooding, none otherwise).
-      std::size_t valid = 0;
-      double max_sum = 0.0, mean_sum = 0.0;
-      for (const FreshnessStats& f : freshness) {
-        if (!f.valid) continue;
-        ++valid;
-        max_sum += static_cast<double>(f.max_age);
-        mean_sum += f.mean_age;
-      }
-      if (valid > 0) {
-        std::printf("node age max   %.1f (mean over %zu trials)\n",
-                    max_sum / static_cast<double>(valid), valid);
-        std::printf("node age mean  %.2f\n",
-                    mean_sum / static_cast<double>(valid));
-      }
-    }
-    if (recording)
-      std::printf("fingerprint    0x%016llx\n",
-                  static_cast<unsigned long long>(agg.fingerprint));
-    if (!trace_path.empty())
-      std::printf("traces         %s .. %s\n", trial_trace_path(0).c_str(),
-                  trial_trace_path(trials - 1).c_str());
-    if (!manifest_path.empty())
-      std::printf("manifest       %s (%zu records)\n", manifest_path.c_str(),
-                  trials);
-    if (store) {
-      // hits + misses == trials; a repeated sweep is all hits (the
-      // resumable-sweep observable EXPERIMENTS.md and CI assert on).
-      std::printf("store          %s (%zu records)\n", store_dir.c_str(),
-                  store->size());
-      std::printf("store hits     %zu%s\n", store_stats.hits,
-                  store_verify ? " (recomputed + verified)" : "");
-      std::printf("store misses   %zu (computed + inserted)\n",
-                  store_stats.misses);
-    }
-    write_curve();
-    return 0;
   }
-
-  const auto t0 = std::chrono::steady_clock::now();
-  const SimResult result = run_single(0, rng, trial_workspace());
-  const double wall_ms =
-      std::chrono::duration<double, std::milli>(
-          std::chrono::steady_clock::now() - t0)
-          .count();
-  const bool complete = result.completed;
-
-  std::printf("protocol       %s\n", proto_name.c_str());
-  if (rep_applies)
-    std::printf("rumor rep      %s\n", rep_name.c_str());
-  std::printf("rounds         %lld\n", static_cast<long long>(result.rounds));
-  std::printf("complete       %s\n", complete ? "yes" : "NO");
-  std::printf("exchanges      %zu\n", result.activations);
-  std::printf("payload bits   %zu\n", result.payload_bits);
-  if (dynamics_on)
-    std::printf("dynamics       %s\n", describe_dynamics(dynamics_spec).c_str());
-  if (freshness[0].valid) {
+  if (spec.dynamics.any())
+    std::printf("dynamics       %s\n",
+                describe_dynamics(spec.dynamics).c_str());
+  // Node-age freshness over the trials that produced it: every computed
+  // pushpull/flooding trial, no store hit.
+  std::size_t fresh = 0;
+  double max_sum = 0.0, mean_sum = 0.0;
+  for (const FreshnessStats& f : out.freshness) {
+    if (!f.valid) continue;
+    ++fresh;
+    max_sum += static_cast<double>(f.max_age);
+    mean_sum += f.mean_age;
+  }
+  if (fresh > 0 && one) {
     std::printf("node age max   %lld\n",
-                static_cast<long long>(freshness[0].max_age));
-    std::printf("node age mean  %.2f\n", freshness[0].mean_age);
+                static_cast<long long>(out.freshness[0].max_age));
+    std::printf("node age mean  %.2f\n", out.freshness[0].mean_age);
+  } else if (fresh > 0) {
+    std::printf("node age max   %.1f (mean over %zu trials)\n",
+                max_sum / static_cast<double>(fresh), fresh);
+    std::printf("node age mean  %.2f\n", mean_sum / static_cast<double>(fresh));
   }
-  if (recording)
+  if (out.recorded)
     std::printf("fingerprint    0x%016llx\n",
-                static_cast<unsigned long long>(result.fingerprint));
-  if (!trace_path.empty())
-    std::printf("trace          %s (%zu events)\n", trace_path.c_str(),
-                trace_events[0]);
-  if (!manifest_path.empty()) {
-    // The single-trial path bypasses run_trials, so stamp the effective
-    // parallelism (always 1 here) the way run_trials would.
-    info.threads_effective = 1;
-    if (const char* env = std::getenv("LATGOSSIP_THREADS"))
-      info.threads_env = env;
-    if (!append_jsonl(manifest_path,
-                      manifest_record(info, 0, seed, result, wall_ms,
-                                      metrics_snapshots[0])))
-      throw std::runtime_error("cannot append to " + manifest_path);
-    std::printf("manifest       %s (1 record)\n", manifest_path.c_str());
+                static_cast<unsigned long long>(one ? first.fingerprint
+                                                    : agg.fingerprint));
+  if (!sinks.trace_path.empty() && one)
+    std::printf("trace          %s (%zu events)\n", sinks.trace_path.c_str(),
+                out.trace_events[0]);
+  else if (!sinks.trace_path.empty())
+    std::printf("traces         %s .. %s\n",
+                trial_trace_path(sinks.trace_path, 0, trials).c_str(),
+                trial_trace_path(sinks.trace_path, trials - 1, trials).c_str());
+  if (!sinks.manifest_path.empty())
+    std::printf("manifest       %s (%zu record%s)\n",
+                sinks.manifest_path.c_str(), trials, one ? "" : "s");
+  if (store) {
+    // hits + misses == trials; a repeated sweep is all hits (the
+    // resumable-sweep observable EXPERIMENTS.md and CI assert on).
+    std::printf("store          %s (%zu records)\n", store_dir.c_str(),
+                store->size());
+    std::printf("store hits     %zu%s\n", out.store.hits,
+                out.recomputed_hits ? " (recomputed + verified)" : "");
+    std::printf("store misses   %zu (computed + inserted)\n",
+                out.store.misses);
   }
-  write_curve();
+  if (!curve_path.empty()) {
+    const SpreadEnvelope env = spread_envelope(out.curves);
+    std::string csv = "round,min,mean,max\n";
+    for (std::size_t r = 0; r < env.rounds(); ++r) {
+      char line[96];
+      std::snprintf(line, sizeof line, "%zu,%llu,%.2f,%llu\n", r,
+                    static_cast<unsigned long long>(env.min[r]), env.mean(r),
+                    static_cast<unsigned long long>(env.max[r]));
+      csv += line;
+    }
+    write_text_file(curve_path, csv);
+    std::printf("curve          %s (%zu rounds)\n", curve_path.c_str(),
+                env.rounds());
+  }
   return 0;
 }
 
