@@ -1,7 +1,7 @@
 // M3 — engineering micro-benchmarks: simulator throughput under the
 // main protocols, the hook-policy fast path vs the dynamic path, and
-// the parallel trial runner. bench/run_bench emits the same workloads
-// as JSON for cross-PR tracking (BENCH_engine.json).
+// the parallel trial runner. The end-to-end record across changes is
+// perfbench (BENCHMARK.json).
 
 #include <benchmark/benchmark.h>
 

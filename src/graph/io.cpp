@@ -94,6 +94,10 @@ void save_graph(const std::string& path, const WeightedGraph& g) {
   std::ofstream out(path);
   if (!out) fail("cannot open '" + path + "' for writing");
   write_graph(out, g);
+  // The tail of the file is still buffered: only the flush in close()
+  // can report that it did not fit.
+  out.close();
+  if (!out) fail("cannot write '" + path + "'");
 }
 
 WeightedGraph load_graph(const std::string& path) {

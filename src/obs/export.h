@@ -9,8 +9,8 @@
 // generator + params, seed, threads), the per-trial SimResult including
 // the event-stream fingerprint, the metrics snapshot (counters,
 // histograms, per-phase stats), and wall time. `latgossip run
-// --manifest=FILE`, run_trials() (via ManifestSpec), and bench/run_bench
-// all emit the same schema — see DESIGN.md §5e for the field list.
+// --manifest=FILE` and every run_trials() batch given a ManifestSpec
+// emit it — see DESIGN.md §5e for the field list.
 
 #include <cstdint>
 #include <string>
@@ -31,15 +31,14 @@ struct BuildInfo {
 BuildInfo build_info();
 
 /// JSON object literal with the BuildInfo fields (no trailing newline);
-/// embedded by manifests and by run_bench's BENCH_*.json headers.
+/// embedded by every manifest record.
 std::string build_info_json();
 
 /// Peak resident-set size of this process in bytes (Linux: VmHWM from
 /// /proc/self/status; 0 where unavailable). A high-water mark, not a
-/// current reading — it only ever grows, so per-row deltas in a batch
-/// run are meaningless but "did the million-node bench fit in RAM" is
-/// answered exactly. Stamped into every manifest record and BENCH_*.json
-/// row.
+/// current reading — it only ever grows, so per-trial deltas in a batch
+/// are meaningless but "did the million-node run fit in RAM" is
+/// answered exactly. Stamped into every manifest record.
 std::size_t peak_rss_bytes();
 
 /// Escape a string for embedding in a JSON string literal.
@@ -82,7 +81,7 @@ std::string metrics_json(const MetricsRegistry& metrics);
 
 /// Static context shared by every trial of one batch.
 struct RunInfo {
-  std::string tool;          ///< e.g. "latgossip run", "run_bench"
+  std::string tool;          ///< e.g. "latgossip run"
   std::string protocol;      ///< e.g. "pushpull", "eid"
   std::string graph_source;  ///< generator family or input file
   std::string graph_params;  ///< free-form "n=128,p=0.1"

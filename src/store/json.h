@@ -3,11 +3,11 @@
 // wire protocol.
 //
 // The rest of the codebase only ever *emits* JSON (hand-built strings in
-// obs/export and bench/run_bench); the store is the first subsystem that
-// has to read it back: log replay on open, requests arriving over the
-// serve socket, and cached spread-curve payloads. This is a small
-// recursive-descent parser for exactly that — no streaming, no SAX, no
-// allocator cleverness. Documents are parsed into a JsonValue tree;
+// obs/export); the store is the first subsystem that has to read it
+// back: log replay on open, requests arriving over the serve socket,
+// and cached spread-curve payloads. This is a small recursive-descent
+// parser for exactly that — no streaming, no SAX, no allocator
+// cleverness. Documents are parsed into a JsonValue tree;
 // objects keep insertion order (round-trip friendly) and lookups are
 // linear, which is fine at the handful-of-fields scale of store records
 // and query requests.

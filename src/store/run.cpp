@@ -93,6 +93,8 @@ void validate_run(RunSpec& spec, std::size_t num_nodes) {
     throw std::invalid_argument("trials must be in [1, 1000000]");
   if (spec.source < 0 || static_cast<std::uint64_t>(spec.source) >= num_nodes)
     throw std::invalid_argument("source out of range");
+  if (spec.max_rounds < 0)
+    throw std::invalid_argument("max_rounds must be >= 0");
   if (spec.dynamics.any() && !single_phase(spec.protocol))
     throw std::invalid_argument(
         "--dynamics only applies to --proto=pushpull|flooding; composite "
@@ -292,8 +294,9 @@ SpreadEnvelope spread_envelope(
 void write_text_file(const std::string& path, const std::string& body) {
   FILE* f = std::fopen(path.c_str(), "w");
   if (f == nullptr) throw std::runtime_error("cannot open " + path);
-  std::fputs(body.c_str(), f);
-  std::fclose(f);
+  const bool ok = std::fputs(body.c_str(), f) >= 0;
+  if (std::fclose(f) != 0 || !ok)
+    throw std::runtime_error("cannot write " + path);
 }
 
 }  // namespace latgossip

@@ -72,8 +72,8 @@ struct RunSpec {
 };
 
 /// The one validation, against a graph of `num_nodes` nodes: a known
-/// protocol, trials in [1, 10^6], source < num_nodes, a scenario only
-/// on a single-phase protocol. Resolves rumor_rep. Throws
+/// protocol, trials in [1, 10^6], source < num_nodes, max_rounds >= 0,
+/// a scenario only on a single-phase protocol. Resolves rumor_rep. Throws
 /// std::invalid_argument with the message both front ends show.
 void validate_run(RunSpec& spec, std::size_t num_nodes);
 

@@ -8,8 +8,8 @@
 // count — exactly the identity the store keys on; cells already in the
 // store are answered from memory, the rest are computed on the shared
 // TrialPool and inserted, so the first client to ask pays and everyone
-// after reads: many clients, one warm cache, throughput measured in
-// queries/sec (BENCH_store.json). The server only parses requests and
+// after reads: many clients, one warm cache, hits and misses timed by
+// perfbench's serve_mix workload. The server only parses requests and
 // renders responses; graphs and trial batches come from the same
 // generate_graph() and execute() as `latgossip run` (store/run.h).
 //

@@ -2,7 +2,9 @@
 // Minimal command-line flag parsing for examples and bench binaries.
 //
 // Supports --name=value plus boolean --flag; anything else is
-// positional. allow_only() lets binaries reject typo'd flags.
+// positional. allow_only() lets binaries reject typo'd flags. Numeric
+// getters are strict: an empty value, trailing characters or a value
+// out of range throws std::invalid_argument naming the flag.
 
 #include <cstdint>
 #include <map>
@@ -18,6 +20,7 @@ class Args {
   bool has(const std::string& name) const;
   std::string get(const std::string& name, const std::string& def) const;
   std::int64_t get_int(const std::string& name, std::int64_t def) const;
+  /// Finite values only.
   double get_double(const std::string& name, double def) const;
   bool get_bool(const std::string& name, bool def = false) const;
 
@@ -31,5 +34,11 @@ class Args {
   std::map<std::string, std::string> flags_;
   std::vector<std::string> positional_;
 };
+
+/// The numeric parsers behind get_int/get_double, for flags whose value
+/// packs several numbers (`--lat-range=LO,HI`): `text` must be exactly
+/// one number, and errors name `--flag`.
+std::int64_t parse_int_flag(const std::string& flag, const std::string& text);
+double parse_double_flag(const std::string& flag, const std::string& text);
 
 }  // namespace latgossip

@@ -267,8 +267,7 @@ enum class RumorRep : std::uint8_t { kDense, kSparse, kAuto };
 /// at most 8 KiB (n/8 bytes) and word-parallel unions beat any sparse
 /// structure; above it an all-dense layout costs more than n²/8 ≈ 512
 /// MiB across nodes and sparse wins whenever |set| ≪ n (the million-
-/// node broadcast regime). 65536 matches the largest topology the dense
-/// path was ever benched at (BENCH_engine.json, DESIGN.md §5i).
+/// node broadcast regime). See DESIGN.md §5i.
 inline constexpr std::size_t kDenseNodeThreshold = 65536;
 
 constexpr std::string_view rumor_rep_name(RumorRep rep) noexcept {

@@ -9,6 +9,11 @@
 #include <type_traits>
 #include <vector>
 
+#include "core/push_pull.h"
+#include "graph/generators.h"
+#include "graph/latency_models.h"
+#include "obs/recorder.h"
+#include "sim/engine.h"
 #include "util/bitset.h"
 #include "util/rng.h"
 #include "util/rumor_set.h"
@@ -207,6 +212,52 @@ TEST(SparseRumorSet, SparseAbsorbsDenseOperand) {
   EXPECT_FALSE(sparse_side.is_sparse());
   EXPECT_TRUE(sparse_side.test(7777));
   EXPECT_TRUE(sparse_side.test(0));
+}
+
+// --- single-source gossip under both representations -----------------------
+
+template <RumorSetRep R>
+struct GossipRun {
+  SimResult result;
+  std::vector<R> sets;
+};
+
+/// Single-source push-pull gossip in which only the source starts with a
+/// rumor, so no node's set ever holds more than that one element: the
+/// regime where a sparse set stays one word per node at 10^6 nodes and
+/// the dense layout needs n^2/8 bytes.
+template <RumorSetRep R>
+GossipRun<R> single_source_gossip(const WeightedGraph& g) {
+  const std::size_t n = g.num_nodes();
+  std::vector<R> rumors(n, R(n));
+  rumors[0].set(0);
+  const NetworkView view(g, false);
+  BasicPushPullGossip<R> proto(view, GossipGoal::kSingleSource, 0,
+                               std::move(rumors), Rng(7));
+  EventRecorder recorder;
+  SimOptions opts;
+  opts.recorder = &recorder;
+  GossipRun<R> run;
+  run.result = run_gossip(g, proto, opts);
+  run.result.fingerprint = recorder.fingerprint();
+  run.sets = proto.take_rumors();
+  return run;
+}
+
+TEST(SparseRumorSet, SingleSourceGossipMatchesDense) {
+  WeightedGraph g = make_random_regular_streaming(8192, 8, 1);
+  Rng lat_rng(1);
+  assign_random_uniform_latency(g, 1, 8, lat_rng);
+  const GossipRun<Bitset> dense = single_source_gossip<Bitset>(g);
+  const GossipRun<SparseRumorSet> sparse =
+      single_source_gossip<SparseRumorSet>(g);
+  ASSERT_TRUE(sparse.result.completed);
+  EXPECT_NE(sparse.result.fingerprint, 0u);
+  EXPECT_EQ(sparse.result, dense.result);
+  ASSERT_EQ(sparse.sets.size(), g.num_nodes());
+  std::size_t promoted = 0;
+  for (const SparseRumorSet& s : sparse.sets) promoted += !s.is_sparse();
+  EXPECT_EQ(promoted, 0u);
 }
 
 // --- snapshot arena over alternative representations -----------------------

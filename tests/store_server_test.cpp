@@ -158,6 +158,8 @@ TEST(StoreServer, RejectsBadRequests) {
            R"({"op":"completion_time","graph":{"family":"cycle","n":8},"trials":0})",
            // source out of range
            R"({"op":"completion_time","graph":{"family":"cycle","n":8},"source":8})",
+           // negative round cap
+           R"({"op":"completion_time","graph":{"family":"cycle","n":8},"max_rounds":-5})",
            // spread_curve only knows pushpull
            R"({"op":"spread_curve","graph":{"family":"cycle","n":8},"proto":"flooding"})",
            // sweep without cells

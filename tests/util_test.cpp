@@ -417,6 +417,48 @@ TEST(Args, DefaultsWhenAbsent) {
   EXPECT_FALSE(args.get_bool("flag"));
 }
 
+TEST(Args, NumericGettersAreStrict) {
+  const char* argv[] = {"prog", "--source=1e2", "--trials=3x", "--p=0.1abc",
+                        "--bare", "--empty=", "--big=99999999999999999999",
+                        "--huge=1e999", "--nan=nan", "--neg=-5", "--x=0.25"};
+  Args args(11, argv);
+  const auto message = [](auto&& get) {
+    try {
+      get();
+    } catch (const std::invalid_argument& e) {
+      return std::string(e.what());
+    }
+    return std::string("no error");
+  };
+  EXPECT_EQ(message([&] { args.get_int("source", 0); }),
+            "--source: not an integer: '1e2'");
+  EXPECT_EQ(message([&] { args.get_int("trials", 0); }),
+            "--trials: not an integer: '3x'");
+  EXPECT_EQ(message([&] { args.get_int("bare", 0); }),
+            "--bare: not an integer: 'true'");
+  EXPECT_EQ(message([&] { args.get_int("empty", 0); }),
+            "--empty: not an integer: ''");
+  EXPECT_EQ(message([&] { args.get_int("big", 0); }),
+            "--big: out of range: '99999999999999999999'");
+  EXPECT_EQ(message([&] { args.get_double("p", 0); }),
+            "--p: not a number: '0.1abc'");
+  EXPECT_EQ(message([&] { args.get_double("empty", 0); }),
+            "--empty: not a number: ''");
+  EXPECT_EQ(message([&] { args.get_double("huge", 0); }),
+            "--huge: out of range: '1e999'");
+  EXPECT_EQ(message([&] { args.get_double("nan", 0); }),
+            "--nan: out of range: 'nan'");
+  EXPECT_EQ(args.get_int("neg", 0), -5);
+  EXPECT_EQ(args.get_double("x", 0), 0.25);
+  EXPECT_EQ(args.get_double("neg", 0), -5.0);
+  // The same parsers take the pieces of a packed value like --lat-range.
+  EXPECT_EQ(parse_int_flag("lat-range", "8"), 8);
+  EXPECT_EQ(message([&] { parse_int_flag("lat-range", "8x"); }),
+            "--lat-range: not an integer: '8x'");
+  EXPECT_EQ(message([&] { parse_double_flag("lat-twolevel", ""); }),
+            "--lat-twolevel: not a number: ''");
+}
+
 TEST(Args, AllowOnlyCatchesTypos) {
   const char* argv[] = {"prog", "--typo=1"};
   Args args(2, argv);

@@ -93,6 +93,13 @@ int usage() {
   return 2;
 }
 
+/// --threads as a worker count; 0 means one per hardware thread.
+std::size_t thread_count(const Args& args) {
+  const std::int64_t threads = args.get_int("threads", 0);
+  if (threads < 0) throw std::invalid_argument("--threads must be >= 0");
+  return static_cast<std::size_t>(threads);
+}
+
 /// `gen`'s flags as a GraphSpec, with gen's defaults.
 GraphSpec gen_spec(const Args& args) {
   GraphSpec spec;
@@ -124,8 +131,8 @@ GraphSpec gen_spec(const Args& args) {
     if (comma == std::string::npos)
       throw std::invalid_argument("--lat-range wants LO,HI");
     spec.latency = LatencyModel::kRange;
-    spec.lat_lo = std::stoll(lat.substr(0, comma));
-    spec.lat_hi = std::stoll(lat.substr(comma + 1));
+    spec.lat_lo = parse_int_flag("lat-range", lat.substr(0, comma));
+    spec.lat_hi = parse_int_flag("lat-range", lat.substr(comma + 1));
   } else if (args.has("lat-twolevel")) {
     const std::string lat = args.get("lat-twolevel", "1,10,0.5");
     const auto c1 = lat.find(',');
@@ -133,9 +140,10 @@ GraphSpec gen_spec(const Args& args) {
     if (c1 == std::string::npos || c2 == std::string::npos)
       throw std::invalid_argument("--lat-twolevel wants FAST,SLOW,PFAST");
     spec.latency = LatencyModel::kTwoLevel;
-    spec.lat_lo = std::stoll(lat.substr(0, c1));
-    spec.lat_hi = std::stoll(lat.substr(c1 + 1, c2 - c1 - 1));
-    spec.lat_p_fast = std::stod(lat.substr(c2 + 1));
+    spec.lat_lo = parse_int_flag("lat-twolevel", lat.substr(0, c1));
+    spec.lat_hi =
+        parse_int_flag("lat-twolevel", lat.substr(c1 + 1, c2 - c1 - 1));
+    spec.lat_p_fast = parse_double_flag("lat-twolevel", lat.substr(c2 + 1));
   }
   return spec;
 }
@@ -196,7 +204,7 @@ int cmd_run(const Args& args) {
   spec.source = args.get_int("source", 0);
   spec.seed = static_cast<std::uint64_t>(args.get_int("seed", 1));
   spec.trials = args.get_int("trials", 1);
-  spec.threads = static_cast<std::size_t>(args.get_int("threads", 0));
+  spec.threads = thread_count(args);
   spec.max_rounds = args.get_int("max-rounds", 5'000'000);
   spec.known_latencies = args.get_bool("known-latencies");
   // Validate before the scenario parser narrows the source to a NodeId;
@@ -348,7 +356,7 @@ int cmd_serve(const Args& args) {
   ServeOptions opts;
   opts.store_dir = args.get("store", "");
   opts.socket_path = args.get("socket", "");
-  opts.threads = static_cast<std::size_t>(args.get_int("threads", 0));
+  opts.threads = thread_count(args);
   opts.max_requests =
       static_cast<std::size_t>(args.get_int("max-requests", 0));
   opts.quiet = args.get_bool("quiet");
