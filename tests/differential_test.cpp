@@ -174,6 +174,28 @@ TEST(Differential, CompositeCasesKeepKnobsOff) {
   EXPECT_FALSE(case_valid(with_jitter));
 }
 
+// The shrinker drops a candidate edge list only because case_valid says
+// no, so every malformed list must be rejected (and not throw).
+TEST(Differential, CaseValidRejectsMalformedEdgeLists) {
+  TestCase base;
+  base.num_nodes = 4;
+  base.edges = {Edge{0, 1, 1}, Edge{1, 2, 3}, Edge{2, 3, 1}};
+  ASSERT_TRUE(case_valid(base));
+  auto with_edge = [&base](Edge e) {
+    TestCase tc = base;
+    tc.edges.push_back(e);
+    return tc;
+  };
+  EXPECT_FALSE(case_valid(with_edge(Edge{1, 2, 5})));  // duplicate, same way
+  EXPECT_FALSE(case_valid(with_edge(Edge{2, 1, 1})));  // duplicate, reversed
+  EXPECT_FALSE(case_valid(with_edge(Edge{3, 3, 1})));  // self-loop
+  EXPECT_FALSE(case_valid(with_edge(Edge{0, 4, 1})));  // endpoint out of range
+  EXPECT_FALSE(case_valid(with_edge(Edge{0, 3, 0})));  // latency 0
+  TestCase disconnected = base;
+  disconnected.edges.pop_back();
+  EXPECT_FALSE(case_valid(disconnected));
+}
+
 // The harness has teeth: an injected off-by-one latency bias in the
 // oracle must be flagged on any case that exchanges at least once.
 TEST(Differential, InjectedBugIsDetected) {

@@ -119,6 +119,84 @@ TEST(GraphSpecGolden, GenFilesLoadBackBitIdentical) {
   std::filesystem::remove_all(dir);
 }
 
+// The families only `gen` reaches, and the seeded streaming samplers,
+// pinned by digest. The ba row catches latencies drawn from an Rng the
+// generator has already advanced: streaming ba owns its own Rng, so the
+// spec's Rng is still fresh when the latency model draws from it.
+TEST(GraphSpecGolden, GenOnlyFamiliesAreBitIdentical) {
+  struct Row {
+    const char* flags;  // the equivalent `latgossip gen` flags
+    GraphSpec spec;
+    std::uint64_t digest;
+  };
+  std::vector<Row> rows;
+  auto add = [&rows](const char* flags, GraphSpec spec, std::uint64_t digest) {
+    rows.push_back({flags, std::move(spec), digest});
+  };
+  auto range_1_8 = [](GraphSpec s) {
+    s.latency = LatencyModel::kRange;
+    s.lat_lo = 1;
+    s.lat_hi = 8;
+    return s;
+  };
+  add("--family=clique --n=10", gen_like("clique", 10, 1),
+      0xd671e2064036b3ebULL);
+  GraphSpec path = gen_like("path", 15, 1);
+  path.latency = LatencyModel::kUniform;
+  path.lat_lo = 2;
+  add("--family=path --n=15 --lat-uniform=2", path, 0x59d5a9e707099166ULL);
+  add("--family=ring --n=20 --seed=3 --lat-range=1,8",
+      range_1_8(gen_like("ring", 20, 3)), 0x3a6fb6b10a2aefc7ULL);
+  GraphSpec grid = gen_like("grid", 32, 4);
+  grid.rows = 4;
+  grid.cols = 7;
+  grid.latency = LatencyModel::kTwoLevel;
+  grid.lat_lo = 1;
+  grid.lat_hi = 10;
+  grid.lat_p_fast = 0.5;
+  add("--family=grid --rows=4 --cols=7 --seed=4 --lat-twolevel=1,10,0.5",
+      grid, 0xf30cf5d86763924aULL);
+  GraphSpec ws = gen_like("ws", 40, 5);
+  ws.k = 2;
+  ws.beta = 0.2;
+  add("--family=ws --n=40 --k=2 --beta=0.2 --seed=5", ws,
+      0x1a0f3462cbf44d6bULL);
+  GraphSpec ring_cliques = gen_like("ring_cliques", 32, 1);
+  ring_cliques.cliques = 4;
+  ring_cliques.size = 5;
+  ring_cliques.bridge = 8;
+  add("--family=ring_cliques --cliques=4 --size=5 --bridge=8", ring_cliques,
+      0x299c9ecf9aaf7ebeULL);
+  GraphSpec dumbbell = gen_like("dumbbell", 32, 1);
+  dumbbell.size = 5;
+  dumbbell.bridge = 3;
+  add("--family=dumbbell --size=5 --bridge=3", dumbbell,
+      0xba7dc1d6add805eaULL);
+  GraphSpec thm8 = gen_like("thm8", 32, 6);
+  thm8.alpha = 0.25;
+  thm8.ell = 8;
+  add("--family=thm8 --n=32 --alpha=0.25 --ell=8 --seed=6", thm8,
+      0xe78e3c0d9614fe68ULL);
+  GraphSpec er = range_1_8(gen_like("er", 64, 2));
+  er.p = 0.1;
+  er.streaming = true;
+  add("--family=er --n=64 --p=0.1 --streaming --seed=2 --lat-range=1,8", er,
+      0x027cd66967ba4f75ULL);
+  GraphSpec regular = range_1_8(gen_like("regular", 40, 7));
+  regular.d = 4;
+  regular.streaming = true;
+  add("--family=regular --n=40 --d=4 --streaming --seed=7 --lat-range=1,8",
+      regular, 0x31a565a25de15d1aULL);
+  GraphSpec ba = range_1_8(gen_like("ba", 50, 11));
+  ba.attach = 3;
+  ba.streaming = true;
+  add("--family=ba --n=50 --attach=3 --streaming --seed=11 --lat-range=1,8",
+      ba, 0xf1cb0cfb30642ab2ULL);
+
+  for (const Row& row : rows)
+    EXPECT_EQ(graph_digest(generate_graph(row.spec)), row.digest) << row.flags;
+}
+
 TEST(GraphSpecGolden, ServeKeepsItsFamiliesAndLatencyModels) {
   // gen-only families stay outside serve's request schema.
   for (const char* json : {R"({"family":"grid"})", R"({"family":"thm8"})",
