@@ -53,10 +53,9 @@ int main(int argc, char** argv) {
   const auto seed = static_cast<std::uint64_t>(args.get_int("seed", 61));
   const auto trials = static_cast<std::size_t>(args.get_int("trials", 5));
   const auto threads = static_cast<std::size_t>(args.get_int("threads", 0));
-  // --million appends an n = 10^6 random-regular row built through the
-  // streaming CSR path (no intermediate edge list; ~100 MB graph + a
-  // bool per node of protocol state). Off by default so the quick
-  // figure stays quick.
+  // --million appends an n = 10^6 random-regular row drawn by the seeded
+  // repair-by-swap sampler (~100 MB graph + a bool per node of protocol
+  // state). Off by default so the quick figure stays quick.
   const bool million = args.get_bool("million");
 
   std::printf("A5  Spread curves: round at which each decile of nodes is "

@@ -18,6 +18,8 @@
 
 #include <cmath>
 #include <cstdio>
+#include <set>
+#include <utility>
 #include <vector>
 
 #include "analysis/conductance.h"
@@ -48,6 +50,8 @@ WeightedGraph build_fleet(std::size_t dcs, std::size_t replicas,
     for (std::size_t i = 0; i < replicas; ++i)
       for (std::size_t j = i + 1; j < replicas; ++j)
         builder.add_edge(node(dc, i), node(dc, j), 1);
+  // A WAN link joins two DCs, so it can only repeat another WAN link.
+  std::set<std::pair<NodeId, NodeId>> wan;
   for (std::size_t a = 0; a < dcs; ++a)
     for (std::size_t b = a + 1; b < dcs; ++b)
       for (std::size_t l = 0; l < wan_links_per_pair; ++l) {
@@ -56,7 +60,7 @@ WeightedGraph build_fleet(std::size_t dcs, std::size_t replicas,
             20.0 * std::pow(1.0 - rng.uniform_double(), -0.7));
         const NodeId u = node(a, rng.uniform(replicas));
         const NodeId v = node(b, rng.uniform(replicas));
-        if (!builder.has_edge(u, v))
+        if (wan.insert({u, v}).second)
           builder.add_edge(u, v, std::min<Latency>(rtt, 200));
       }
   return builder.build();

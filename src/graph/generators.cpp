@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cmath>
 #include <stdexcept>
+#include <string>
+#include <unordered_set>
 #include <utility>
 
 #include "graph/builder.h"
@@ -19,6 +21,21 @@ namespace {
 /// caller's seed verbatim (determinism regression tests rely on this).
 std::uint64_t salted(std::uint64_t seed, int attempt) {
   return seed + 0x9E3779B97F4A7C15ULL * static_cast<std::uint64_t>(attempt);
+}
+
+/// Orientation-free key of edge {u, v}, to reject a duplicate mid-build.
+std::uint64_t edge_key(NodeId u, NodeId v) {
+  if (u > v) std::swap(u, v);
+  return (static_cast<std::uint64_t>(u) << 32) | v;
+}
+
+/// a * b as a node count; throws before the product can leave the NodeId
+/// range (or wrap size_t, which would size the builder at a wrong n).
+std::size_t node_count(const char* what, std::size_t a, std::size_t b) {
+  if (b != 0 && a > static_cast<std::size_t>(kInvalidNode) / b)
+    throw std::invalid_argument(std::string(what) +
+                                ": node count exceeds the NodeId range");
+  return a * b;
 }
 
 }  // namespace
@@ -68,7 +85,7 @@ WeightedGraph make_grid(std::size_t rows, std::size_t cols, bool wrap) {
     throw std::invalid_argument("grid: dimensions must be positive");
   if (wrap && (rows < 3 || cols < 3))
     throw std::invalid_argument("torus: dimensions must be >= 3");
-  GraphBuilder b(rows * cols);
+  GraphBuilder b(node_count("grid", rows, cols));
   auto id = [cols](std::size_t r, std::size_t c) {
     return static_cast<NodeId>(r * cols + c);
   };
@@ -135,10 +152,11 @@ WeightedGraph make_random_regular(std::size_t n, std::size_t d, Rng& rng,
       for (std::size_t i = 0; i < d; ++i) stubs.push_back(v);
     rng.shuffle(stubs);
     GraphBuilder b(n);
+    std::unordered_set<std::uint64_t> added;
     bool ok = true;
     for (std::size_t i = 0; i < stubs.size(); i += 2) {
       const NodeId u = stubs[i], v = stubs[i + 1];
-      if (u == v || b.has_edge(u, v)) {
+      if (u == v || !added.insert(edge_key(u, v)).second) {
         ok = false;
         break;
       }
@@ -167,6 +185,7 @@ WeightedGraph make_watts_strogatz(std::size_t n, std::size_t k, double beta,
     throw std::invalid_argument("ws: beta out of [0,1]");
   for (int attempt = 0; attempt < max_attempts; ++attempt) {
     GraphBuilder b(n);
+    std::unordered_set<std::uint64_t> added;
     // Ring lattice: each node connects to its k clockwise neighbors,
     // each such edge rewired (re-targeted) with probability beta.
     for (NodeId u = 0; u < n; ++u) {
@@ -176,13 +195,13 @@ WeightedGraph make_watts_strogatz(std::size_t n, std::size_t k, double beta,
           // Pick a random non-self target avoiding duplicates.
           for (int tries = 0; tries < 32; ++tries) {
             const NodeId w = static_cast<NodeId>(rng.uniform(n));
-            if (w != u && !b.has_edge(u, w)) {
+            if (w != u && added.count(edge_key(u, w)) == 0) {
               v = w;
               break;
             }
           }
         }
-        if (v != u && !b.has_edge(u, v)) b.add_edge(u, v);
+        if (v != u && added.insert(edge_key(u, v)).second) b.add_edge(u, v);
       }
     }
     auto g = b.build();
@@ -223,7 +242,7 @@ WeightedGraph make_ring_of_cliques(std::size_t num_cliques,
     throw std::invalid_argument("ring_of_cliques: need >= 3 cliques");
   if (clique_size < 2)
     throw std::invalid_argument("ring_of_cliques: clique size >= 2");
-  GraphBuilder b(num_cliques * clique_size);
+  GraphBuilder b(node_count("ring_of_cliques", num_cliques, clique_size));
   auto id = [clique_size](std::size_t c, std::size_t i) {
     return static_cast<NodeId>(c * clique_size + i);
   };
@@ -308,47 +327,19 @@ WeightedGraph make_kary_tree(std::size_t n, std::size_t b) {
   return builder.build();
 }
 
-WeightedGraph make_ring_streaming(std::size_t n) {
-  if (n < 3) throw std::invalid_argument("ring: n must be >= 3");
-  return build_csr_streaming(n, [n](auto&& edge) {
-    for (NodeId i = 0; i < n; ++i)
-      edge(i, static_cast<NodeId>((i + 1) % n));
-  });
-}
-
-WeightedGraph make_torus_streaming(std::size_t rows, std::size_t cols) {
-  if (rows < 3 || cols < 3)
-    throw std::invalid_argument("torus: dimensions must be >= 3");
-  return build_csr_streaming(rows * cols, [rows, cols](auto&& edge) {
-    auto id = [cols](std::size_t r, std::size_t c) {
-      return static_cast<NodeId>(r * cols + c);
-    };
-    // Same emission order as make_grid(rows, cols, /*wrap=*/true).
-    for (std::size_t r = 0; r < rows; ++r) {
-      for (std::size_t c = 0; c < cols; ++c) {
-        if (c + 1 < cols) edge(id(r, c), id(r, c + 1));
-        if (r + 1 < rows) edge(id(r, c), id(r + 1, c));
-        if (c + 1 == cols) edge(id(r, c), id(r, 0));
-        if (r + 1 == rows) edge(id(r, c), id(0, c));
-      }
-    }
-  });
-}
-
 namespace {
 
 /// Walk the ordered pair sequence (0,1), (0,2), ..., (1,2), ... with
 /// geometric skips: each present pair is found by drawing the number of
-/// absent pairs preceding it, skip = floor(log(1-u) / log(1-p)). Rng is
-/// taken by value so both streaming passes replay identical draws.
-/// (Rng::geometric is a Bernoulli loop — O(1/p) per draw — so the skip
-/// is computed in closed form here instead.)
-template <typename Sink>
-void emit_erdos_renyi(std::size_t n, double p, Rng rng, Sink&& edge) {
+/// absent pairs preceding it, skip = floor(log(1-u) / log(1-p)), and
+/// added to `b`. (Rng::geometric is a Bernoulli loop — O(1/p) per draw —
+/// so the skip is computed in closed form here instead.)
+void add_skip_sampled_edges(GraphBuilder& b, double p, Rng& rng) {
+  const std::size_t n = b.num_nodes();
   if (n < 2 || p <= 0.0) return;
   if (p >= 1.0) {
     for (NodeId i = 0; i < n; ++i)
-      for (NodeId j = i + 1; j < n; ++j) edge(i, j);
+      for (NodeId j = i + 1; j < n; ++j) b.add_edge(i, j);
     return;
   }
   const double log1mp = std::log1p(-p);
@@ -365,7 +356,7 @@ void emit_erdos_renyi(std::size_t n, double p, Rng rng, Sink&& edge) {
     }
     if (i + 1 >= n) return;
     j += skip;
-    edge(static_cast<NodeId>(i), static_cast<NodeId>(j));
+    b.add_edge(static_cast<NodeId>(i), static_cast<NodeId>(j));
     if (++j >= n) {
       ++i;
       j = i + 1;
@@ -387,13 +378,12 @@ bool repair_pairing(std::vector<NodeId>& stubs, Rng& rng) {
     keyed.reserve(num_pairs);
     bad.clear();
     for (std::size_t k = 0; k < num_pairs; ++k) {
-      NodeId u = stubs[2 * k], v = stubs[2 * k + 1];
+      const NodeId u = stubs[2 * k], v = stubs[2 * k + 1];
       if (u == v) {
         bad.push_back(k);
         continue;
       }
-      if (u > v) std::swap(u, v);
-      keyed.emplace_back((static_cast<std::uint64_t>(u) << 32) | v, k);
+      keyed.emplace_back(edge_key(u, v), k);
     }
     std::sort(keyed.begin(), keyed.end());
     for (std::size_t t = 1; t < keyed.size(); ++t)
@@ -405,37 +395,6 @@ bool repair_pairing(std::vector<NodeId>& stubs, Rng& rng) {
   return false;
 }
 
-/// Replay of make_barabasi_albert's exact sampling loop against a plain
-/// endpoints list instead of a GraphBuilder. Rng by value: calling this
-/// twice with the same seed emits the identical edge sequence.
-template <typename Sink>
-void emit_barabasi_albert(std::size_t n, std::size_t attach, Rng rng,
-                          Sink&& edge) {
-  const std::size_t seed_nodes = std::max<std::size_t>(attach, 2);
-  std::vector<NodeId> endpoints;
-  for (NodeId i = 0; i < seed_nodes; ++i)
-    for (NodeId j = i + 1; j < seed_nodes; ++j) {
-      edge(i, j);
-      endpoints.push_back(i);
-      endpoints.push_back(j);
-    }
-  std::vector<NodeId> chosen;
-  for (NodeId v = static_cast<NodeId>(seed_nodes); v < n; ++v) {
-    chosen.clear();
-    while (chosen.size() < attach) {
-      const NodeId cand = endpoints[rng.uniform(endpoints.size())];
-      bool dup = (cand == v);
-      for (NodeId c : chosen) dup = dup || (c == cand);
-      if (!dup) chosen.push_back(cand);
-    }
-    for (NodeId c : chosen) {
-      edge(v, c);
-      endpoints.push_back(v);
-      endpoints.push_back(c);
-    }
-  }
-}
-
 }  // namespace
 
 WeightedGraph make_erdos_renyi_streaming(std::size_t n, double p,
@@ -444,10 +403,10 @@ WeightedGraph make_erdos_renyi_streaming(std::size_t n, double p,
   if (n == 0) throw std::invalid_argument("er: n must be >= 1");
   if (p < 0.0 || p > 1.0) throw std::invalid_argument("er: p out of [0,1]");
   for (int attempt = 0; attempt < max_attempts; ++attempt) {
-    const Rng rng(salted(seed, attempt));
-    auto g = build_csr_streaming(n, [n, p, &rng](auto&& edge) {
-      emit_erdos_renyi(n, p, rng, edge);  // Rng copied: both passes replay
-    });
+    Rng rng(salted(seed, attempt));
+    GraphBuilder b(n);
+    add_skip_sampled_edges(b, p, rng);
+    auto g = b.build();
     if (g.is_connected()) return g;
   }
   fail_attempts("erdos_renyi_streaming");
@@ -469,25 +428,13 @@ WeightedGraph make_random_regular_streaming(std::size_t n, std::size_t d,
       for (std::size_t i = 0; i < d; ++i) stubs.push_back(v);
     rng.shuffle(stubs);
     if (!repair_pairing(stubs, rng)) continue;
-    auto g = build_csr_streaming(n, [&stubs](auto&& edge) {
-      for (std::size_t k = 0; k + 1 < stubs.size(); k += 2)
-        edge(stubs[k], stubs[k + 1]);
-    });
+    GraphBuilder b(n);
+    for (std::size_t k = 0; k + 1 < stubs.size(); k += 2)
+      b.add_edge(stubs[k], stubs[k + 1]);
+    auto g = b.build();
     if (g.is_connected()) return g;
   }
   fail_attempts("random_regular_streaming");
-}
-
-WeightedGraph make_preferential_attachment_streaming(std::size_t n,
-                                                     std::size_t attach,
-                                                     std::uint64_t seed) {
-  if (attach < 1) throw std::invalid_argument("ba: attach must be >= 1");
-  if (n <= attach)
-    throw std::invalid_argument("ba: n must exceed the attach count");
-  const Rng rng(seed);
-  return build_csr_streaming(n, [n, attach, &rng](auto&& edge) {
-    emit_barabasi_albert(n, attach, rng, edge);  // Rng copied per pass
-  });
 }
 
 WeightedGraph make_path_of_cliques(std::size_t num_cliques,
@@ -497,7 +444,7 @@ WeightedGraph make_path_of_cliques(std::size_t num_cliques,
     throw std::invalid_argument("path_of_cliques: need >= 2 cliques");
   if (clique_size < 2)
     throw std::invalid_argument("path_of_cliques: clique size >= 2");
-  GraphBuilder b(num_cliques * clique_size);
+  GraphBuilder b(node_count("path_of_cliques", num_cliques, clique_size));
   auto id = [clique_size](std::size_t c, std::size_t i) {
     return static_cast<NodeId>(c * clique_size + i);
   };

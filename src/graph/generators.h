@@ -2,13 +2,12 @@
 // Standard graph generators. All produce unit-latency edges; latency
 // models (latency_models.h) or gadget constructions assign weights.
 //
-// The *_streaming family at the bottom targets million-node graphs
-// (ROADMAP item 2): each generator emits its edge stream twice into a
-// StreamingCsrBuilder (graph/builder.h) — count pass, then fill pass —
-// so no intermediate edge list or duplicate-detection hash index is
-// ever materialized. Random streaming generators take an explicit
-// uint64 seed (not an Rng&): both passes must replay the identical
-// stream, so the generator owns its RNG reconstruction.
+// Every generator builds through the one GraphBuilder (graph/builder.h).
+// The two *_streaming samplers at the bottom are the million-node ones:
+// they draw a different graph than make_erdos_renyi/make_random_regular
+// for the same seed (geometric skips; repair by swap instead of
+// whole-sample rejection), and take an explicit uint64 seed, not an
+// Rng&, so a caller's Rng is never advanced by them.
 
 #include <cstddef>
 #include <cstdint>
@@ -98,15 +97,7 @@ WeightedGraph make_path_of_cliques(std::size_t num_cliques,
                                    Latency bridge_latency = 1);
 
 // ---------------------------------------------------------------------------
-// Streaming (two-pass CSR) generators for million-node graphs.
-
-/// Cycle on n >= 3 nodes, built without an intermediate edge list.
-/// Bit-identical to make_cycle(n) (same edge emission order).
-WeightedGraph make_ring_streaming(std::size_t n);
-
-/// rows x cols torus (both >= 3), built without an intermediate edge
-/// list. Bit-identical to make_grid(rows, cols, /*wrap=*/true).
-WeightedGraph make_torus_streaming(std::size_t rows, std::size_t cols);
+// Seeded samplers for million-node graphs.
 
 /// G(n, p) via geometric skip sampling over the ordered pair sequence
 /// (expected work O(n + p*n^2), not Theta(n^2) coin flips), conditioned
@@ -129,13 +120,5 @@ WeightedGraph make_erdos_renyi_streaming(std::size_t n, double p,
 WeightedGraph make_random_regular_streaming(std::size_t n, std::size_t d,
                                             std::uint64_t seed,
                                             int max_attempts = 64);
-
-/// Barabasi–Albert preferential attachment, streaming build.
-/// Bit-identical to make_barabasi_albert(n, attach, rng) when `rng` was
-/// constructed as Rng(seed): the sampling loop is replayed exactly
-/// (same RNG draws, same emission order) in each pass.
-WeightedGraph make_preferential_attachment_streaming(std::size_t n,
-                                                     std::size_t attach,
-                                                     std::uint64_t seed);
 
 }  // namespace latgossip

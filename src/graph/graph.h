@@ -130,7 +130,6 @@ class WeightedGraph {
 
  private:
   friend class GraphBuilder;
-  friend class StreamingCsrBuilder;
 
   WeightedGraph(std::vector<std::size_t> offsets,
                 std::vector<HalfEdge> half_edges, std::vector<Edge> edges,

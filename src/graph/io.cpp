@@ -79,15 +79,19 @@ WeightedGraph read_graph(std::istream& in) {
     try {
       b.add_edge(static_cast<NodeId>(u), static_cast<NodeId>(v), latency);
     } catch (const std::exception& e) {
-      // Self-loops and duplicate edges, rejected by the builder —
-      // re-thrown with the offending edge's position attached.
+      // Self-loops, rejected by the builder — re-thrown with the
+      // offending edge's position attached.
       fail(std::string(e.what()) + at);
     }
   }
   skip_noise(in);
   if (in.peek() != std::istream::traits_type::eof())
     fail("trailing garbage after edge list");
-  return b.build();
+  try {
+    return b.build();
+  } catch (const std::invalid_argument& e) {
+    fail(e.what());  // "duplicate edge at edge N": the position is in it
+  }
 }
 
 void save_graph(const std::string& path, const WeightedGraph& g) {

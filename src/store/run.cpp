@@ -31,8 +31,8 @@ WeightedGraph generate_family(const GraphSpec& s, Rng& rng) {
   if (f == "cycle") return make_cycle(s.n);
   if (f == "path") return make_path(s.n);
   if (f == "star") return make_star(s.n);
-  if (f == "ring") return make_ring_streaming(s.n);
-  if (f == "torus") return make_torus_streaming(s.rows, s.cols);
+  if (f == "ring") return make_cycle(s.n);
+  if (f == "torus") return make_grid(s.rows, s.cols, true);
   if (f == "grid") return make_grid(s.rows, s.cols);
   if (f == "er")
     return s.streaming ? make_erdos_renyi_streaming(s.n, s.p, s.seed)
@@ -41,10 +41,10 @@ WeightedGraph generate_family(const GraphSpec& s, Rng& rng) {
     return s.streaming ? make_random_regular_streaming(s.n, s.d, s.seed)
                        : make_random_regular(s.n, s.d, rng);
   if (f == "ws") return make_watts_strogatz(s.n, s.k, s.beta, rng);
-  if (f == "ba")
-    return s.streaming
-               ? make_preferential_attachment_streaming(s.n, s.attach, s.seed)
-               : make_barabasi_albert(s.n, s.attach, rng);
+  if (f == "ba") {  // streaming: own Rng, so `rng` is fresh for latencies
+    Rng own(s.seed);
+    return make_barabasi_albert(s.n, s.attach, s.streaming ? own : rng);
+  }
   if (f == "ring_cliques")
     return make_ring_of_cliques(s.cliques, s.size, s.bridge);
   if (f == "dumbbell") return make_dumbbell(s.size, 1, s.bridge);
@@ -83,6 +83,12 @@ WeightedGraph generate_graph(const GraphSpec& spec) {
     assign_two_level_latency(g, spec.lat_lo, spec.lat_hi, spec.lat_p_fast,
                              rng);
   return g;
+}
+
+std::size_t spec_size(const char* field, std::int64_t value) {
+  if (value < 0)
+    throw std::invalid_argument(std::string(field) + " must be >= 0");
+  return static_cast<std::size_t>(value);
 }
 
 void validate_run(RunSpec& spec, std::size_t num_nodes) {

@@ -47,7 +47,7 @@ struct GraphSpec {
   Latency bridge = 1;                 ///< ring_cliques, dumbbell
   double alpha = 0.0;                 ///< thm8
   Latency ell = 0;                    ///< thm8
-  bool streaming = false;  ///< er/regular/ba via the two-pass CSR builders
+  bool streaming = false;  ///< er/regular: seeded samplers; ba: own Rng
   std::uint64_t seed = 1;
   LatencyModel latency = LatencyModel::kUnit;
   Latency lat_lo = 1;
@@ -57,6 +57,11 @@ struct GraphSpec {
 
 /// Throws std::invalid_argument for an unknown family.
 WeightedGraph generate_graph(const GraphSpec& spec);
+
+/// A GraphSpec size field (n, rows, d, ...) as its parser read it,
+/// signed; throws std::invalid_argument naming `field` if it is negative
+/// instead of letting the cast to size_t wrap it.
+std::size_t spec_size(const char* field, std::int64_t value);
 
 struct RunSpec {
   std::string protocol = "pushpull";  ///< pushpull flooding eid tk unified

@@ -135,12 +135,12 @@ GraphSpec parse_graph_spec(const JsonValue& spec) {
   if (std::find(std::begin(kFamilies), std::end(kFamilies), g.family) ==
       std::end(kFamilies))
     throw std::invalid_argument("unknown graph family '" + g.family + "'");
-  g.n = static_cast<std::size_t>(spec.get_i64("n", 64));
-  g.rows = static_cast<std::size_t>(spec.get_i64("rows", 4));
-  g.cols = static_cast<std::size_t>(spec.get_i64("cols", 4));
+  g.n = spec_size("n", spec.get_i64("n", 64));
+  g.rows = spec_size("rows", spec.get_i64("rows", 4));
+  g.cols = spec_size("cols", spec.get_i64("cols", 4));
   g.p = spec.get_double("p", 0.1);
-  g.d = static_cast<std::size_t>(spec.get_i64("d", 4));
-  g.attach = static_cast<std::size_t>(spec.get_i64("attach", 2));
+  g.d = spec_size("d", spec.get_i64("d", 4));
+  g.attach = spec_size("attach", spec.get_i64("attach", 2));
   g.seed = spec.get_u64("seed", 1);
   const std::string lat = spec.get_string("lat", "unit");
   if (lat == "uniform") {

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <stdexcept>
+#include <string>
 
 #include "graph/generators.h"
 #include "graph/latency_models.h"
@@ -175,6 +177,33 @@ TEST(Generators, PathOfCliques) {
   EXPECT_TRUE(g.is_connected());
   EXPECT_EQ(g.max_latency(), 7);
   EXPECT_THROW(make_path_of_cliques(1, 4), std::invalid_argument);
+}
+
+// rows x cols (or cliques x size) beyond the NodeId range is rejected
+// before the builder is sized; 2^32 x 2^32 wraps size_t to 0, which
+// would size the builder at 0 nodes.
+TEST(Generators, ProductSizesRejectedBeyondNodeIdRange) {
+  const std::size_t big = std::size_t{1} << 32;
+  auto message = [](auto make) -> std::string {
+    try {
+      make();
+    } catch (const std::invalid_argument& e) {
+      return e.what();
+    } catch (const std::exception& e) {
+      return std::string("wrong exception type: ") + e.what();
+    }
+    return "no exception";
+  };
+  EXPECT_EQ(message([&] { make_grid(big, big); }),
+            "grid: node count exceeds the NodeId range");
+  EXPECT_EQ(message([&] { make_grid(big, big, /*wrap=*/true); }),
+            "grid: node count exceeds the NodeId range");
+  EXPECT_EQ(message([&] { make_grid(65536, 65537); }),
+            "grid: node count exceeds the NodeId range");
+  EXPECT_EQ(message([&] { make_ring_of_cliques(big, big); }),
+            "ring_of_cliques: node count exceeds the NodeId range");
+  EXPECT_EQ(message([&] { make_path_of_cliques(big, big); }),
+            "path_of_cliques: node count exceeds the NodeId range");
 }
 
 // --------------------------------------------------------- latency models

@@ -179,6 +179,24 @@ TEST(StoreServer, RejectsBadRequests) {
   std::filesystem::remove_all(dir);
 }
 
+// A negative size field is rejected before the cast to size_t wraps it,
+// with an error that names the field.
+TEST(StoreServer, RejectsNegativeSizesByName) {
+  const std::string dir = scratch_dir("negsize");
+  ExperimentStore store(dir);
+  for (const char* field : {"n", "rows", "cols", "d", "attach"}) {
+    const std::string req =
+        R"({"op":"completion_time","graph":{"family":"regular",")" +
+        std::string(field) + R"(":-2}})";
+    const JsonValue r = parsed(handle_request(store, req, 1, nullptr));
+    EXPECT_FALSE(r.get_bool("ok", true)) << req;
+    EXPECT_EQ(r.get_string("error", ""), std::string(field) + " must be >= 0")
+        << req;
+  }
+  EXPECT_EQ(store.size(), 0u);
+  std::filesystem::remove_all(dir);
+}
+
 TEST(StoreServer, FloodingCellsKeyOnRumorRep) {
   const std::string dir = scratch_dir("flooding");
   ExperimentStore store(dir);

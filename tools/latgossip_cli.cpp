@@ -68,11 +68,11 @@
 // Families: clique, cycle, path, star, grid (--rows, --cols), er (--p),
 // regular (--d), ws (--k --beta), ba (--attach), ring_cliques
 // (--cliques --size --bridge), dumbbell (--size --bridge), thm8
-// (--alpha --ell), plus the streaming two-pass CSR builders for
-// million-node graphs: ring, torus (--rows --cols), and --streaming
-// routing er/regular/ba through make_*_streaming (explicit --seed, no
-// intermediate edge list). Latency options: --lat-uniform=L |
-// --lat-range=LO,HI | --lat-twolevel=FAST,SLOW,PFAST.
+// (--alpha --ell), ring (a cycle), torus (--rows --cols); sizes must be
+// >= 0. --streaming selects a sampler, not a builder: er and regular use
+// the seeded million-node samplers make_*_streaming, and ba draws its
+// edges (not its latencies) from its own Rng(--seed). Latency options:
+// --lat-uniform=L | --lat-range=LO,HI | --lat-twolevel=FAST,SLOW,PFAST.
 
 #include <cstdio>
 #include <optional>
@@ -104,22 +104,22 @@ std::size_t thread_count(const Args& args) {
 GraphSpec gen_spec(const Args& args) {
   GraphSpec spec;
   spec.family = args.get("family", "er");
-  spec.n = static_cast<std::size_t>(args.get_int("n", 32));
-  spec.rows = static_cast<std::size_t>(args.get_int("rows", 4));
-  spec.cols = static_cast<std::size_t>(args.get_int("cols", 4));
+  spec.n = spec_size("n", args.get_int("n", 32));
+  spec.rows = spec_size("rows", args.get_int("rows", 4));
+  spec.cols = spec_size("cols", args.get_int("cols", 4));
   spec.p = args.get_double("p", 0.2);
-  spec.d = static_cast<std::size_t>(args.get_int("d", 4));
-  spec.k = static_cast<std::size_t>(args.get_int("k", 2));
+  spec.d = spec_size("d", args.get_int("d", 4));
+  spec.k = spec_size("k", args.get_int("k", 2));
   spec.beta = args.get_double("beta", 0.1);
-  spec.attach = static_cast<std::size_t>(args.get_int("attach", 2));
-  spec.cliques = static_cast<std::size_t>(args.get_int("cliques", 4));
-  spec.size = static_cast<std::size_t>(
-      args.get_int("size", spec.family == "dumbbell" ? 5 : 4));
+  spec.attach = spec_size("attach", args.get_int("attach", 2));
+  spec.cliques = spec_size("cliques", args.get_int("cliques", 4));
+  spec.size = spec_size(
+      "size", args.get_int("size", spec.family == "dumbbell" ? 5 : 4));
   spec.bridge = args.get_int("bridge", 1);
   spec.alpha = args.get_double("alpha", 0.25);
   spec.ell = args.get_int("ell", 8);
-  // --streaming routes er/regular/ba through the two-pass CSR builders
-  // — the path that makes n = 10^6 fit in laptop RAM.
+  // --streaming selects the seeded er/regular samplers, which reach
+  // n = 10^6, and gives ba its own Rng.
   spec.streaming = args.get_bool("streaming");
   spec.seed = static_cast<std::uint64_t>(args.get_int("seed", 1));
   if (args.has("lat-uniform")) {
