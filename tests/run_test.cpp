@@ -2,12 +2,15 @@
 // pinned against digests of the graphs `serve` and `gen` built before
 // GraphSpec existed, the one RunSpec validation, single trials as a
 // batch of one, cache sharing between serve cells and execute()
-// batches, spread curves replayed from the store, and the one JSON
+// batches, spread curves replayed from the store, the store keys and
+// manifest protocol name of flooding cells, and the one JSON
 // writer for the SimResult object manifests and store records share.
 
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <fstream>
+#include <optional>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -15,6 +18,7 @@
 #include "core/push_pull.h"
 #include "graph/io.h"
 #include "obs/export.h"
+#include "sim/dynamics.h"
 #include "sim/engine.h"
 #include "sim/parallel.h"
 #include "store/json.h"
@@ -374,6 +378,45 @@ TEST(RunExecutor, TraceRecomputesStoreHits) {
     EXPECT_TRUE(
         std::filesystem::exists(trial_trace_path(sinks.trace_path, t, 3)));
   }
+  std::filesystem::remove_all(dir);
+}
+
+// Flooding cells and manifest records are named "flooding/dense", the
+// name every existing store and manifest holds, so their records keep
+// hitting.
+TEST(RunExecutor, FloodingCellsKeepTheirStoreKeys) {
+  const WeightedGraph g =
+      generate_graph(serve_spec(R"({"family":"er","n":40,"p":0.2,"seed":6})"));
+  const std::string dir = scratch_dir("flooding_keys");
+  ExperimentStore store(dir);
+  RunSpec spec = pushpull_spec(9, 2);
+  spec.protocol = "flooding";
+  spec.source = 3;
+  RunSinks sinks;
+  sinks.store = &store;
+  sinks.manifest_path = dir + "/manifest.jsonl";
+  const RunOutcome out = execute(spec, g, sinks);
+  ASSERT_EQ(out.store.misses, 2u);
+
+  CellSpec cell;
+  cell.protocol = "flooding/dense";
+  cell.graph = graph_digest(g);
+  cell.source = 3;
+  cell.max_rounds = spec.max_rounds;
+  cell.faults = canonical_dynamics(spec.dynamics);
+  for (std::size_t t = 0; t < 2; ++t) {
+    const std::optional<StoreRecord> rec =
+        store.lookup(cell_key(cell, trial_seed(9, t)));
+    ASSERT_TRUE(rec) << "trial " << t;
+    EXPECT_EQ(rec->result, out.agg.trials[t]);
+  }
+
+  std::ifstream manifest(sinks.manifest_path);
+  std::size_t records = 0;
+  for (std::string line; std::getline(manifest, line); ++records)
+    EXPECT_NE(line.find(R"("protocol":"flooding/dense")"), std::string::npos)
+        << line;
+  EXPECT_EQ(records, 2u);
   std::filesystem::remove_all(dir);
 }
 
