@@ -82,7 +82,7 @@ int main(int argc, char** argv) {
         run_unknown_latency_eid(c.g, 0, rng);
     NetworkView view(c.g, false);
     PushPullGossip pp(view, GossipGoal::kAllToAll, 0,
-                      PushPullGossip::own_id_rumors(c.g.num_nodes()),
+                      own_id_rumors(c.g.num_nodes()),
                       Rng(seed * 5 + 2));
     SimOptions opts;
     opts.max_rounds = 5'000'000;

@@ -58,7 +58,7 @@ int main(int argc, char** argv) {
     {
       NetworkView view(c.g, true);
       DtgLocalBroadcast proto(
-          view, c.ell, DtgLocalBroadcast::own_id_rumors(c.g.num_nodes()));
+          view, c.ell, own_id_rumors(c.g.num_nodes()));
       SimOptions opts;
       opts.stop_when_idle = false;
       opts.max_rounds = 2'000'000;
@@ -69,7 +69,7 @@ int main(int argc, char** argv) {
       NetworkView view(c.g, true);
       RandomLocalBroadcast proto(
           view, c.ell,
-          RandomLocalBroadcast::own_id_rumors(c.g.num_nodes()),
+          own_id_rumors(c.g.num_nodes()),
           Rng(seed + static_cast<std::uint64_t>(t) * 31));
       SimOptions opts;
       opts.stop_when_idle = false;

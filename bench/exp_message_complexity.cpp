@@ -52,7 +52,7 @@ int main(int argc, char** argv) {
     {
       NetworkView view(g, false);
       PushPullGossip proto(view, GossipGoal::kAllToAll, 0,
-                           PushPullGossip::own_id_rumors(n),
+                           own_id_rumors(n),
                            Rng(seed * 5 + n));
       SimOptions opts;
       opts.max_rounds = 1'000'000;
@@ -64,7 +64,7 @@ int main(int argc, char** argv) {
     }
     {
       NetworkView view(g, true);
-      DtgLocalBroadcast proto(view, d, DtgLocalBroadcast::own_id_rumors(n));
+      DtgLocalBroadcast proto(view, d, own_id_rumors(n));
       SimOptions opts;
       opts.stop_when_idle = false;
       opts.max_rounds = 1'000'000;

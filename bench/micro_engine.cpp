@@ -86,7 +86,7 @@ static void BM_PushPullAllToAll(benchmark::State& state) {
   for (auto _ : state) {
     NetworkView view(g, false);
     PushPullGossip proto(view, GossipGoal::kAllToAll, 0,
-                         PushPullGossip::own_id_rumors(n), Rng(++seed));
+                         own_id_rumors(n), Rng(++seed));
     SimOptions opts;
     opts.max_rounds = 1'000'000;
     benchmark::DoNotOptimize(run_gossip(g, proto, opts).rounds);
@@ -100,7 +100,7 @@ static void BM_DtgLocalBroadcast(benchmark::State& state) {
   auto g = make_erdos_renyi(n, 8.0 / static_cast<double>(n), grng);
   for (auto _ : state) {
     NetworkView view(g, true);
-    DtgLocalBroadcast proto(view, 1, DtgLocalBroadcast::own_id_rumors(n));
+    DtgLocalBroadcast proto(view, 1, own_id_rumors(n));
     SimOptions opts;
     opts.stop_when_idle = false;
     opts.max_rounds = 1'000'000;

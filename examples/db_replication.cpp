@@ -92,7 +92,7 @@ int main(int argc, char** argv) {
   {
     NetworkView view(g, /*latencies_known=*/false);
     PushPullGossip proto(view, GossipGoal::kAllToAll, 0,
-                         PushPullGossip::own_id_rumors(n), rng.fork(1));
+                         own_id_rumors(n), rng.fork(1));
     SimOptions opts;
     opts.max_rounds = 2'000'000;
     const SimResult r = run_gossip(g, proto, opts);

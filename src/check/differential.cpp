@@ -28,32 +28,23 @@ struct RunArtifacts {
   bool has_inform = false;
 };
 
-/// Options for one run of a simple-protocol case: its model knobs,
-/// `rec` as recorder, and its scenario built into `plan`. The engine
-/// run, the oracle run (which reads only the plan's spec()) and every
-/// rumor-set representation's rerun start from this one setup.
-SimOptions case_options(const TestCase& tc, const WeightedGraph& g,
-                        EventRecorder& rec, std::optional<DynamicPlan>& plan) {
-  SimOptions opts;
-  opts.max_rounds = tc.max_rounds;
-  opts.blocking = tc.blocking;
-  opts.max_incoming_per_round = tc.max_incoming_per_round;
-  opts.recorder = &rec;
-  if (tc.dynamics.any()) {
-    plan.emplace(tc.num_nodes, g.num_edges(), scenario_of(tc));
-    opts.dynamics = &*plan;
-  }
-  return opts;
-}
-
-/// One simple-protocol execution on the engine or the oracle, with a
-/// protocol seeded identically on both sides.
+/// One simple-protocol execution on the engine or the oracle, with the
+/// case's model knobs and scenario and a protocol seeded identically on
+/// both sides (the oracle reads only the plan's spec()).
 RunArtifacts run_simple_once(const TestCase& tc, const WeightedGraph& g,
                              bool use_oracle,
                              const oracle_detail::ModelBug& bug) {
   RunArtifacts a;
+  SimOptions opts;
+  opts.max_rounds = tc.max_rounds;
+  opts.blocking = tc.blocking;
+  opts.max_incoming_per_round = tc.max_incoming_per_round;
+  opts.recorder = &a.recorder;
   std::optional<DynamicPlan> plan;
-  const SimOptions opts = case_options(tc, g, a.recorder, plan);
+  if (tc.dynamics.any()) {
+    plan.emplace(tc.num_nodes, g.num_edges(), scenario_of(tc));
+    opts.dynamics = &*plan;
+  }
 
   NetworkView view(g, /*latencies_known=*/false);
   auto drive = [&](auto& proto) {
@@ -86,14 +77,14 @@ RunArtifacts run_simple_once(const TestCase& tc, const WeightedGraph& g,
     // any stale or aliased snapshot shows up as a divergence here.
     case CheckProto::kGossipAllToAll: {
       PushPullGossip proto(view, GossipGoal::kAllToAll, tc.source,
-                           PushPullGossip::own_id_rumors(tc.num_nodes),
+                           own_id_rumors(tc.num_nodes),
                            Rng(tc.seed));
       a.result = drive(proto);
       break;
     }
     case CheckProto::kGossipLocal: {
       PushPullGossip proto(view, GossipGoal::kLocalBroadcast, tc.source,
-                           PushPullGossip::own_id_rumors(tc.num_nodes),
+                           own_id_rumors(tc.num_nodes),
                            Rng(tc.seed));
       a.result = drive(proto);
       break;
@@ -103,57 +94,6 @@ RunArtifacts run_simple_once(const TestCase& tc, const WeightedGraph& g,
   }
   a.result.fingerprint = a.recorder.fingerprint();
   return a;
-}
-
-/// True for the protocols whose payloads are rumor sets — the ones the
-/// representation layer (util/rumor_set.h) re-parameterizes.
-bool proto_carries_rumor_sets(CheckProto proto) {
-  return proto == CheckProto::kFlooding ||
-         proto == CheckProto::kGossipAllToAll ||
-         proto == CheckProto::kGossipLocal;
-}
-
-/// Engine-only rerun of a rumor-set case under representation R, with
-/// the identical seeds and scenario as run_simple_once. The
-/// cross-representation half of the differential contract: the sparse
-/// representation must reproduce the dense run's SimResult and event
-/// fingerprint bit for bit.
-template <RumorSetRep R>
-SimResult run_rumor_rep_once(const TestCase& tc, const WeightedGraph& g) {
-  EventRecorder recorder;
-  std::optional<DynamicPlan> plan;
-  const SimOptions opts = case_options(tc, g, recorder, plan);
-
-  NetworkView view(g, /*latencies_known=*/false);
-  SimResult result;
-  switch (tc.proto) {
-    case CheckProto::kFlooding: {
-      BasicRoundRobinFlooding<R> proto(view, GossipGoal::kSingleSource,
-                                       tc.source,
-                                       own_id_rumor_sets<R>(tc.num_nodes));
-      result = run_gossip(g, proto, opts);
-      break;
-    }
-    case CheckProto::kGossipAllToAll: {
-      BasicPushPullGossip<R> proto(view, GossipGoal::kAllToAll, tc.source,
-                                   own_id_rumor_sets<R>(tc.num_nodes),
-                                   Rng(tc.seed));
-      result = run_gossip(g, proto, opts);
-      break;
-    }
-    case CheckProto::kGossipLocal: {
-      BasicPushPullGossip<R> proto(view, GossipGoal::kLocalBroadcast,
-                                   tc.source,
-                                   own_id_rumor_sets<R>(tc.num_nodes),
-                                   Rng(tc.seed));
-      result = run_gossip(g, proto, opts);
-      break;
-    }
-    default:
-      throw std::logic_error("run_rumor_rep_once: not a rumor-set protocol");
-  }
-  result.fingerprint = recorder.fingerprint();
-  return result;
 }
 
 template <typename T>
@@ -181,17 +121,6 @@ void compare_sim_results(DiffReport& rep, const SimResult& e,
   compare_field(rep, "fingerprint", e.fingerprint, o.fingerprint);
 }
 
-/// Compare the sparse representation's run against the dense engine
-/// run, prefixing any divergence with "sparse rep". (The diverging
-/// value prints on the "engine=" side of the message.)
-void compare_sparse_results(DiffReport& rep, const SimResult& dense,
-                            const SimResult& sparse) {
-  const std::size_t before = rep.failures.size();
-  compare_sim_results(rep, sparse, dense);
-  for (std::size_t i = before; i < rep.failures.size(); ++i)
-    rep.failures[i] = "sparse rep " + rep.failures[i];
-}
-
 void apply_invariants(DiffReport& rep, const InvariantInput& in,
                       const std::string& label) {
   for (std::string& f : check_invariants(in, label))
@@ -208,13 +137,6 @@ DiffReport diff_simple(const TestCase& tc, const WeightedGraph& g,
   rep.engine_fingerprint = engine.result.fingerprint;
   rep.oracle_fingerprint = oracle.result.fingerprint;
   compare_sim_results(rep, engine.result, oracle.result);
-
-  // Cross-representation leg: replay rumor-set cases under the sparse
-  // representation; it must match the dense engine run exactly (same
-  // SimResult, same event fingerprint).
-  if (proto_carries_rumor_sets(tc.proto))
-    compare_sparse_results(rep, engine.result,
-                           run_rumor_rep_once<SparseRumorSet>(tc, g));
 
   for (const RunArtifacts* side : {&engine, &oracle}) {
     InvariantInput in;

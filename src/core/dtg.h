@@ -34,11 +34,6 @@
 // (every ℓ rounds); run it with SimOptions::stop_when_idle = false so
 // the engine does not mistake the in-between rounds for quiescence.
 // done() terminates the run as soon as every node is covered.
-//
-// Templated over the rumor-set representation (util/rumor_set.h);
-// DtgLocalBroadcast aliases the dense Bitset instantiation. The
-// link-order bookkeeping (linked_set) stays a plain Bitset — it is
-// per-node adjacency bookkeeping, not a payload-bearing rumor set.
 
 #include <algorithm>
 #include <optional>
@@ -47,22 +42,19 @@
 
 #include "sim/engine.h"
 #include "util/bitset.h"
-#include "util/rumor_set.h"
 #include "util/snapshot.h"
 
 namespace latgossip {
 
-template <RumorSetRep R>
-class BasicDtgLocalBroadcast {
+class DtgLocalBroadcast {
  public:
   /// Both components are copy-on-write snapshot handles
   /// (util/snapshot.h): a node whose working pair is unchanged since
   /// its last capture hands out the same immutable snapshots again.
   struct Payload {
-    BasicSnapshotRef<R> data;  ///< union of accumulated rumor sets
-    BasicSnapshotRef<R> session;  ///< this-invocation coverage included
+    SnapshotRef data;     ///< union of accumulated rumor sets
+    SnapshotRef session;  ///< this-invocation coverage included
   };
-  using RumorSet = R;
 
   static std::size_t payload_bits(const Payload& p) {
     return 32 * (p.data.count() + p.session.count());
@@ -70,8 +62,8 @@ class BasicDtgLocalBroadcast {
 
   /// `initial_rumors[u]` seeds node u's accumulated knowledge (u's own
   /// id is added automatically). Requires view.latencies_known().
-  BasicDtgLocalBroadcast(const NetworkView& view, Latency ell,
-                         std::vector<R> initial_rumors)
+  DtgLocalBroadcast(const NetworkView& view, Latency ell,
+                    std::vector<Bitset> initial_rumors)
       : view_(view),
         ell_(ell),
         data_snaps_(view.num_nodes(), view.num_nodes()),
@@ -98,21 +90,17 @@ class BasicDtgLocalBroadcast {
       std::sort(ell_neighbors_[u].begin(), ell_neighbors_[u].end());
       NodeState st;
       st.linked_set = Bitset(n);
-      st.session = R(n);
+      st.session = Bitset(n);
       st.session.set(u);  // R = {v}
       st.session_count = 1;
       st.work_data = master_[u];
       st.work_data_count = master_count_[u];
-      st.work_session = R(n);
+      st.work_session = Bitset(n);
       st.work_session.set(u);
       st.work_session_count = 1;
       state_.push_back(std::move(st));
     }
     active_count_ = n;
-  }
-
-  static std::vector<R> own_id_rumors(std::size_t n) {
-    return own_id_rumor_sets<R>(n);
   }
 
   std::optional<NodeId> select_contact(NodeId u, Round r) {
@@ -201,17 +189,17 @@ class BasicDtgLocalBroadcast {
   void deliver(NodeId u, NodeId /*peer*/, Payload payload, EdgeId /*e*/,
                Round /*start*/, Round /*now*/) {
     NodeState& st = state_[u];
-    const typename R::OrDelta dm =
+    const Bitset::OrDelta dm =
         master_[u].or_assign_changed(payload.data.bits());
     master_count_[u] += dm.added;
-    const typename R::OrDelta ds =
+    const Bitset::OrDelta ds =
         st.session.or_assign_changed(payload.session.bits());
     st.session_count += ds.added;
     if (st.active) {
-      const typename R::OrDelta dw =
+      const Bitset::OrDelta dw =
           st.work_data.or_assign_changed(payload.data.bits());
       st.work_data_count += dw.added;
-      const typename R::OrDelta dws =
+      const Bitset::OrDelta dws =
           st.work_session.or_assign_changed(payload.session.bits());
       st.work_session_count += dws.added;
       // Active captures read the working pair.
@@ -226,8 +214,8 @@ class BasicDtgLocalBroadcast {
 
   bool done(Round /*r*/) const { return active_count_ == 0; }
 
-  const std::vector<R>& rumors() const { return master_; }
-  std::vector<R> take_rumors() { return std::move(master_); }
+  const std::vector<Bitset>& rumors() const { return master_; }
+  std::vector<Bitset> take_rumors() { return std::move(master_); }
   Latency ell() const { return ell_; }
 
   /// Largest iteration index any node reached (DTG predicts O(log n)).
@@ -239,9 +227,9 @@ class BasicDtgLocalBroadcast {
   struct NodeState {
     std::vector<NodeId> linked;  ///< u_1 .. u_i in link order
     Bitset linked_set;           ///< membership mirror of `linked`
-    R session;                   ///< R: this-invocation rumors received
-    R work_data;                 ///< R'/R'' data content
-    R work_session;              ///< R'/R'' session content
+    Bitset session;              ///< R: this-invocation rumors received
+    Bitset work_data;            ///< R'/R'' data content
+    Bitset work_session;         ///< R'/R'' session content
     std::size_t session_count = 0;       ///< cardinality of `session`
     std::size_t work_data_count = 0;     ///< cardinality of `work_data`
     std::size_t work_session_count = 0;  ///< cardinality of `work_session`
@@ -293,16 +281,13 @@ class BasicDtgLocalBroadcast {
   NetworkView view_;
   Latency ell_;
   std::vector<std::vector<NodeId>> ell_neighbors_;  ///< sorted by id
-  std::vector<R> master_;
+  std::vector<Bitset> master_;
   std::vector<std::size_t> master_count_;  ///< incremental cardinalities
   std::vector<NodeState> state_;
-  BasicSnapshotCache<R> data_snaps_;
-  BasicSnapshotCache<R> session_snaps_;
+  SnapshotCache data_snaps_;
+  SnapshotCache session_snaps_;
   std::size_t active_count_ = 0;
   std::size_t max_iteration_ = 0;
 };
-
-/// Dense instantiation under the historical name.
-using DtgLocalBroadcast = BasicDtgLocalBroadcast<Bitset>;
 
 }  // namespace latgossip

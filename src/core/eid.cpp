@@ -113,7 +113,7 @@ GeneralEidOutcome run_general_eid(const WeightedGraph& g, std::size_t n_hat,
   if (initial_guess < 1)
     throw std::invalid_argument("General EID: initial guess must be >= 1");
   GeneralEidOutcome out;
-  out.rumors = DtgLocalBroadcast::own_id_rumors(n);
+  out.rumors = own_id_rumors(n);
   if (n <= 1) {
     out.success = true;
     out.final_estimate = initial_guess;

@@ -5,9 +5,6 @@
 // the Ω(nD) behavior the paper's footnote 2 warns about for push-only
 // protocols, while with bidirectional exchanges it is a strong simple
 // baseline.
-//
-// Templated over the rumor-set representation (util/rumor_set.h);
-// RoundRobinFlooding aliases the dense Bitset instantiation.
 
 #include <optional>
 #include <stdexcept>
@@ -16,20 +13,17 @@
 #include "core/push_pull.h"
 #include "sim/engine.h"
 #include "util/bitset.h"
-#include "util/rumor_set.h"
 #include "util/snapshot.h"
 
 namespace latgossip {
 
-template <RumorSetRep R>
-class BasicRoundRobinFlooding {
+class RoundRobinFlooding {
  public:
-  /// Copy-on-write snapshot handle — see BasicPushPullGossip::Payload.
-  using Payload = BasicSnapshotRef<R>;
-  using RumorSet = R;
+  /// Copy-on-write snapshot handle — see PushPullGossip::Payload.
+  using Payload = SnapshotRef;
 
-  BasicRoundRobinFlooding(const NetworkView& view, GossipGoal goal,
-                          NodeId source, std::vector<R> initial_rumors)
+  RoundRobinFlooding(const NetworkView& view, GossipGoal goal, NodeId source,
+                     std::vector<Bitset> initial_rumors)
       : view_(view),
         goal_(goal),
         source_(source),
@@ -72,8 +66,7 @@ class BasicRoundRobinFlooding {
 
   void deliver(NodeId u, NodeId /*peer*/, Payload payload, EdgeId /*e*/,
                Round /*start*/, Round now) {
-    const typename R::OrDelta delta =
-        rumors_[u].or_assign_changed(payload.bits());
+    const Bitset::OrDelta delta = rumors_[u].or_assign_changed(payload.bits());
     if (!delta.changed) return;
     rumor_count_[u] += delta.added;
     snapshots_.invalidate(u);
@@ -81,7 +74,7 @@ class BasicRoundRobinFlooding {
     if (!satisfied_[u]) refresh_satisfied(u);
   }
 
-  /// Churn rejoin-with-reset — see BasicPushPullGossip::reset_node; a
+  /// Churn rejoin-with-reset — see PushPullGossip::reset_node; a
   /// rejoining flooder additionally restarts its round-robin cursor,
   /// like a freshly constructed node.
   void reset_node(NodeId u, Round r) {
@@ -109,7 +102,7 @@ class BasicRoundRobinFlooding {
     return satisfied_count_ == satisfied_.size();
   }
 
-  const std::vector<R>& rumors() const { return rumors_; }
+  const std::vector<Bitset>& rumors() const { return rumors_; }
 
  private:
   bool node_satisfied(NodeId u) const {
@@ -136,16 +129,13 @@ class BasicRoundRobinFlooding {
   NetworkView view_;
   GossipGoal goal_;
   NodeId source_;
-  std::vector<R> rumors_;
+  std::vector<Bitset> rumors_;
   std::vector<std::size_t> rumor_count_;  ///< incremental cardinalities
-  BasicSnapshotCache<R> snapshots_;
+  SnapshotCache snapshots_;
   std::vector<std::size_t> next_neighbor_;
   std::vector<bool> satisfied_;
   std::size_t satisfied_count_ = 0;
   std::vector<Round> last_gain_;  ///< freshness raw input
 };
-
-/// Dense instantiation under the historical name.
-using RoundRobinFlooding = BasicRoundRobinFlooding<Bitset>;
 
 }  // namespace latgossip

@@ -6,10 +6,10 @@
 
 namespace latgossip {
 
-// BasicPushPullGossip is header-only (core/push_pull.h): it is templated
-// over the rumor-set representation, and the dense instantiation must
-// inline into run_gossip_impl's event loop in every caller TU. Only the
-// untemplated boolean-payload broadcast variants live here.
+// PushPullGossip is defined in core/push_pull.h: its per-event methods
+// must inline into run_gossip_impl's event loop in every caller TU, and
+// without LTO a call into this file would block that. This file holds
+// the boolean-payload broadcast variants' remaining methods.
 
 PushPullBroadcast::PushPullBroadcast(const NetworkView& view, NodeId source,
                                      Rng rng)

@@ -8,12 +8,9 @@
 // Two variants:
 //  * PushPullBroadcast — single-source rumor, boolean payloads (fast;
 //    used by the large-scale Theorem 12 experiments).
-//  * BasicPushPullGossip<R> — full rumor sets with a configurable
+//  * PushPullGossip — full Bitset rumor sets with a configurable
 //    completion goal (single-source / all-to-all / local broadcast),
 //    used by the lower-bound experiments and the unified algorithm.
-//    Templated over the rumor-set representation (util/rumor_set.h);
-//    PushPullGossip aliases the dense Bitset instantiation, so the
-//    historical fast path compiles to exactly the same code.
 
 #include <optional>
 #include <stdexcept>
@@ -22,7 +19,6 @@
 #include "sim/engine.h"
 #include "util/bitset.h"
 #include "util/rng.h"
-#include "util/rumor_set.h"
 #include "util/snapshot.h"
 
 namespace latgossip {
@@ -121,20 +117,18 @@ class BiasedPushPullBroadcast {
   std::size_t informed_count_ = 0;
 };
 
-template <RumorSetRep R>
-class BasicPushPullGossip {
+class PushPullGossip {
  public:
   /// Copy-on-write snapshot handle (util/snapshot.h): capture re-copies
   /// a node's rumor set only after it changed, and scheduling/delivery
   /// move refcounted pointers instead of heap-copying n-bit sets.
-  using Payload = BasicSnapshotRef<R>;
-  using RumorSet = R;
+  using Payload = SnapshotRef;
 
   /// `initial_rumors[u]` is u's starting rumor set; for the usual case
   /// use own_id_rumors(). `source` is only meaningful for
   /// GossipGoal::kSingleSource.
-  BasicPushPullGossip(const NetworkView& view, GossipGoal goal, NodeId source,
-                      std::vector<R> initial_rumors, Rng rng)
+  PushPullGossip(const NetworkView& view, GossipGoal goal, NodeId source,
+                 std::vector<Bitset> initial_rumors, Rng rng)
       : view_(view),
         goal_(goal),
         source_(source),
@@ -186,8 +180,10 @@ class BasicPushPullGossip {
     last_gain_.assign(n, 0);
   }
 
-  static std::vector<R> own_id_rumors(std::size_t n) {
-    return own_id_rumor_sets<R>(n);
+  /// The free own_id_rumors() (util/bitset.h), spelled through the
+  /// class.
+  static std::vector<Bitset> own_id_rumors(std::size_t n) {
+    return latgossip::own_id_rumors(n);
   }
 
   /// Rumor sets cost ~32 bits per carried rumor id. The count is cached
@@ -218,8 +214,7 @@ class BasicPushPullGossip {
     // (usually cold) snapshot words in the late all-to-all rounds, where
     // most deliveries are no-ops.
     if (rumor_count_[u] == rumors_.size()) return;
-    const typename R::OrDelta delta =
-        rumors_[u].or_assign_changed(payload.bits());
+    const Bitset::OrDelta delta = rumors_[u].or_assign_changed(payload.bits());
     if (!delta.changed) return;
     rumor_count_[u] += delta.added;
     snapshots_.invalidate(u);
@@ -258,22 +253,22 @@ class BasicPushPullGossip {
   void prefetch_deliver(NodeId u) const noexcept {
 #if defined(__GNUC__) || defined(__clang__)
     __builtin_prefetch(&rumor_count_[u], 0, 1);
+    const auto w = rumors_[u].words();
+    __builtin_prefetch(w.data(), /*rw=*/1, /*locality=*/1);
+    __builtin_prefetch(reinterpret_cast<const char*>(w.data()) + 64, 1, 1);
 #endif
-    prefetch_rumor_set(rumors_[u]);
   }
 
   bool done(Round /*r*/) const {
     return satisfied_count_ == satisfied_.size();
   }
 
-  const std::vector<R>& rumors() const { return rumors_; }
-  std::vector<R> take_rumors() { return std::move(rumors_); }
+  const std::vector<Bitset>& rumors() const { return rumors_; }
+  std::vector<Bitset> take_rumors() { return std::move(rumors_); }
 
   /// Arena statistics (allocated/pooled blocks, copies performed) —
   /// instrumentation for tests and perf probes.
-  const BasicSnapshotArena<R>& snapshot_arena() const {
-    return snapshots_.arena();
-  }
+  const SnapshotArena& snapshot_arena() const { return snapshots_.arena(); }
 
  private:
   bool node_satisfied(NodeId u) const {
@@ -301,23 +296,17 @@ class BasicPushPullGossip {
   GossipGoal goal_;
   NodeId source_;
   Rng rng_;
-  std::vector<R> rumors_;
+  std::vector<Bitset> rumors_;
   /// rumors_[u].count(), maintained incrementally from deliver()'s
   /// OrDelta — the all-to-all done() check never re-popcounts.
   std::vector<std::size_t> rumor_count_;
-  BasicSnapshotCache<R> snapshots_;
+  SnapshotCache snapshots_;
   std::vector<bool> satisfied_;
   std::size_t satisfied_count_ = 0;
   /// Round of each node's last rumor gain (0 for the initial set) —
   /// the freshness metric's raw input.
   std::vector<Round> last_gain_;
 };
-
-/// The dense fast path under its historical name: every pre-existing
-/// call site (unified, EID, CLI, benches, tests) compiles against this
-/// alias unchanged, and the Bitset instantiation inlines into
-/// run_gossip_impl exactly as the untemplated class did.
-using PushPullGossip = BasicPushPullGossip<Bitset>;
 
 // ---------------------------------------------------------------------------
 // Hot-path definitions. select/capture/deliver run tens of thousands of

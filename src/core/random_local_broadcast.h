@@ -18,9 +18,6 @@
 //
 // Like DTG this requires known latencies and must run with
 // SimOptions::stop_when_idle = false.
-//
-// Templated over the rumor-set representation (util/rumor_set.h);
-// RandomLocalBroadcast aliases the dense Bitset instantiation.
 
 #include <optional>
 #include <stdexcept>
@@ -29,27 +26,24 @@
 #include "sim/engine.h"
 #include "util/bitset.h"
 #include "util/rng.h"
-#include "util/rumor_set.h"
 #include "util/snapshot.h"
 
 namespace latgossip {
 
-template <RumorSetRep R>
-class BasicRandomLocalBroadcast {
+class RandomLocalBroadcast {
  public:
-  /// Copy-on-write snapshot handles — see BasicDtgLocalBroadcast.
+  /// Copy-on-write snapshot handles — see DtgLocalBroadcast.
   struct Payload {
-    BasicSnapshotRef<R> data;
-    BasicSnapshotRef<R> session;
+    SnapshotRef data;
+    SnapshotRef session;
   };
-  using RumorSet = R;
 
   static std::size_t payload_bits(const Payload& p) {
     return 32 * (p.data.count() + p.session.count());
   }
 
-  BasicRandomLocalBroadcast(const NetworkView& view, Latency ell,
-                            std::vector<R> initial_rumors, Rng rng)
+  RandomLocalBroadcast(const NetworkView& view, Latency ell,
+                       std::vector<Bitset> initial_rumors, Rng rng)
       : view_(view),
         ell_(ell),
         rng_(rng),
@@ -78,15 +72,11 @@ class BasicRandomLocalBroadcast {
       master_count_[u] = master_[u].count();
       for (const HalfEdge& h : view.neighbors(u))
         if (view.latency(h.edge) <= ell) ell_neighbors_[u].push_back(h.to);
-      R s(n);
+      Bitset s(n);
       s.set(u);
       session_.push_back(std::move(s));
     }
     active_count_ = n;
-  }
-
-  static std::vector<R> own_id_rumors(std::size_t n) {
-    return own_id_rumor_sets<R>(n);
   }
 
   std::optional<NodeId> select_contact(NodeId u, Round r) {
@@ -117,11 +107,11 @@ class BasicRandomLocalBroadcast {
 
   void deliver(NodeId u, NodeId /*peer*/, Payload payload, EdgeId /*e*/,
                Round /*start*/, Round /*now*/) {
-    const typename R::OrDelta dm =
+    const Bitset::OrDelta dm =
         master_[u].or_assign_changed(payload.data.bits());
     master_count_[u] += dm.added;
     if (dm.changed) data_snaps_.invalidate(u);
-    const typename R::OrDelta ds =
+    const Bitset::OrDelta ds =
         session_[u].or_assign_changed(payload.session.bits());
     session_count_[u] += ds.added;
     if (ds.changed) session_snaps_.invalidate(u);
@@ -133,8 +123,8 @@ class BasicRandomLocalBroadcast {
 
   bool done(Round /*r*/) const { return active_count_ == 0; }
 
-  const std::vector<R>& rumors() const { return master_; }
-  std::vector<R> take_rumors() { return std::move(master_); }
+  const std::vector<Bitset>& rumors() const { return master_; }
+  std::vector<Bitset> take_rumors() { return std::move(master_); }
 
  private:
   bool covered(NodeId u) const {
@@ -147,17 +137,14 @@ class BasicRandomLocalBroadcast {
   Latency ell_;
   Rng rng_;
   std::vector<std::vector<NodeId>> ell_neighbors_;
-  std::vector<R> master_;
-  std::vector<R> session_;
+  std::vector<Bitset> master_;
+  std::vector<Bitset> session_;
   std::vector<std::size_t> master_count_;   ///< incremental cardinalities
   std::vector<std::size_t> session_count_;  ///< incremental cardinalities
-  BasicSnapshotCache<R> data_snaps_;
-  BasicSnapshotCache<R> session_snaps_;
+  SnapshotCache data_snaps_;
+  SnapshotCache session_snaps_;
   std::vector<bool> active_;
   std::size_t active_count_ = 0;
 };
-
-/// Dense instantiation under the historical name.
-using RandomLocalBroadcast = BasicRandomLocalBroadcast<Bitset>;
 
 }  // namespace latgossip

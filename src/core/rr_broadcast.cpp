@@ -4,15 +4,10 @@
 
 namespace latgossip {
 
-// BasicRRBroadcast is header-only (templated over the rumor-set
-// representation); only the dense-Bitset helper functions shared by the
-// composite algorithms live here.
-
-std::vector<Bitset> own_id_rumors(std::size_t n) {
-  std::vector<Bitset> r(n, Bitset(n));
-  for (std::size_t u = 0; u < n; ++u) r[u].set(u);
-  return r;
-}
+// RRBroadcast is defined in core/rr_broadcast.h so its per-event
+// methods inline into run_gossip_impl's event loop (no LTO needed);
+// only the rumor-set checks shared by the composite algorithms live
+// here.
 
 bool all_sets_full(const std::vector<Bitset>& rumors) {
   for (const Bitset& r : rumors)

@@ -6,9 +6,6 @@
 //
 // The overlay is normally the oriented Baswana–Sen spanner (Theorem 14);
 // every overlay arc must be an edge of the underlying graph.
-//
-// Templated over the rumor-set representation (util/rumor_set.h);
-// RRBroadcast aliases the dense Bitset instantiation.
 
 #include <algorithm>
 #include <optional>
@@ -18,24 +15,20 @@
 #include "graph/digraph.h"
 #include "sim/engine.h"
 #include "util/bitset.h"
-#include "util/rumor_set.h"
 #include "util/snapshot.h"
 
 namespace latgossip {
 
-template <RumorSetRep R>
-class BasicRRBroadcast {
+class RRBroadcast {
  public:
-  /// Copy-on-write snapshot handle — see BasicPushPullGossip::Payload.
-  using Payload = BasicSnapshotRef<R>;
-  using RumorSet = R;
+  /// Copy-on-write snapshot handle — see PushPullGossip::Payload.
+  using Payload = SnapshotRef;
 
   /// `k` caps both which arcs are used (latency <= k) and the iteration
   /// budget. `budget_override`, if nonzero, replaces the default
   /// k*Δout + k iteration count.
-  BasicRRBroadcast(const NetworkView& view, const DirectedGraph& overlay,
-                   Latency k, std::vector<R> initial_rumors,
-                   Round budget_override = 0)
+  RRBroadcast(const NetworkView& view, const DirectedGraph& overlay, Latency k,
+              std::vector<Bitset> initial_rumors, Round budget_override = 0)
       : k_(k),
         rumors_(std::move(initial_rumors)),
         rumor_count_(view.num_nodes(), 0),
@@ -83,8 +76,7 @@ class BasicRRBroadcast {
 
   void deliver(NodeId u, NodeId /*peer*/, Payload payload, EdgeId /*e*/,
                Round /*start*/, Round /*now*/) {
-    const typename R::OrDelta delta =
-        rumors_[u].or_assign_changed(payload.bits());
+    const Bitset::OrDelta delta = rumors_[u].or_assign_changed(payload.bits());
     if (!delta.changed) return;
     rumor_count_[u] += delta.added;
     snapshots_.invalidate(u);
@@ -97,23 +89,17 @@ class BasicRRBroadcast {
   }
 
   Round budget() const { return budget_; }
-  const std::vector<R>& rumors() const { return rumors_; }
-  std::vector<R> take_rumors() { return std::move(rumors_); }
+  const std::vector<Bitset>& rumors() const { return rumors_; }
+  std::vector<Bitset> take_rumors() { return std::move(rumors_); }
 
  private:
   Latency k_;
   Round budget_ = 0;
   std::vector<std::vector<NodeId>> out_targets_;  ///< filtered, per node
-  std::vector<R> rumors_;
+  std::vector<Bitset> rumors_;
   std::vector<std::size_t> rumor_count_;  ///< incremental cardinalities
-  BasicSnapshotCache<R> snapshots_;
+  SnapshotCache snapshots_;
 };
-
-/// Dense instantiation under the historical name.
-using RRBroadcast = BasicRRBroadcast<Bitset>;
-
-/// Fresh rumor sets where each node knows only its own id.
-std::vector<Bitset> own_id_rumors(std::size_t n);
 
 /// True iff every rumor set contains every node id.
 bool all_sets_full(const std::vector<Bitset>& rumors);

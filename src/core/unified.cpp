@@ -20,7 +20,7 @@ UnifiedOutcome run_unified(const WeightedGraph& g,
     PhaseScope phase(options.obs, "unified/push_pull");
     NetworkView view(g, /*latencies_known=*/false);
     PushPullGossip pp(view, GossipGoal::kAllToAll, 0,
-                      PushPullGossip::own_id_rumors(n), rng.fork(1));
+                      own_id_rumors(n), rng.fork(1));
     SimOptions opts;
     opts.max_rounds = options.push_pull_cap;
     if (options.obs) opts.recorder = options.obs->recorder;

@@ -79,7 +79,7 @@ ReductionResult run_gadget_reduction(const GuessingGadget& gadget,
   switch (protocol) {
     case ReductionProtocol::kPushPull: {
       PushPullGossip proto(view, GossipGoal::kLocalBroadcast, 0,
-                           PushPullGossip::own_id_rumors(n), rng);
+                           own_id_rumors(n), rng);
       return drive(gadget, proto, max_rounds);
     }
     case ReductionProtocol::kFlooding: {

@@ -9,7 +9,6 @@
 #include "util/bitset.h"
 #include "util/fit.h"
 #include "util/rng.h"
-#include "util/rumor_set.h"
 #include "util/stats.h"
 #include "util/table.h"
 

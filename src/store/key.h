@@ -18,11 +18,10 @@
 //    generated graphs meet in the same key space).
 //
 // The key covers everything that decides a trial's SimResult: protocol
-// (including the rumor-set representation suffix — all representations
-// are observationally identical, but the name documents what ran),
-// graph content, source node, round cap, fault plan, the per-trial RNG
-// seed, and a model-version tag. The tag is the "fingerprint-relevant
-// build" knob: results are build-flag-invariant by the golden-
+// (store/run.h protocol_label()), graph content, source node, round
+// cap, fault plan, the per-trial RNG seed, and a model-version tag. The
+// tag is the "fingerprint-relevant build" knob: results are
+// build-flag-invariant by the golden-
 // fingerprint contract (DESIGN.md §5e), so keys deliberately exclude
 // git hash and CXX flags — a rebuild must not cold the cache — and any
 // future change that legitimately alters event streams bumps
@@ -96,7 +95,7 @@ std::uint64_t graph_digest(const WeightedGraph& g);
 /// simulation ("sim" = bare SimResult, "curve" = SimResult + per-round
 /// informed counts in meta).
 struct CellSpec {
-  std::string protocol;        ///< resolved name, e.g. "flooding/sparse"
+  std::string protocol;        ///< protocol_label(), e.g. "flooding/dense"
   std::uint64_t graph = 0;     ///< graph_digest()
   NodeId source = 0;
   Round max_rounds = 0;

@@ -91,7 +91,7 @@ std::size_t spec_size(const char* field, std::int64_t value) {
   return static_cast<std::size_t>(value);
 }
 
-void validate_run(RunSpec& spec, std::size_t num_nodes) {
+void validate_run(const RunSpec& spec, std::size_t num_nodes) {
   if (!single_phase(spec.protocol) && spec.protocol != "eid" &&
       spec.protocol != "tk" && spec.protocol != "unified")
     throw std::invalid_argument("unknown protocol '" + spec.protocol + "'");
@@ -105,17 +105,17 @@ void validate_run(RunSpec& spec, std::size_t num_nodes) {
     throw std::invalid_argument(
         "--dynamics only applies to --proto=pushpull|flooding; composite "
         "protocols own their SimOptions");
-  spec.rumor_rep = resolve_rumor_rep(spec.rumor_rep, num_nodes);
 }
 
 std::string protocol_label(const RunSpec& spec) {
-  if (spec.protocol != "flooding") return spec.protocol;
-  return spec.protocol + "/" + std::string(rumor_rep_name(spec.rumor_rep));
+  // The cell-key protocol and manifest field that existing stores and
+  // manifests already hold for flooding: keeping it keeps them hitting.
+  if (spec.protocol == "flooding") return "flooding/dense";
+  return spec.protocol;
 }
 
-RunOutcome execute(const RunSpec& run_spec, const WeightedGraph& g,
+RunOutcome execute(const RunSpec& spec, const WeightedGraph& g,
                    const RunSinks& sinks) {
-  RunSpec spec = run_spec;
   const std::size_t n = g.num_nodes();
   validate_run(spec, n);
   if (sinks.curves && spec.protocol != "pushpull")
@@ -172,13 +172,10 @@ RunOutcome execute(const RunSpec& run_spec, const WeightedGraph& g,
       if (sinks.curves) out.curves[t] = informed_curve(proto, n, result.rounds);
     } else if (spec.protocol == "flooding") {
       const NetworkView view(g, false);
-      result = with_rumor_rep(spec.rumor_rep, n, [&]<RumorSetRep R>() {
-        BasicRoundRobinFlooding<R> proto(view, GossipGoal::kAllToAll, source,
-                                         own_id_rumor_sets<R>(n));
-        const SimResult r = run_gossip(g, proto, opts);
-        if (want_freshness) freshness = freshness_of(proto, n, r.rounds);
-        return r;
-      });
+      RoundRobinFlooding proto(view, GossipGoal::kAllToAll, source,
+                               own_id_rumors(n));
+      result = run_gossip(g, proto, opts);
+      if (want_freshness) freshness = freshness_of(proto, n, result.rounds);
     } else if (spec.protocol == "eid") {
       const GeneralEidOutcome eid = run_general_eid(g, 0, rng, 1, obs_ptr, &ws);
       result = eid.sim;

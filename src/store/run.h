@@ -19,7 +19,6 @@
 #include "sim/freshness.h"
 #include "sim/parallel.h"
 #include "store/cached_trials.h"
-#include "util/rumor_set.h"
 
 namespace latgossip {
 
@@ -65,8 +64,7 @@ std::size_t spec_size(const char* field, std::int64_t value);
 
 struct RunSpec {
   std::string protocol = "pushpull";  ///< pushpull flooding eid tk unified
-  RumorRep rumor_rep = RumorRep::kAuto;  ///< flooding's rumor sets
-  DynamicSpec dynamics;                  ///< pushpull and flooding only
+  DynamicSpec dynamics;               ///< pushpull and flooding only
   // Kept at the parsers' width so validate_run() sees them unnarrowed.
   std::int64_t source = 0;
   std::int64_t trials = 1;
@@ -78,11 +76,12 @@ struct RunSpec {
 
 /// The one validation, against a graph of `num_nodes` nodes: a known
 /// protocol, trials in [1, 10^6], source < num_nodes, max_rounds >= 0,
-/// a scenario only on a single-phase protocol. Resolves rumor_rep. Throws
+/// a scenario only on a single-phase protocol. Throws
 /// std::invalid_argument with the message both front ends show.
-void validate_run(RunSpec& spec, std::size_t num_nodes);
+void validate_run(const RunSpec& spec, std::size_t num_nodes);
 
-/// Protocol name in manifests and store keys, e.g. "flooding/dense".
+/// Protocol name in manifests and store keys: the protocol, except
+/// "flooding/dense" for flooding.
 std::string protocol_label(const RunSpec& spec);
 
 struct RunSinks {

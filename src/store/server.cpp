@@ -111,7 +111,6 @@ RunOutcome run_cell(ExperimentStore& store, const JsonValue& req,
         "serve supports proto pushpull|flooding, got '" + spec.protocol + "'");
   if (want_curve && spec.protocol != "pushpull")
     throw std::invalid_argument("spread_curve supports proto=pushpull only");
-  spec.rumor_rep = parse_rumor_rep(req.get_string("rumor_rep", "auto"));
   spec.seed = req.get_u64("seed", 1);
   spec.trials = req.get_i64("trials", 1);
   spec.source = static_cast<std::int64_t>(req.get_u64("source", 0));

@@ -332,4 +332,11 @@ class Bitset {
   };
 };
 
+/// Starting rumor sets in which each of `n` nodes knows only its own id.
+inline std::vector<Bitset> own_id_rumors(std::size_t n) {
+  std::vector<Bitset> r(n, Bitset(n));
+  for (std::size_t u = 0; u < n; ++u) r[u].set(u);
+  return r;
+}
+
 }  // namespace latgossip

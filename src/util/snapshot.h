@@ -10,19 +10,17 @@
 // path's two full n-bit Bitset heap copies per exchange into two
 // reference-count bumps in steady state.
 //
-// Three pieces, each templated over the rumor-set representation R
-// (util/rumor_set.h) — Bitset for the dense fast path, SparseRumorSet
-// for the million-node regime — with the historical
-// Bitset-instantiation names kept as aliases:
-//  * BasicSnapshotArena<R> — owns ref-counted immutable R blocks;
-//    blocks whose last reference dies are recycled through a free pool,
-//    so once the pool covers the in-flight peak, captures allocate
-//    nothing. Every block caches its cardinality at fill time, so
-//    payload_bits() accounting never re-scans the contents.
-//  * BasicSnapshotRef<R> — a cheap handle (copy = refcount bump, move =
+// Three pieces:
+//  * SnapshotArena — owns ref-counted immutable Bitset blocks; blocks
+//    whose last reference dies are recycled through a free pool, so
+//    once the pool covers the in-flight peak, captures allocate
+//    nothing, and releasing a reference never allocates. Every block
+//    caches its cardinality at fill time, so payload_bits() accounting
+//    never re-scans the contents.
+//  * SnapshotRef — a cheap handle (copy = refcount bump, move =
 //    pointer steal) protocols use as their Payload type. The referenced
 //    set is immutable for the life of the handle.
-//  * BasicSnapshotCache<R> — per-node "current snapshot" slots with a
+//  * SnapshotCache — per-node "current snapshot" slots with a
 //    dirty bit (an empty slot IS the dirty bit): shared() re-captures
 //    only after invalidate(), fresh() always deep-copies (the reference
 //    oracle's naive path, see sim/oracle.h).
@@ -35,6 +33,7 @@
 // trial, one thread (matching run_trials' isolation contract) — so the
 // refcounts are plain integers.
 
+#include <algorithm>
 #include <cassert>
 #include <cstddef>
 #include <cstdint>
@@ -45,10 +44,8 @@
 
 namespace latgossip {
 
-template <typename R>
-class BasicSnapshotArena;
-template <typename R>
-class BasicSnapshotCache;
+class SnapshotArena;
+class SnapshotCache;
 
 namespace snapshot_detail {
 
@@ -58,7 +55,6 @@ namespace snapshot_detail {
 /// union-and-release touches two lines instead of a scattered three or
 /// four. Blocks come out of contiguous slabs (below) for the same
 /// reason.
-template <typename R>
 struct alignas(64) Block {
   std::size_t count = 0;  ///< cardinality of bits, cached at fill time
   std::uint32_t refs = 0;
@@ -66,10 +62,10 @@ struct alignas(64) Block {
   /// only reference: the block's contents are out of date but nobody
   /// can observe them, so the next shared() refills this block in place
   /// instead of cycling a fresh one through the pool
-  /// (BasicSnapshotCache).
+  /// (SnapshotCache).
   bool stale = false;
-  BasicSnapshotArena<R>* arena = nullptr;
-  R bits;
+  SnapshotArena* arena = nullptr;
+  Bitset bits;
 };
 
 }  // namespace snapshot_detail
@@ -77,18 +73,16 @@ struct alignas(64) Block {
 /// Shared handle to one immutable snapshot block. Default-constructed
 /// refs are empty (used as the "dirty"/absent state); dereferencing an
 /// empty ref is undefined.
-template <typename R>
-class BasicSnapshotRef {
+class SnapshotRef {
  public:
-  BasicSnapshotRef() = default;
-  BasicSnapshotRef(const BasicSnapshotRef& other) noexcept
-      : block_(other.block_) {
+  SnapshotRef() = default;
+  SnapshotRef(const SnapshotRef& other) noexcept : block_(other.block_) {
     if (block_ != nullptr) ++block_->refs;
   }
-  BasicSnapshotRef(BasicSnapshotRef&& other) noexcept : block_(other.block_) {
+  SnapshotRef(SnapshotRef&& other) noexcept : block_(other.block_) {
     other.block_ = nullptr;
   }
-  BasicSnapshotRef& operator=(const BasicSnapshotRef& other) noexcept {
+  SnapshotRef& operator=(const SnapshotRef& other) noexcept {
     if (this != &other) {
       release();
       block_ = other.block_;
@@ -96,7 +90,7 @@ class BasicSnapshotRef {
     }
     return *this;
   }
-  BasicSnapshotRef& operator=(BasicSnapshotRef&& other) noexcept {
+  SnapshotRef& operator=(SnapshotRef&& other) noexcept {
     if (this != &other) {
       release();
       block_ = other.block_;
@@ -104,12 +98,12 @@ class BasicSnapshotRef {
     }
     return *this;
   }
-  ~BasicSnapshotRef() { release(); }
+  ~SnapshotRef() { release(); }
 
   explicit operator bool() const noexcept { return block_ != nullptr; }
 
   /// The snapshot's contents. Immutable; valid while this ref lives.
-  const R& bits() const noexcept { return block_->bits; }
+  const Bitset& bits() const noexcept { return block_->bits; }
 
   /// Cached cardinality of bits() — O(1), never re-scans the contents.
   std::size_t count() const noexcept { return block_->count; }
@@ -134,52 +128,48 @@ class BasicSnapshotRef {
   void reset() noexcept { release(); }
 
  private:
-  friend class BasicSnapshotArena<R>;
-  friend class BasicSnapshotCache<R>;
-  explicit BasicSnapshotRef(snapshot_detail::Block<R>* block) noexcept
+  friend class SnapshotArena;
+  friend class SnapshotCache;
+  explicit SnapshotRef(snapshot_detail::Block* block) noexcept
       : block_(block) {
     ++block_->refs;
   }
-  void release() noexcept {
-    if (block_ != nullptr && --block_->refs == 0)
-      block_->arena->recycle(block_);
-    block_ = nullptr;
-  }
+  /// Defined after SnapshotArena, whose recycle() it calls.
+  void release() noexcept;
 
-  snapshot_detail::Block<R>* block_ = nullptr;
+  snapshot_detail::Block* block_ = nullptr;
 };
 
 /// Pool of fixed-width snapshot blocks. Non-movable: live refs hold
 /// back-pointers into it.
-template <typename R>
-class BasicSnapshotArena {
+class SnapshotArena {
  public:
   /// Every snapshot from this arena holds `bits` bits.
-  explicit BasicSnapshotArena(std::size_t bits) : bits_(bits) {}
-  BasicSnapshotArena(const BasicSnapshotArena&) = delete;
-  BasicSnapshotArena& operator=(const BasicSnapshotArena&) = delete;
+  explicit SnapshotArena(std::size_t bits) : bits_(bits) {}
+  SnapshotArena(const SnapshotArena&) = delete;
+  SnapshotArena& operator=(const SnapshotArena&) = delete;
 
   /// Snapshot `contents` into a pooled block (cardinality computed in
   /// the same pass as the copy) and return a ref to it.
-  BasicSnapshotRef<R> capture(const R& contents) {
-    snapshot_detail::Block<R>* block = acquire();
+  SnapshotRef capture(const Bitset& contents) {
+    snapshot_detail::Block* block = acquire();
     block->count = block->bits.assign_and_count(contents);
-    return BasicSnapshotRef<R>(block);
+    return SnapshotRef(block);
   }
 
   /// Same, with the cardinality already known (protocols that track
   /// rumor counts incrementally skip the fused re-count).
-  BasicSnapshotRef<R> capture(const R& contents, std::size_t known_count) {
-    snapshot_detail::Block<R>* block = acquire();
+  SnapshotRef capture(const Bitset& contents, std::size_t known_count) {
+    snapshot_detail::Block* block = acquire();
     block->bits = contents;
     block->count = known_count;
-    return BasicSnapshotRef<R>(block);
+    return SnapshotRef(block);
   }
 
   /// Reset for a new trial. Precondition: every ref into this arena has
   /// died (all blocks recycled into the pool) — guaranteed at trial
   /// boundaries because the engine releases pending deliveries before
-  /// run_gossip returns and BasicSnapshotCache::reset drops its slots
+  /// run_gossip returns and SnapshotCache::reset drops its slots
   /// first. Same width: keeps slabs and pool, so the next run's captures
   /// reuse every block already allocated (steady-state reuse allocates
   /// nothing; stale block contents are overwritten at capture). New
@@ -205,25 +195,31 @@ class BasicSnapshotArena {
   std::uint64_t captures() const noexcept { return captures_; }
 
  private:
-  friend class BasicSnapshotRef<R>;
-  friend class BasicSnapshotCache<R>;
+  friend class SnapshotRef;
+  friend class SnapshotCache;
 
-  snapshot_detail::Block<R>* acquire() {
+  snapshot_detail::Block* acquire() {
     ++captures_;
     if (!pool_.empty()) {
-      snapshot_detail::Block<R>* block = pool_.back();
+      snapshot_detail::Block* block = pool_.back();
       pool_.pop_back();
       block->stale = false;
       return block;
     }
     if (next_in_slab_ == kSlabBlocks) {
+      // Make room in the pool for every block the new slab adds, so
+      // recycle() never allocates; doubling keeps the pool's copies
+      // amortized O(1) per block.
+      const std::size_t blocks = (slabs_.size() + 1) * kSlabBlocks;
+      if (pool_.capacity() < blocks)
+        pool_.reserve(std::max(blocks, 2 * pool_.capacity()));
       slabs_.push_back(
-          std::make_unique<snapshot_detail::Block<R>[]>(kSlabBlocks));
+          std::make_unique<snapshot_detail::Block[]>(kSlabBlocks));
       next_in_slab_ = 0;
     }
-    snapshot_detail::Block<R>* block = &slabs_.back()[next_in_slab_++];
+    snapshot_detail::Block* block = &slabs_.back()[next_in_slab_++];
     ++allocated_;
-    block->bits = R(bits_);
+    block->bits = Bitset(bits_);
     block->arena = this;
     return block;
   }
@@ -232,41 +228,49 @@ class BasicSnapshotArena {
   /// caller holds the block's single reference (nobody else can observe
   /// the contents changing). Counted as a capture: it performs the same
   /// copy a fresh block would.
-  void refill(snapshot_detail::Block<R>* block, const R& contents,
+  void refill(snapshot_detail::Block* block, const Bitset& contents,
               std::size_t known_count) {
     ++captures_;
     block->bits = contents;
     block->count = known_count;
     block->stale = false;
   }
-  void refill(snapshot_detail::Block<R>* block, const R& contents) {
+  void refill(snapshot_detail::Block* block, const Bitset& contents) {
     ++captures_;
     block->count = block->bits.assign_and_count(contents);
     block->stale = false;
   }
 
-  void recycle(snapshot_detail::Block<R>* block) { pool_.push_back(block); }
+  /// Reached from the noexcept SnapshotRef::release(): acquire() keeps
+  /// pool_.capacity() >= allocated_, so this push never allocates.
+  void recycle(snapshot_detail::Block* block) noexcept {
+    pool_.push_back(block);
+  }
 
   /// Blocks live in contiguous fixed-size slabs (stable addresses, like
   /// a deque, but with slab-sized runs of adjacent cache lines).
   static constexpr std::size_t kSlabBlocks = 64;
 
   std::size_t bits_;
-  std::vector<std::unique_ptr<snapshot_detail::Block<R>[]>> slabs_;
+  std::vector<std::unique_ptr<snapshot_detail::Block[]>> slabs_;
   std::size_t next_in_slab_ = kSlabBlocks;
   std::size_t allocated_ = 0;
-  std::vector<snapshot_detail::Block<R>*> pool_;
+  std::vector<snapshot_detail::Block*> pool_;
   std::uint64_t captures_ = 0;
 };
+
+inline void SnapshotRef::release() noexcept {
+  if (block_ != nullptr && --block_->refs == 0) block_->arena->recycle(block_);
+  block_ = nullptr;
+}
 
 /// Per-node current-snapshot slots over a private arena. The dirty bit
 /// is the slot itself: invalidate() empties it, shared() re-captures
 /// only into an empty slot.
-template <typename R>
-class BasicSnapshotCache {
+class SnapshotCache {
  public:
   /// `nodes` slots; every snapshot holds `bits` bits.
-  BasicSnapshotCache(std::size_t nodes, std::size_t bits)
+  SnapshotCache(std::size_t nodes, std::size_t bits)
       : arena_(bits), cached_(nodes) {}
 
   /// The node's current snapshot, re-copied from `contents` iff the
@@ -275,17 +279,17 @@ class BasicSnapshotCache {
   /// by refcount bump alone. A changed node whose previous snapshot is
   /// no longer referenced elsewhere refills the same block in place —
   /// one stable block per quiet node, instead of churning the pool.
-  BasicSnapshotRef<R> shared(std::size_t node, const R& contents) {
-    BasicSnapshotRef<R>& slot = cached_[node];
+  SnapshotRef shared(std::size_t node, const Bitset& contents) {
+    SnapshotRef& slot = cached_[node];
     if (!slot)
       slot = arena_.capture(contents);
     else if (slot.block_->stale)
       arena_.refill(slot.block_, contents);
     return slot;
   }
-  BasicSnapshotRef<R> shared(std::size_t node, const R& contents,
-                             std::size_t known_count) {
-    BasicSnapshotRef<R>& slot = cached_[node];
+  SnapshotRef shared(std::size_t node, const Bitset& contents,
+                     std::size_t known_count) {
+    SnapshotRef& slot = cached_[node];
     if (!slot)
       slot = arena_.capture(contents, known_count);
     else if (slot.block_->stale)
@@ -296,10 +300,10 @@ class BasicSnapshotCache {
   /// An always-fresh private deep copy — the reference oracle's naive
   /// capture path (never shared, never cached), so engine-vs-oracle
   /// differential runs prove snapshot sharing ≡ copy-at-capture.
-  BasicSnapshotRef<R> fresh(const R& contents) {
+  SnapshotRef fresh(const Bitset& contents) {
     return arena_.capture(contents);
   }
-  BasicSnapshotRef<R> fresh(const R& contents, std::size_t known_count) {
+  SnapshotRef fresh(const Bitset& contents, std::size_t known_count) {
     return arena_.capture(contents, known_count);
   }
 
@@ -309,7 +313,7 @@ class BasicSnapshotCache {
   /// shared()); if payload refs are still in flight, the block is
   /// dropped so their immutable view survives.
   void invalidate(std::size_t node) noexcept {
-    BasicSnapshotRef<R>& slot = cached_[node];
+    SnapshotRef& slot = cached_[node];
     if (slot.block_ != nullptr) {
       if (slot.block_->refs == 1)
         slot.block_->stale = true;
@@ -323,22 +327,16 @@ class BasicSnapshotCache {
   /// unchanged sizes the slot vector and the arena's slabs are reused
   /// as-is — the workspace-reuse steady state allocates nothing here.
   void reset(std::size_t nodes, std::size_t bits) {
-    for (BasicSnapshotRef<R>& slot : cached_) slot.reset();
+    for (SnapshotRef& slot : cached_) slot.reset();
     cached_.resize(nodes);
     arena_.reset(bits);
   }
 
-  const BasicSnapshotArena<R>& arena() const noexcept { return arena_; }
+  const SnapshotArena& arena() const noexcept { return arena_; }
 
  private:
-  BasicSnapshotArena<R> arena_;  ///< declared first: outlives the refs
-  std::vector<BasicSnapshotRef<R>> cached_;
+  SnapshotArena arena_;  ///< declared first: outlives the refs
+  std::vector<SnapshotRef> cached_;
 };
-
-/// Historical names: the dense Bitset instantiation every pre-existing
-/// protocol, test, and bench compiles against unchanged.
-using SnapshotRef = BasicSnapshotRef<Bitset>;
-using SnapshotArena = BasicSnapshotArena<Bitset>;
-using SnapshotCache = BasicSnapshotCache<Bitset>;
 
 }  // namespace latgossip

@@ -21,7 +21,7 @@ struct DtgRun {
 DtgRun run_dtg(const WeightedGraph& g, Latency ell,
                std::vector<Bitset> initial = {}) {
   NetworkView view(g, true);
-  if (initial.empty()) initial = DtgLocalBroadcast::own_id_rumors(g.num_nodes());
+  if (initial.empty()) initial = own_id_rumors(g.num_nodes());
   DtgLocalBroadcast proto(view, ell, std::move(initial));
   SimOptions opts;
   opts.stop_when_idle = false;
@@ -118,7 +118,7 @@ TEST(Dtg, SeededRumorsAreRelayed) {
   // Seed node 0 with an extra rumor (id 3, a non-neighbor): after DTG,
   // 0's neighbors must have received it.
   const auto g = make_path(4);
-  auto initial = DtgLocalBroadcast::own_id_rumors(4);
+  auto initial = own_id_rumors(4);
   initial[0].set(3);
   const DtgRun run = run_dtg(g, 1, std::move(initial));
   EXPECT_TRUE(run.sim.completed);
@@ -129,7 +129,7 @@ TEST(Dtg, RequiresKnownLatencies) {
   const auto g = make_path(3);
   NetworkView view(g, false);
   EXPECT_THROW(
-      DtgLocalBroadcast(view, 1, DtgLocalBroadcast::own_id_rumors(3)),
+      DtgLocalBroadcast(view, 1, own_id_rumors(3)),
       std::invalid_argument);
 }
 
@@ -137,10 +137,10 @@ TEST(Dtg, ValidatesParameters) {
   const auto g = make_path(3);
   NetworkView view(g, true);
   EXPECT_THROW(
-      DtgLocalBroadcast(view, 0, DtgLocalBroadcast::own_id_rumors(3)),
+      DtgLocalBroadcast(view, 0, own_id_rumors(3)),
       std::invalid_argument);
   EXPECT_THROW(
-      DtgLocalBroadcast(view, 1, DtgLocalBroadcast::own_id_rumors(2)),
+      DtgLocalBroadcast(view, 1, own_id_rumors(2)),
       std::invalid_argument);
 }
 

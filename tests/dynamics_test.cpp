@@ -25,7 +25,6 @@
 #include "sim/engine.h"
 #include "sim/freshness.h"
 #include "sim/oracle.h"
-#include "util/rumor_set.h"
 
 namespace latgossip {
 namespace {
@@ -363,10 +362,8 @@ TEST(DynamicsResetTest, RejoinWithResetEqualsFreshNode) {
   {
     const std::size_t n = g.num_nodes();
     NetworkView view(g, false);
-    BasicRoundRobinFlooding<Bitset> proto(view, GossipGoal::kAllToAll, 0,
-                                          own_id_rumor_sets<Bitset>(n));
-    BasicRoundRobinFlooding<Bitset> fresh(view, GossipGoal::kAllToAll, 0,
-                                          own_id_rumor_sets<Bitset>(n));
+    RoundRobinFlooding proto(view, GossipGoal::kAllToAll, 0, own_id_rumors(n));
+    RoundRobinFlooding fresh(view, GossipGoal::kAllToAll, 0, own_id_rumors(n));
     SimOptions opts;
     opts.max_rounds = 500;
     ASSERT_TRUE(run_gossip(g, proto, opts).completed);

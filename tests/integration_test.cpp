@@ -143,7 +143,7 @@ TEST(Integration, AllAlgorithmsAgreeOnFinalRumors) {
   {
     NetworkView view(g, false);
     PushPullGossip pp(view, GossipGoal::kAllToAll, 0,
-                      PushPullGossip::own_id_rumors(12), Rng(31));
+                      own_id_rumors(12), Rng(31));
     SimOptions opts;
     opts.max_rounds = 500'000;
     ASSERT_TRUE(run_gossip(g, pp, opts).completed);

@@ -57,7 +57,7 @@ TEST(Blocking, DtgStillCorrectInBlockingModel) {
   Rng rng(3);
   assign_random_uniform_latency(g, 1, 3, rng);
   NetworkView view(g, true);
-  DtgLocalBroadcast proto(view, 3, DtgLocalBroadcast::own_id_rumors(12));
+  DtgLocalBroadcast proto(view, 3, own_id_rumors(12));
   SimOptions opts;
   opts.blocking = true;
   opts.stop_when_idle = false;
@@ -217,7 +217,7 @@ TEST(PayloadBits, RumorSetProtocolsPayPerRumor) {
   const auto g = make_clique(12);
   NetworkView view(g, false);
   PushPullGossip proto(view, GossipGoal::kAllToAll, 0,
-                       PushPullGossip::own_id_rumors(12), Rng(9));
+                       own_id_rumors(12), Rng(9));
   SimOptions opts;
   opts.max_rounds = 10'000;
   const SimResult r = run_gossip(g, proto, opts);

@@ -274,7 +274,7 @@ TEST(TrialPoolWorkspace, SteadyStateSnapshotArenaIsFlat) {
     NetworkView view(g, false);
     auto& proto = ws.slot<PushPullGossip>(
         view, GossipGoal::kAllToAll, NodeId{0},
-        PushPullGossip::own_id_rumors(view.num_nodes()), rng);
+        own_id_rumors(view.num_nodes()), rng);
     proto.reset_own_id(view, GossipGoal::kAllToAll, 0, rng);
     SimOptions opts;
     opts.workspace = &ws;
@@ -309,10 +309,10 @@ TEST(TrialPoolWorkspace, ProtocolResetMatchesFreshConstruction) {
 
   // Rumor-set gossip: same, with the snapshot arena recycled in place.
   PushPullGossip gfresh(view, GossipGoal::kAllToAll, 0,
-                        PushPullGossip::own_id_rumors(g.num_nodes()), Rng(13));
+                        own_id_rumors(g.num_nodes()), Rng(13));
   const SimResult gfirst = run_gossip(g, gfresh);
   PushPullGossip greused(view, GossipGoal::kAllToAll, 0,
-                         PushPullGossip::own_id_rumors(g.num_nodes()), Rng(7));
+                         own_id_rumors(g.num_nodes()), Rng(7));
   (void)run_gossip(g, greused);
   greused.reset_own_id(view, GossipGoal::kAllToAll, 0, Rng(13));
   EXPECT_EQ(run_gossip(g, greused), gfirst);

@@ -119,7 +119,7 @@ TEST_P(DisseminationSweep, DtgAchievesLocalBroadcast) {
   const Latency ell = g.max_latency();
   NetworkView view(g, true);
   DtgLocalBroadcast proto(view, ell,
-                          DtgLocalBroadcast::own_id_rumors(g.num_nodes()));
+                          own_id_rumors(g.num_nodes()));
   SimOptions opts;
   opts.stop_when_idle = false;
   opts.max_rounds = 1'000'000;

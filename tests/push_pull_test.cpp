@@ -78,7 +78,7 @@ TEST(PushPullGossip, AllToAllOnSmallClique) {
   const auto g = make_clique(12);
   NetworkView view(g, false);
   PushPullGossip proto(view, GossipGoal::kAllToAll, 0,
-                       PushPullGossip::own_id_rumors(12), Rng(7));
+                       own_id_rumors(12), Rng(7));
   SimOptions opts;
   opts.max_rounds = 10'000;
   const SimResult r = run_gossip(g, proto, opts);
@@ -91,7 +91,7 @@ TEST(PushPullGossip, LocalBroadcastGoal) {
   auto g = make_erdos_renyi(20, 0.3, rng);
   NetworkView view(g, false);
   PushPullGossip proto(view, GossipGoal::kLocalBroadcast, 0,
-                       PushPullGossip::own_id_rumors(20), Rng(11));
+                       own_id_rumors(20), Rng(11));
   SimOptions opts;
   opts.max_rounds = 50'000;
   const SimResult r = run_gossip(g, proto, opts);
@@ -107,9 +107,9 @@ TEST(PushPullGossip, SingleSourceGoalStopsEarly) {
   const auto g = make_cycle(16);
   NetworkView view(g, false);
   PushPullGossip ss(view, GossipGoal::kSingleSource, 0,
-                    PushPullGossip::own_id_rumors(16), Rng(13));
+                    own_id_rumors(16), Rng(13));
   PushPullGossip ata(view, GossipGoal::kAllToAll, 0,
-                     PushPullGossip::own_id_rumors(16), Rng(13));
+                     own_id_rumors(16), Rng(13));
   SimOptions opts;
   opts.max_rounds = 50'000;
   const SimResult rs = run_gossip(g, ss, opts);
@@ -123,7 +123,7 @@ TEST(PushPullGossip, CapturesShareSnapshotsUntilStateChanges) {
   const auto g = make_clique(8);
   NetworkView view(g, false);
   PushPullGossip proto(view, GossipGoal::kAllToAll, 0,
-                       PushPullGossip::own_id_rumors(8), Rng(5));
+                       own_id_rumors(8), Rng(5));
 
   // Unchanged state: repeated captures hand out the same block.
   const PushPullGossip::Payload a = proto.capture_payload(3, 0);
@@ -155,10 +155,10 @@ TEST(PushPullGossip, ValidatesInput) {
   const auto g = make_path(4);
   NetworkView view(g, false);
   EXPECT_THROW(PushPullGossip(view, GossipGoal::kAllToAll, 0,
-                              PushPullGossip::own_id_rumors(3), Rng(1)),
+                              own_id_rumors(3), Rng(1)),
                std::invalid_argument);
   EXPECT_THROW(PushPullGossip(view, GossipGoal::kSingleSource, 9,
-                              PushPullGossip::own_id_rumors(4), Rng(1)),
+                              own_id_rumors(4), Rng(1)),
                std::invalid_argument);
 }
 

@@ -23,7 +23,7 @@ struct RlbRun {
 RlbRun run_rlb(const WeightedGraph& g, Latency ell, std::uint64_t seed) {
   NetworkView view(g, true);
   RandomLocalBroadcast proto(
-      view, ell, RandomLocalBroadcast::own_id_rumors(g.num_nodes()),
+      view, ell, own_id_rumors(g.num_nodes()),
       Rng(seed));
   SimOptions opts;
   opts.stop_when_idle = false;
@@ -72,14 +72,14 @@ TEST(RandomLocalBroadcast, RequiresKnownLatencies) {
   const auto g = make_path(3);
   NetworkView view(g, false);
   EXPECT_THROW(RandomLocalBroadcast(
-                   view, 1, RandomLocalBroadcast::own_id_rumors(3), Rng(1)),
+                   view, 1, own_id_rumors(3), Rng(1)),
                std::invalid_argument);
 }
 
 TEST(RandomLocalBroadcast, SeededRumorsRelayed) {
   const auto g = make_path(4);
   NetworkView view(g, true);
-  auto initial = RandomLocalBroadcast::own_id_rumors(4);
+  auto initial = own_id_rumors(4);
   initial[0].set(3);
   RandomLocalBroadcast proto(view, 1, std::move(initial), Rng(11));
   SimOptions opts;

@@ -219,7 +219,7 @@ RunSpec pushpull_spec(std::uint64_t seed, std::int64_t trials) {
   return spec;
 }
 
-std::string rejection(RunSpec spec, std::size_t n) {
+std::string rejection(const RunSpec& spec, std::size_t n) {
   try {
     validate_run(spec, n);
   } catch (const std::invalid_argument& e) {
@@ -258,8 +258,6 @@ TEST(RunExecutor, ValidationRejectsBeforeNarrowing) {
 
   RunSpec rep = pushpull_spec(1, 2);
   rep.protocol = "flooding";
-  validate_run(rep, 16);
-  EXPECT_EQ(rep.rumor_rep, RumorRep::kDense);
   EXPECT_EQ(protocol_label(rep), "flooding/dense");
   EXPECT_EQ(protocol_label(pushpull_spec(1, 2)), "pushpull");
 

@@ -1,12 +1,48 @@
-// Tests for the copy-on-write snapshot arena (util/snapshot.h).
+// Tests for the copy-on-write snapshot arena (util/snapshot.h). This
+// binary counts every global allocation, so a test can assert that a
+// stretch of code allocates nothing.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
+#include <cstddef>
+#include <cstdlib>
+#include <new>
 #include <utility>
 #include <vector>
 
 #include "util/bitset.h"
 #include "util/snapshot.h"
+
+namespace {
+
+std::atomic<std::size_t> g_allocations{0};
+
+void* counted_alloc(std::size_t size, std::size_t align) {
+  g_allocations.fetch_add(1, std::memory_order_relaxed);
+  if (align <= alignof(std::max_align_t)) align = 1;
+  // aligned_alloc wants a non-zero multiple of the alignment.
+  const std::size_t bytes = (std::max<std::size_t>(size, 1) + align - 1) /
+                            align * align;
+  void* p = align == 1 ? std::malloc(bytes) : std::aligned_alloc(align, bytes);
+  if (p == nullptr) throw std::bad_alloc();
+  return p;
+}
+
+}  // namespace
+
+// The array and nothrow forms forward to these two.
+void* operator new(std::size_t size) { return counted_alloc(size, 0); }
+void* operator new(std::size_t size, std::align_val_t align) {
+  return counted_alloc(size, static_cast<std::size_t>(align));
+}
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t, std::align_val_t) noexcept {
+  std::free(p);
+}
 
 namespace latgossip {
 namespace {
@@ -83,6 +119,22 @@ TEST(SnapshotArena, AllocationStopsOncePoolCoversInflightPeak) {
   }
   EXPECT_EQ(arena.allocated_blocks(), 3u);
   EXPECT_EQ(arena.captures(), 150u);
+}
+
+// SnapshotRef::release() is noexcept and returns the block to the
+// arena's pool; a pool that grew there could throw std::bad_alloc
+// through it and terminate the process.
+TEST(SnapshotArena, ReleasingRefsNeverAllocates) {
+  SnapshotArena arena(64);
+  const Bitset src = bits_with(64, {3});
+  std::vector<SnapshotRef> held;
+  held.reserve(200);
+  for (int i = 0; i < 200; ++i) held.push_back(arena.capture(src));
+  ASSERT_EQ(arena.allocated_blocks(), 200u);
+  const std::size_t before = g_allocations.load();
+  held.clear();
+  EXPECT_EQ(g_allocations.load() - before, 0u);
+  EXPECT_EQ(arena.pooled_blocks(), 200u);
 }
 
 TEST(SnapshotCache, SharedReturnsSameBlockUntilInvalidated) {

@@ -164,8 +164,6 @@ TEST(StoreServer, RejectsBadRequests) {
            R"({"op":"spread_curve","graph":{"family":"cycle","n":8},"proto":"flooding"})",
            // sweep without cells
            R"({"op":"sweep"})",
-           // the counting representation no longer exists
-           R"({"op":"completion_time","graph":{"family":"cycle","n":8},"proto":"flooding","rumor_rep":"count"})",
        }) {
     const JsonValue r = parsed(handle_request(store, req, 1, nullptr));
     EXPECT_FALSE(r.get_bool("ok", true)) << req;
@@ -197,7 +195,7 @@ TEST(StoreServer, RejectsNegativeSizesByName) {
   std::filesystem::remove_all(dir);
 }
 
-TEST(StoreServer, FloodingCellsKeyOnRumorRep) {
+TEST(StoreServer, FloodingCellsHitOnRepeat) {
   const std::string dir = scratch_dir("flooding");
   ExperimentStore store(dir);
   const std::string req =

@@ -4,15 +4,18 @@
 //   latgossip analyze --in=FILE [--sweep-iters=N]
 //   latgossip run --in=FILE --proto=<pushpull|flooding|eid|tk|unified>
 //                 [--source=0] [--seed=1] [--trials=N] [--threads=T]
-//                 [--rumor-rep=<dense|sparse|auto>]
-//                 [--dynamics=SPEC]
+//                 [--max-rounds=N] [--known-latencies] [--dynamics=SPEC]
 //                 [--trace=FILE[.json]] [--manifest=FILE.jsonl]
 //                 [--curve-out=FILE.csv]
 //                 [--store=DIR [--store-verify]]
-//   latgossip game --m=N [--p=0.1] --strategy=<adaptive|systematic|random>
+//   latgossip game --m=N [--p=0.1] [--seed=1]
+//                  --strategy=<adaptive|systematic|random>
 //   latgossip serve --store=DIR --socket=PATH [--threads=T]
 //                   [--max-requests=N] [--quiet]
 //   latgossip query --socket=PATH (--req='{"op":…}' | --op=<name>)
+//
+// Every subcommand rejects a flag it does not read ("unknown flag
+// --trails"), so a typo is an error rather than a silent default.
 //
 // Every `run` is one RunSpec handed to execute() (store/run.h), as in
 // `serve`; a single trial is a batch of one, seeded trial_seed(seed, 0)
@@ -44,13 +47,6 @@
 // one JSONL run record per trial (build info, config, SimResult,
 // fingerprint, metrics). --curve-out (pushpull only) writes the
 // per-round informed-count spread across trials as round,min,mean,max.
-// --rumor-rep picks the rumor-set representation for rumor-carrying
-// protocols (currently flooding): dense Bitset, sorted-vector sparse,
-// or auto (dense below 65536 nodes, sparse at or above — see
-// util/rumor_set.h kDenseNodeThreshold and DESIGN.md §5i). Both
-// representations are observationally identical; the choice only
-// moves memory/time. The resolved name is echoed and recorded in the
-// manifest protocol field as e.g. "flooding/sparse".
 //
 // --dynamics=SPEC drives the run under a dynamic-topology scenario
 // (sim/dynamics.h): comma-separated key=value pairs among
@@ -149,6 +145,10 @@ GraphSpec gen_spec(const Args& args) {
 }
 
 int cmd_gen(const Args& args) {
+  args.allow_only({"family", "n", "rows", "cols", "p", "d", "k", "beta",
+                   "attach", "cliques", "size", "bridge", "alpha", "ell",
+                   "streaming", "seed", "lat-uniform", "lat-range",
+                   "lat-twolevel", "out"});
   const WeightedGraph g = generate_graph(gen_spec(args));
   const std::string out = args.get("out", "");
   if (out.empty()) {
@@ -162,6 +162,7 @@ int cmd_gen(const Args& args) {
 }
 
 int cmd_analyze(const Args& args) {
+  args.allow_only({"in", "seed", "sweep-iters"});
   const std::string in = args.get("in", "");
   if (in.empty()) return usage();
   const WeightedGraph g = load_graph(in);
@@ -194,13 +195,15 @@ int cmd_analyze(const Args& args) {
 }
 
 int cmd_run(const Args& args) {
+  args.allow_only({"in", "proto", "source", "seed", "trials", "threads",
+                   "max-rounds", "known-latencies", "dynamics", "trace",
+                   "manifest", "curve-out", "store", "store-verify"});
   const std::string in = args.get("in", "");
   if (in.empty()) return usage();
   const WeightedGraph g = load_graph(in);
   const std::size_t n = g.num_nodes();
   RunSpec spec;
   spec.protocol = args.get("proto", "pushpull");
-  spec.rumor_rep = parse_rumor_rep(args.get("rumor-rep", "auto"));
   spec.source = args.get_int("source", 0);
   spec.seed = static_cast<std::uint64_t>(args.get_int("seed", 1));
   spec.trials = args.get_int("trials", 1);
@@ -239,10 +242,6 @@ int cmd_run(const Args& args) {
   if (one && !out.winners.empty() && !out.winners[0].empty())
     std::printf("winner         %s\n", out.winners[0].c_str());
   std::printf("protocol       %s\n", spec.protocol.c_str());
-  // Only flooding carries rumor sets; other protocols ignore the flag.
-  if (spec.protocol == "flooding")
-    std::printf("rumor rep      %s\n",
-                std::string(rumor_rep_name(spec.rumor_rep)).c_str());
   if (one) {
     std::printf("rounds         %lld\n", static_cast<long long>(first.rounds));
     std::printf("complete       %s\n", first.completed ? "yes" : "NO");
@@ -323,6 +322,7 @@ int cmd_run(const Args& args) {
 }
 
 int cmd_game(const Args& args) {
+  args.allow_only({"m", "seed", "p", "strategy"});
   const auto m = static_cast<std::size_t>(args.get_int("m", 64));
   Rng rng(static_cast<std::uint64_t>(args.get_int("seed", 1)));
   const TargetSet target =
@@ -353,6 +353,7 @@ int cmd_game(const Args& args) {
 }
 
 int cmd_serve(const Args& args) {
+  args.allow_only({"store", "socket", "threads", "max-requests", "quiet"});
   ServeOptions opts;
   opts.store_dir = args.get("store", "");
   opts.socket_path = args.get("socket", "");
@@ -365,6 +366,7 @@ int cmd_serve(const Args& args) {
 }
 
 int cmd_query(const Args& args) {
+  args.allow_only({"socket", "req", "op"});
   const std::string socket_path = args.get("socket", "");
   std::string request = args.get("req", "");
   if (request.empty()) {
