@@ -180,8 +180,8 @@ class PushPullGossip {
     last_gain_.assign(n, 0);
   }
 
-  /// The free own_id_rumors() (util/bitset.h), spelled through the
-  /// class.
+  /// The free own_id_rumors() (util/bitset.h) under the class's name,
+  /// which perfbench/driver.cpp calls.
   static std::vector<Bitset> own_id_rumors(std::size_t n) {
     return latgossip::own_id_rumors(n);
   }

@@ -18,16 +18,16 @@
 //    generated graphs meet in the same key space).
 //
 // The key covers everything that decides a trial's SimResult: protocol
-// (store/run.h protocol_label()), graph content, source node, round
-// cap, fault plan, the per-trial RNG seed, and a model-version tag. The
-// tag is the "fingerprint-relevant build" knob: results are
-// build-flag-invariant by the golden-
-// fingerprint contract (DESIGN.md §5e), so keys deliberately exclude
-// git hash and CXX flags — a rebuild must not cold the cache — and any
-// future change that legitimately alters event streams bumps
-// kStoreModelVersion instead. `latgossip run --store-verify` is the
-// enforcement arm: it recomputes hits and asserts bit-identical
-// results, catching a model change that forgot the bump.
+// name (store/run.h protocol_label()), graph content, source node,
+// round cap, fault plan, the per-trial RNG seed, and a model-version
+// tag. The tag is the "fingerprint-relevant build" knob: results are
+// build-flag-invariant by the golden-fingerprint contract (DESIGN.md
+// §5e), so keys deliberately exclude git hash and CXX flags — a rebuild
+// must not cold the cache — and any future change that legitimately
+// alters event streams bumps kStoreModelVersion instead. `latgossip run
+// --store-verify` is the enforcement arm: it recomputes hits and
+// asserts bit-identical results, catching a model change that forgot
+// the bump.
 //
 // The digest is two independent 64-bit FNV-1a lanes with SplitMix64
 // finalization — 128 bits, deterministic, dependency-free. Not

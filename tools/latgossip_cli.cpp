@@ -1,7 +1,7 @@
 // latgossip — command-line front end for the library.
 //
 //   latgossip gen --family=<name> [family params] --out=FILE [latency opts]
-//   latgossip analyze --in=FILE [--sweep-iters=N]
+//   latgossip analyze --in=FILE [--sweep-iters=N] [--seed=1]
 //   latgossip run --in=FILE --proto=<pushpull|flooding|eid|tk|unified>
 //                 [--source=0] [--seed=1] [--trials=N] [--threads=T]
 //                 [--max-rounds=N] [--known-latencies] [--dynamics=SPEC]
