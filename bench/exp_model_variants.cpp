@@ -10,7 +10,6 @@
 #include <cstdio>
 #include <string>
 
-#include "core/flooding.h"
 #include "core/push_only.h"
 #include "core/push_pull.h"
 #include "core/rr_broadcast.h"
@@ -125,8 +124,8 @@ int main(int argc, char** argv) {
   const auto star = make_star(48);
   for (std::size_t cap : {0u, 1u, 2u, 4u, 8u}) {
     NetworkView view(star, false);
-    RoundRobinFlooding proto(view, GossipGoal::kAllToAll, 0,
-                             own_id_rumors(48));
+    PushPullGossip proto(view, GossipGoal::kAllToAll, 0, own_id_rumors(48),
+                         Rng{}, ContactRule::kRoundRobin);
     SimOptions opts;
     opts.max_incoming_per_round = cap;
     opts.max_rounds = 1'000'000;

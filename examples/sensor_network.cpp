@@ -18,7 +18,6 @@
 
 #include "analysis/distance.h"
 #include "app/aggregate.h"
-#include "core/flooding.h"
 #include "core/push_pull.h"
 #include "core/rr_broadcast.h"
 #include "core/tk_schedule.h"
@@ -68,8 +67,8 @@ int main(int argc, char** argv) {
   // Deterministic round-robin flooding.
   {
     NetworkView view(g, false);
-    RoundRobinFlooding proto(view, GossipGoal::kAllToAll, 0,
-                             own_id_rumors(n));
+    PushPullGossip proto(view, GossipGoal::kAllToAll, 0, own_id_rumors(n),
+                         Rng{}, ContactRule::kRoundRobin);
     SimOptions opts;
     opts.max_rounds = 2'000'000;
     const SimResult r = run_gossip(g, proto, opts);

@@ -26,7 +26,7 @@ namespace latgossip {
 enum class CheckProto : std::uint8_t {
   kPushPull = 0,    ///< PushPullBroadcast (single-source rumor)
   kPushOnly,        ///< PushOnlyBroadcast
-  kFlooding,        ///< RoundRobinFlooding, single-source goal
+  kFlooding,        ///< round-robin PushPullGossip, single-source goal
   kGossipAllToAll,  ///< PushPullGossip, all-to-all goal (rumor sets)
   kGossipLocal,     ///< PushPullGossip, local-broadcast goal (rumor sets)
   kUnified,         ///< run_unified (both branches)

@@ -6,7 +6,6 @@
 
 #include "check/invariants.h"
 #include "core/eid.h"
-#include "core/flooding.h"
 #include "core/push_only.h"
 #include "core/push_pull.h"
 #include "core/rr_broadcast.h"
@@ -67,8 +66,9 @@ RunArtifacts run_simple_once(const TestCase& tc, const WeightedGraph& g,
       break;
     }
     case CheckProto::kFlooding: {
-      RoundRobinFlooding proto(view, GossipGoal::kSingleSource, tc.source,
-                               own_id_rumors(tc.num_nodes));
+      PushPullGossip proto(view, GossipGoal::kSingleSource, tc.source,
+                           own_id_rumors(tc.num_nodes), Rng{},
+                           ContactRule::kRoundRobin);
       a.result = drive(proto);
       break;
     }

@@ -179,11 +179,10 @@ class DtgLocalBroadcast {
   Payload capture_payload_copy(NodeId u, Round /*r*/) {
     const NodeState& st = state_[u];
     if (st.active)
-      return Payload{data_snaps_.fresh(st.work_data, st.work_data_count),
-                     session_snaps_.fresh(st.work_session,
-                                          st.work_session_count)};
-    return Payload{data_snaps_.fresh(master_[u], master_count_[u]),
-                   session_snaps_.fresh(st.session, st.session_count)};
+      return Payload{data_snaps_.fresh(st.work_data),
+                     session_snaps_.fresh(st.work_session)};
+    return Payload{data_snaps_.fresh(master_[u]),
+                   session_snaps_.fresh(st.session)};
   }
 
   void deliver(NodeId u, NodeId /*peer*/, Payload payload, EdgeId /*e*/,

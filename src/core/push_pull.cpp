@@ -60,35 +60,6 @@ BiasedPushPullBroadcast::BiasedPushPullBroadcast(const NetworkView& view,
   informed_count_ = 1;
 }
 
-void BiasedPushPullBroadcast::reset(const NetworkView& view, NodeId source,
-                                    double rho, Rng rng) {
-  if (source >= view.num_nodes())
-    throw std::invalid_argument("biased push-pull: bad source");
-  if (rho < 0.0)
-    throw std::invalid_argument("biased push-pull: rho must be >= 0");
-  if (!view.latencies_known())
-    throw std::invalid_argument(
-        "biased push-pull needs latency knowledge to bias by latency");
-  const bool same_weights = &view.graph() == &view_.graph() && rho == rho_ &&
-                            cumulative_.size() == view.num_nodes();
-  view_ = view;
-  rng_ = rng;
-  rho_ = rho;
-  if (!same_weights) {
-    cumulative_.assign(view.num_nodes(), {});
-    for (NodeId u = 0; u < view.num_nodes(); ++u) {
-      double total = 0.0;
-      for (const HalfEdge& h : view.neighbors(u)) {
-        total += std::pow(static_cast<double>(view.latency(h.edge)), -rho);
-        cumulative_[u].push_back(total);
-      }
-    }
-  }
-  informed_.assign(view.num_nodes(), false);
-  informed_[source] = true;
-  informed_count_ = 1;
-}
-
 std::optional<Contact> BiasedPushPullBroadcast::select_contact(NodeId u,
                                                                Round) {
   const auto& cum = cumulative_[u];

@@ -101,8 +101,8 @@ class RandomLocalBroadcast {
 
   /// Naive deep-copy capture for the reference oracle (sim/oracle.h).
   Payload capture_payload_copy(NodeId u, Round /*r*/) {
-    return Payload{data_snaps_.fresh(master_[u], master_count_[u]),
-                   session_snaps_.fresh(session_[u], session_count_[u])};
+    return Payload{data_snaps_.fresh(master_[u]),
+                   session_snaps_.fresh(session_[u])};
   }
 
   void deliver(NodeId u, NodeId /*peer*/, Payload payload, EdgeId /*e*/,

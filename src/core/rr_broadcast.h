@@ -71,7 +71,7 @@ class RRBroadcast {
 
   /// Naive deep-copy capture for the reference oracle (sim/oracle.h).
   Payload capture_payload_copy(NodeId u, Round /*r*/) {
-    return snapshots_.fresh(rumors_[u], rumor_count_[u]);
+    return snapshots_.fresh(rumors_[u]);
   }
 
   void deliver(NodeId u, NodeId /*peer*/, Payload payload, EdgeId /*e*/,

@@ -3,7 +3,6 @@
 #include <stdexcept>
 #include <vector>
 
-#include "core/flooding.h"
 #include "core/push_pull.h"
 #include "core/rr_broadcast.h"
 #include "obs/recorder.h"
@@ -83,8 +82,8 @@ ReductionResult run_gadget_reduction(const GuessingGadget& gadget,
       return drive(gadget, proto, max_rounds);
     }
     case ReductionProtocol::kFlooding: {
-      RoundRobinFlooding proto(view, GossipGoal::kLocalBroadcast, 0,
-                               own_id_rumors(n));
+      PushPullGossip proto(view, GossipGoal::kLocalBroadcast, 0,
+                           own_id_rumors(n), Rng{}, ContactRule::kRoundRobin);
       return drive(gadget, proto, max_rounds);
     }
   }

@@ -43,7 +43,6 @@
 // Algorithms
 #include "core/dtg.h"
 #include "core/eid.h"
-#include "core/flooding.h"
 #include "core/latency_discovery.h"
 #include "core/push_only.h"
 #include "core/push_pull.h"

@@ -7,7 +7,6 @@
 #include <string_view>
 
 #include "core/eid.h"
-#include "core/flooding.h"
 #include "core/push_pull.h"
 #include "core/tk_schedule.h"
 #include "core/unified.h"
@@ -172,8 +171,8 @@ RunOutcome execute(const RunSpec& spec, const WeightedGraph& g,
       if (sinks.curves) out.curves[t] = informed_curve(proto, n, result.rounds);
     } else if (spec.protocol == "flooding") {
       const NetworkView view(g, false);
-      RoundRobinFlooding proto(view, GossipGoal::kAllToAll, source,
-                               own_id_rumors(n));
+      PushPullGossip proto(view, GossipGoal::kAllToAll, source,
+                           own_id_rumors(n), Rng{}, ContactRule::kRoundRobin);
       result = run_gossip(g, proto, opts);
       if (want_freshness) freshness = freshness_of(proto, n, result.rounds);
     } else if (spec.protocol == "eid") {

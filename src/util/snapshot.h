@@ -22,8 +22,10 @@
 //    set is immutable for the life of the handle.
 //  * SnapshotCache — per-node "current snapshot" slots with a
 //    dirty bit (an empty slot IS the dirty bit): shared() re-captures
-//    only after invalidate(), fresh() always deep-copies (the reference
-//    oracle's naive path, see sim/oracle.h).
+//    only after invalidate() and takes the protocol's incremental
+//    count; fresh() always deep-copies and recounts in the same pass
+//    (the reference oracle's naive path, see sim/oracle.h), so a
+//    protocol whose count drifts diverges from the oracle.
 //
 // Lifetime: every snapshot ref must die before its arena. Protocols get
 // this for free by declaring the cache/arena member before any member
@@ -34,7 +36,6 @@
 // refcounts are plain integers.
 
 #include <algorithm>
-#include <cassert>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
@@ -166,26 +167,6 @@ class SnapshotArena {
     return SnapshotRef(block);
   }
 
-  /// Reset for a new trial. Precondition: every ref into this arena has
-  /// died (all blocks recycled into the pool) — guaranteed at trial
-  /// boundaries because the engine releases pending deliveries before
-  /// run_gossip returns and SnapshotCache::reset drops its slots
-  /// first. Same width: keeps slabs and pool, so the next run's captures
-  /// reuse every block already allocated (steady-state reuse allocates
-  /// nothing; stale block contents are overwritten at capture). New
-  /// width: drops everything and starts fresh.
-  void reset(std::size_t bits) {
-    if (bits == bits_) {
-      assert(pool_.size() == allocated_ && "SnapshotArena::reset with refs");
-      return;
-    }
-    slabs_.clear();
-    pool_.clear();
-    next_in_slab_ = kSlabBlocks;
-    allocated_ = 0;
-    bits_ = bits;
-  }
-
   /// Blocks ever allocated (the steady-state ceiling: once the pool
   /// covers the in-flight peak this stops growing).
   std::size_t allocated_blocks() const noexcept { return allocated_; }
@@ -235,11 +216,6 @@ class SnapshotArena {
     block->count = known_count;
     block->stale = false;
   }
-  void refill(snapshot_detail::Block* block, const Bitset& contents) {
-    ++captures_;
-    block->count = block->bits.assign_and_count(contents);
-    block->stale = false;
-  }
 
   /// Reached from the noexcept SnapshotRef::release(): acquire() keeps
   /// pool_.capacity() >= allocated_, so this push never allocates.
@@ -279,14 +255,8 @@ class SnapshotCache {
   /// by refcount bump alone. A changed node whose previous snapshot is
   /// no longer referenced elsewhere refills the same block in place —
   /// one stable block per quiet node, instead of churning the pool.
-  SnapshotRef shared(std::size_t node, const Bitset& contents) {
-    SnapshotRef& slot = cached_[node];
-    if (!slot)
-      slot = arena_.capture(contents);
-    else if (slot.block_->stale)
-      arena_.refill(slot.block_, contents);
-    return slot;
-  }
+  /// `known_count` is contents.count(), which the caller maintains
+  /// incrementally; the engine path trusts it instead of recounting.
   SnapshotRef shared(std::size_t node, const Bitset& contents,
                      std::size_t known_count) {
     SnapshotRef& slot = cached_[node];
@@ -299,12 +269,11 @@ class SnapshotCache {
 
   /// An always-fresh private deep copy — the reference oracle's naive
   /// capture path (never shared, never cached), so engine-vs-oracle
-  /// differential runs prove snapshot sharing ≡ copy-at-capture.
+  /// differential runs prove snapshot sharing ≡ copy-at-capture. The
+  /// count is recomputed in the copy pass, never taken from the caller,
+  /// so the same runs also check shared()'s incremental counts.
   SnapshotRef fresh(const Bitset& contents) {
     return arena_.capture(contents);
-  }
-  SnapshotRef fresh(const Bitset& contents, std::size_t known_count) {
-    return arena_.capture(contents, known_count);
   }
 
   /// Mark the node's state changed: the next shared() re-copies. If the
@@ -320,16 +289,6 @@ class SnapshotCache {
       else
         slot.reset();
     }
-  }
-
-  /// Reset for a new trial: releases every cached slot (recycling the
-  /// blocks), resizes to `nodes` slots, and resets the arena. With
-  /// unchanged sizes the slot vector and the arena's slabs are reused
-  /// as-is — the workspace-reuse steady state allocates nothing here.
-  void reset(std::size_t nodes, std::size_t bits) {
-    for (SnapshotRef& slot : cached_) slot.reset();
-    cached_.resize(nodes);
-    arena_.reset(bits);
   }
 
   const SnapshotArena& arena() const noexcept { return arena_; }

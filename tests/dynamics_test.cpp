@@ -16,7 +16,6 @@
 #include "check/differential.h"
 #include "check/invariants.h"
 #include "check/shrink.h"
-#include "core/flooding.h"
 #include "core/push_pull.h"
 #include "graph/generators.h"
 #include "graph/latency_models.h"
@@ -362,8 +361,10 @@ TEST(DynamicsResetTest, RejoinWithResetEqualsFreshNode) {
   {
     const std::size_t n = g.num_nodes();
     NetworkView view(g, false);
-    RoundRobinFlooding proto(view, GossipGoal::kAllToAll, 0, own_id_rumors(n));
-    RoundRobinFlooding fresh(view, GossipGoal::kAllToAll, 0, own_id_rumors(n));
+    PushPullGossip proto(view, GossipGoal::kAllToAll, 0, own_id_rumors(n),
+                         Rng{}, ContactRule::kRoundRobin);
+    PushPullGossip fresh(view, GossipGoal::kAllToAll, 0, own_id_rumors(n),
+                         Rng{}, ContactRule::kRoundRobin);
     SimOptions opts;
     opts.max_rounds = 500;
     ASSERT_TRUE(run_gossip(g, proto, opts).completed);

@@ -12,6 +12,9 @@
 #include "graph/latency_models.h"
 #include "obs/recorder.h"
 #include "sim/engine.h"
+#include "sim/oracle.h"
+#include "util/bitset.h"
+#include "util/snapshot.h"
 
 namespace latgossip {
 namespace {
@@ -329,6 +332,48 @@ TEST(Engine, BothEndpointsSnapshotAtInitiationRound) {
   proto.schedule(1, 1, 0);
   run_gossip(g, proto, {});
   ASSERT_EQ(proto.deliveries.size(), 4u);
+}
+
+/// A rumor-set protocol whose incremental count is one too high: its
+/// engine capture hands that count to shared(), while its oracle
+/// capture goes through fresh(), which counts the copy itself.
+class OvercountingRumors {
+ public:
+  using Payload = SnapshotRef;
+
+  explicit OvercountingRumors(std::size_t n)
+      : rumors_(own_id_rumors(n)), snapshots_(n, n) {}
+
+  static std::size_t payload_bits(const Payload& p) { return p.count(); }
+
+  std::optional<NodeId> select_contact(NodeId u, Round r) {
+    return (u == 0 && r == 0) ? std::optional<NodeId>(1) : std::nullopt;
+  }
+  Payload capture_payload(NodeId u, Round) {
+    return snapshots_.shared(u, rumors_[u], rumors_[u].count() + 1);
+  }
+  Payload capture_payload_copy(NodeId u, Round) {
+    return snapshots_.fresh(rumors_[u]);
+  }
+  void deliver(NodeId, NodeId, Payload, EdgeId, Round, Round) {}
+  bool done(Round) const { return false; }
+
+ private:
+  std::vector<Bitset> rumors_;
+  SnapshotCache snapshots_;
+};
+
+TEST(OracleCapture, RecountsRumorSnapshots) {
+  // A protocol whose rumor count drifts from its set must diverge from
+  // the oracle: the oracle's capture recounts instead of trusting it.
+  const auto g = build_graph(2, {{0, 1, 1}});
+  OvercountingRumors engine_side(2);
+  OvercountingRumors oracle_side(2);
+  const SimResult engine = run_gossip(g, engine_side, {});
+  const SimResult oracle = run_gossip_oracle(g, oracle_side, {});
+  EXPECT_EQ(engine.payload_bits, 4u);  // two legs, each claiming 2 rumors
+  EXPECT_EQ(oracle.payload_bits, 2u);  // two legs, each holding 1 rumor
+  EXPECT_NE(engine.payload_bits, oracle.payload_bits);
 }
 
 }  // namespace

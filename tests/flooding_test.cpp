@@ -1,8 +1,11 @@
-// Tests for the round-robin flooding baseline.
+// Tests for the round-robin flooding baseline: PushPullGossip under
+// ContactRule::kRoundRobin.
 
 #include <gtest/gtest.h>
 
-#include "core/flooding.h"
+#include <optional>
+
+#include "core/push_pull.h"
 #include "core/rr_broadcast.h"
 #include "graph/generators.h"
 #include "graph/latency_models.h"
@@ -11,10 +14,16 @@
 namespace latgossip {
 namespace {
 
+PushPullGossip flooding(const NetworkView& view, GossipGoal goal,
+                        NodeId source = 0) {
+  return PushPullGossip(view, goal, source, own_id_rumors(view.num_nodes()),
+                        Rng{}, ContactRule::kRoundRobin);
+}
+
 SimResult run_flood(const WeightedGraph& g, GossipGoal goal,
                     Round max_rounds = 200'000) {
   NetworkView view(g, false);
-  RoundRobinFlooding proto(view, goal, 0, own_id_rumors(g.num_nodes()));
+  PushPullGossip proto = flooding(view, goal);
   SimOptions opts;
   opts.max_rounds = max_rounds;
   return run_gossip(g, proto, opts);
@@ -58,8 +67,7 @@ TEST(Flooding, StarSingleSourceFromLeaf) {
   // push-only trap: the hub relays to each leaf round-robin.
   const auto g = make_star(12);
   NetworkView view(g, false);
-  RoundRobinFlooding proto(view, GossipGoal::kSingleSource, 1,
-                           own_id_rumors(12));
+  PushPullGossip proto = flooding(view, GossipGoal::kSingleSource, 1);
   SimOptions opts;
   opts.max_rounds = 10'000;
   const SimResult r = run_gossip(g, proto, opts);
@@ -69,8 +77,7 @@ TEST(Flooding, StarSingleSourceFromLeaf) {
 
 TEST(Flooding, RumorSetsCompleteAtTermination) {
   const auto g = make_grid(4, 4);
-  RoundRobinFlooding proto(NetworkView(g, false), GossipGoal::kAllToAll, 0,
-                           own_id_rumors(16));
+  PushPullGossip proto = flooding(NetworkView(g, false), GossipGoal::kAllToAll);
   SimOptions opts;
   opts.max_rounds = 100'000;
   const SimResult r = run_gossip(g, proto, opts);
@@ -81,9 +88,27 @@ TEST(Flooding, RumorSetsCompleteAtTermination) {
 TEST(Flooding, ValidatesInput) {
   const auto g = make_path(3);
   NetworkView view(g, false);
-  EXPECT_THROW(
-      RoundRobinFlooding(view, GossipGoal::kAllToAll, 0, own_id_rumors(2)),
-      std::invalid_argument);
+  EXPECT_THROW(PushPullGossip(view, GossipGoal::kAllToAll, 0,
+                              own_id_rumors(2), Rng{},
+                              ContactRule::kRoundRobin),
+               std::invalid_argument);
+}
+
+TEST(Flooding, CyclesAdjacencyAndRestartsOnReset) {
+  const auto g = make_star(4);  // hub 0 has degree 3
+  NetworkView view(g, false);
+  PushPullGossip proto = flooding(view, GossipGoal::kAllToAll);
+  const auto expect_slot = [&](std::size_t slot, Round r) {
+    const std::optional<Contact> c = proto.select_contact(0, r);
+    ASSERT_TRUE(c.has_value());
+    EXPECT_EQ(c->node, g.edge_at(0, slot).to);
+    EXPECT_EQ(c->edge, g.edge_at(0, slot).edge);
+  };
+  for (const std::size_t slot : {0u, 1u, 2u, 0u})
+    expect_slot(slot, 0);
+  // A rejoining node restarts at its first neighbor, not at slot 1.
+  proto.reset_node(0, 5);
+  expect_slot(0, 5);
 }
 
 }  // namespace

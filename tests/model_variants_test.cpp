@@ -5,7 +5,6 @@
 #include <gtest/gtest.h>
 
 #include "core/dtg.h"
-#include "core/flooding.h"
 #include "core/push_pull.h"
 #include "core/rr_broadcast.h"
 #include "graph/builder.h"
@@ -101,8 +100,8 @@ TEST(InDegreeCap, ExcessInitiationsRejected) {
   // most initiations bounce.
   const auto g = make_star(10);
   NetworkView view(g, false);
-  RoundRobinFlooding proto(view, GossipGoal::kAllToAll, 0,
-                           own_id_rumors(10));
+  PushPullGossip proto(view, GossipGoal::kAllToAll, 0, own_id_rumors(10),
+                       Rng{}, ContactRule::kRoundRobin);
   SimOptions opts;
   opts.max_incoming_per_round = 2;
   opts.max_rounds = 5'000;
@@ -116,8 +115,8 @@ TEST(InDegreeCap, CapSlowsStarDissemination) {
   Round uncapped = 0, capped = 0;
   {
     NetworkView view(g, false);
-    RoundRobinFlooding proto(view, GossipGoal::kAllToAll, 0,
-                             own_id_rumors(16));
+    PushPullGossip proto(view, GossipGoal::kAllToAll, 0, own_id_rumors(16),
+                         Rng{}, ContactRule::kRoundRobin);
     SimOptions opts;
     opts.max_rounds = 100'000;
     const SimResult r = run_gossip(g, proto, opts);
@@ -126,8 +125,8 @@ TEST(InDegreeCap, CapSlowsStarDissemination) {
   }
   {
     NetworkView view(g, false);
-    RoundRobinFlooding proto(view, GossipGoal::kAllToAll, 0,
-                             own_id_rumors(16));
+    PushPullGossip proto(view, GossipGoal::kAllToAll, 0, own_id_rumors(16),
+                         Rng{}, ContactRule::kRoundRobin);
     SimOptions opts;
     opts.max_rounds = 100'000;
     opts.max_incoming_per_round = 1;
@@ -141,7 +140,8 @@ TEST(InDegreeCap, CapSlowsStarDissemination) {
 TEST(InDegreeCap, UnlimitedByDefault) {
   const auto g = make_star(8);
   NetworkView view(g, false);
-  RoundRobinFlooding proto(view, GossipGoal::kAllToAll, 0, own_id_rumors(8));
+  PushPullGossip proto(view, GossipGoal::kAllToAll, 0, own_id_rumors(8),
+                       Rng{}, ContactRule::kRoundRobin);
   SimOptions opts;
   opts.max_rounds = 10'000;
   const SimResult r = run_gossip(g, proto, opts);

@@ -263,38 +263,6 @@ TEST(TrialPoolWorkspace, RecordingFingerprintsUnchangedByReuse) {
   }
 }
 
-TEST(TrialPoolWorkspace, SteadyStateSnapshotArenaIsFlat) {
-  // Sequential rumor-set sweep with a workspace-parked PushPullGossip:
-  // after a warm-up batch, re-running the identical batch allocates no
-  // new snapshot blocks and constructs no new workspace slots — the
-  // "steady-state trials allocate nothing" claim, measured through the
-  // arena's own instrumentation.
-  const WeightedGraph g = test_graph();
-  const TrialWsFn fn = [&g](std::size_t, Rng rng, TrialWorkspace& ws) {
-    NetworkView view(g, false);
-    auto& proto = ws.slot<PushPullGossip>(
-        view, GossipGoal::kAllToAll, NodeId{0},
-        own_id_rumors(view.num_nodes()), rng);
-    proto.reset_own_id(view, GossipGoal::kAllToAll, 0, rng);
-    SimOptions opts;
-    opts.workspace = &ws;
-    return run_gossip(g, proto, opts);
-  };
-  const TrialAggregate warm = run_trials(4, 1, 9, fn);
-  TrialWorkspace& ws = trial_workspace();
-  const PushPullGossip* proto = ws.find_slot<PushPullGossip>();
-  ASSERT_NE(proto, nullptr);
-  const std::size_t blocks_after_warm = proto->snapshot_arena().allocated_blocks();
-  const std::size_t slots_after_warm = ws.num_slots();
-  EXPECT_GT(blocks_after_warm, 0u);
-
-  const TrialAggregate again = run_trials(4, 1, 9, fn);
-  EXPECT_EQ(proto->snapshot_arena().allocated_blocks(), blocks_after_warm);
-  EXPECT_EQ(ws.num_slots(), slots_after_warm);
-  // And reuse changed nothing observable.
-  EXPECT_EQ(warm.trials, again.trials);
-}
-
 TEST(TrialPoolWorkspace, ProtocolResetMatchesFreshConstruction) {
   const WeightedGraph g = test_graph();
   const NetworkView view(g, false);
@@ -306,25 +274,6 @@ TEST(TrialPoolWorkspace, ProtocolResetMatchesFreshConstruction) {
   reused.reset(view, 3, Rng(11));
   EXPECT_EQ(run_gossip(g, reused), first);
   EXPECT_THROW(reused.reset(view, 1000, Rng(1)), std::invalid_argument);
-
-  // Rumor-set gossip: same, with the snapshot arena recycled in place.
-  PushPullGossip gfresh(view, GossipGoal::kAllToAll, 0,
-                        own_id_rumors(g.num_nodes()), Rng(13));
-  const SimResult gfirst = run_gossip(g, gfresh);
-  PushPullGossip greused(view, GossipGoal::kAllToAll, 0,
-                         own_id_rumors(g.num_nodes()), Rng(7));
-  (void)run_gossip(g, greused);
-  greused.reset_own_id(view, GossipGoal::kAllToAll, 0, Rng(13));
-  EXPECT_EQ(run_gossip(g, greused), gfirst);
-
-  // Biased broadcast (known latencies): reset matches fresh as well.
-  const NetworkView known(g, true);
-  BiasedPushPullBroadcast bfresh(known, 2, 1.0, Rng(17));
-  const SimResult bfirst = run_gossip(g, bfresh);
-  BiasedPushPullBroadcast breused(known, 0, 1.0, Rng(5));
-  (void)run_gossip(g, breused);
-  breused.reset(known, 2, 1.0, Rng(17));
-  EXPECT_EQ(run_gossip(g, breused), bfirst);
 }
 
 }  // namespace

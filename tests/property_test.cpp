@@ -12,7 +12,6 @@
 #include "analysis/spanner_check.h"
 #include "core/dtg.h"
 #include "core/eid.h"
-#include "core/flooding.h"
 #include "core/push_pull.h"
 #include "core/rr_broadcast.h"
 #include "core/spanner.h"
@@ -105,8 +104,9 @@ TEST_P(DisseminationSweep, FloodingAllToAllCompletes) {
   const auto [family, model, seed] = GetParam();
   const auto g = build(family, model, seed);
   NetworkView view(g, false);
-  RoundRobinFlooding proto(view, GossipGoal::kAllToAll, 0,
-                           own_id_rumors(g.num_nodes()));
+  PushPullGossip proto(view, GossipGoal::kAllToAll, 0,
+                       own_id_rumors(g.num_nodes()), Rng{},
+                       ContactRule::kRoundRobin);
   SimOptions opts;
   opts.max_rounds = 1'000'000;
   ASSERT_TRUE(run_gossip(g, proto, opts).completed);
@@ -296,8 +296,9 @@ TEST_P(FaultSweep, FloodingCompletesUnderLinkLoss) {
   const auto [family, drop_pct, seed] = GetParam();
   const auto g = build(family, LatModel::kUnit, seed);
   NetworkView view(g, false);
-  RoundRobinFlooding proto(view, GossipGoal::kAllToAll, 0,
-                           own_id_rumors(g.num_nodes()));
+  PushPullGossip proto(view, GossipGoal::kAllToAll, 0,
+                       own_id_rumors(g.num_nodes()), Rng{},
+                       ContactRule::kRoundRobin);
   DynamicSpec lossy;
   lossy.drop_prob = drop_pct / 100.0;
   lossy.fault_seed = seed * 107 + 9;

@@ -140,8 +140,8 @@ TEST(SnapshotArena, ReleasingRefsNeverAllocates) {
 TEST(SnapshotCache, SharedReturnsSameBlockUntilInvalidated) {
   SnapshotCache cache(4, 32);
   Bitset state = bits_with(32, {0, 1});
-  const SnapshotRef a = cache.shared(0, state);
-  const SnapshotRef b = cache.shared(0, state);
+  const SnapshotRef a = cache.shared(0, state, 2);
+  const SnapshotRef b = cache.shared(0, state, 2);
   EXPECT_EQ(a.id(), b.id());
   EXPECT_EQ(cache.arena().captures(), 1u);
 
@@ -159,26 +159,28 @@ TEST(SnapshotCache, SlotsAreIndependentPerNode) {
   SnapshotCache cache(2, 16);
   const Bitset s0 = bits_with(16, {0});
   const Bitset s1 = bits_with(16, {1});
-  const SnapshotRef a = cache.shared(0, s0);
-  const SnapshotRef b = cache.shared(1, s1);
+  const SnapshotRef a = cache.shared(0, s0, 1);
+  const SnapshotRef b = cache.shared(1, s1, 1);
   EXPECT_NE(a.id(), b.id());
   cache.invalidate(0);
-  const SnapshotRef b2 = cache.shared(1, s1);
+  const SnapshotRef b2 = cache.shared(1, s1, 1);
   EXPECT_EQ(b2.id(), b.id());  // node 1's slot survived node 0's invalidate
 }
 
 TEST(SnapshotCache, FreshAlwaysDeepCopies) {
   SnapshotCache cache(1, 16);
-  const Bitset s = bits_with(16, {3});
-  const SnapshotRef shared1 = cache.shared(0, s);
+  const Bitset s = bits_with(16, {3, 9});
+  const SnapshotRef shared1 = cache.shared(0, s, 2);
   const SnapshotRef f1 = cache.fresh(s);
-  const SnapshotRef f2 = cache.fresh(s, 1);
+  const SnapshotRef f2 = cache.fresh(s);
   EXPECT_NE(f1.id(), shared1.id());
   EXPECT_NE(f2.id(), f1.id());
   EXPECT_TRUE(f1.bits() == s);
-  EXPECT_EQ(f2.count(), 1u);
+  // fresh() counts its copy; it never takes a count from the caller.
+  EXPECT_EQ(f1.count(), s.count());
+  EXPECT_EQ(f2.count(), s.count());
   // fresh() never touches the cached slot.
-  const SnapshotRef shared2 = cache.shared(0, s);
+  const SnapshotRef shared2 = cache.shared(0, s, 2);
   EXPECT_EQ(shared2.id(), shared1.id());
 }
 
@@ -188,7 +190,7 @@ TEST(SnapshotCache, InvalidateWithSoleReferenceRefillsInPlace) {
   // stable block forever instead of cycling the pool.
   SnapshotCache cache(1, 16);
   Bitset state = bits_with(16, {0});
-  const void* const id = cache.shared(0, state).id();
+  const void* const id = cache.shared(0, state, 1).id();
   cache.invalidate(0);
   EXPECT_EQ(cache.arena().pooled_blocks(), 0u);  // block kept, not recycled
 
@@ -208,11 +210,11 @@ TEST(SnapshotCache, InvalidateWithInflightReferenceDropsTheBlock) {
   // copies into a different block.
   SnapshotCache cache(1, 16);
   Bitset state = bits_with(16, {0});
-  SnapshotRef inflight = cache.shared(0, state);
+  SnapshotRef inflight = cache.shared(0, state, 1);
   cache.invalidate(0);
 
   state.set(5);
-  const SnapshotRef refreshed = cache.shared(0, state);
+  const SnapshotRef refreshed = cache.shared(0, state, 2);
   EXPECT_NE(refreshed.id(), inflight.id());
   EXPECT_FALSE(inflight.bits().test(5));  // old view untouched
   EXPECT_TRUE(refreshed.bits().test(5));
