@@ -39,8 +39,8 @@
 //    the hooked path otherwise, so hook-free runs pay zero
 //    test-and-branch per event;
 //  * protocols that already know which half-edge they picked can return
-//    a Contact{node, edge} and skip the per-activation find_edge() hash
-//    lookup; the plain NodeId return stays supported;
+//    a Contact{node, edge} and skip the per-activation find_edge()
+//    binary search; the plain NodeId return stays supported;
 //  * payloads are obtained through the PayloadTraits hook below:
 //    rumor-set protocols capture copy-on-write snapshot handles
 //    (util/snapshot.h) so scheduling an exchange is allocation-free in
@@ -98,7 +98,8 @@ class NetworkView {
 /// A contact choice that names the connecting edge as well as the peer.
 /// Protocols that pick a neighbor straight out of neighbors(u) already
 /// hold the HalfEdge, so returning both lets the engine skip the
-/// find_edge() hash lookup on every activation.
+/// find_edge() binary search (O(log deg) in the sorted CSR slice) on
+/// every activation.
 struct Contact {
   NodeId node = kInvalidNode;
   EdgeId edge = kInvalidEdge;
@@ -122,7 +123,7 @@ concept SelectsByNodeId = requires(P p, NodeId u, Round r) {
 ///  - Payload: the information carried by one direction of an exchange.
 ///  - select_contact(u, r): the neighbor u initiates with in round r —
 ///    either a NodeId (the engine resolves the edge via find_edge) or a
-///    Contact{node, edge} (no hash lookup; the engine validates that the
+///    Contact{node, edge} (no search; the engine validates that the
 ///    edge really joins u and node) — or nullopt to stay silent.
 ///  - capture_payload(u, r): snapshot of u's transmitted state.
 ///  - deliver(u, peer, payload, edge, start, now): u receives peer's

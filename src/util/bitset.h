@@ -112,9 +112,10 @@ class Bitset {
 
   /// Re-zero under a (possibly different) bit count. When the word
   /// count is unchanged this reuses the existing storage — the
-  /// workspace-reuse steady state (DESIGN.md §5h) re-arms every
-  /// rumor/informed set without touching the heap. (`reset(i)` above
-  /// clears one bit; this re-initializes the whole set.)
+  /// workspace-reuse steady state (DESIGN.md §5h) re-arms an informed
+  /// set, and a churn reset a rumor set, without touching the heap.
+  /// (`reset(i)` above clears one bit; this re-initializes the whole
+  /// set.)
   void reinit(std::size_t size) {
     const std::size_t words = (size + 63) / 64;
     if (words == num_words_) {
