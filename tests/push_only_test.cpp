@@ -173,6 +173,35 @@ TEST(PullOnly, UnsolicitedPushesIgnored) {
   EXPECT_TRUE(proto.informed(0));
 }
 
+/// Pull-only from source 0 on nodes {0, 1, w} joined by edges {0,1}
+/// (latency 5) and {1,w} (latency 2); ids between 2 and w are
+/// isolated. Returns the activations and the informed flags of 0, 1
+/// and w.
+std::vector<std::size_t> pull_three_nodes(NodeId w, std::uint64_t seed) {
+  GraphBuilder b(w + 1);
+  b.add_edge(0, 1, 5);
+  b.add_edge(1, w, 2);
+  const WeightedGraph g = b.build();
+  NetworkView view(g, false);
+  PullOnlyBroadcast proto(view, 0, Rng(seed));
+  SimOptions opts;
+  opts.max_rounds = 200;
+  const SimResult r = run_gossip(g, proto, opts);
+  for (NodeId v = 2; v < w; ++v) EXPECT_FALSE(proto.informed(v)) << v;
+  return {r.activations, proto.informed(0), proto.informed(1),
+          proto.informed(w)};
+}
+
+TEST(PullOnly, RelabelingToLargeNodeIdsKeepsTheRun) {
+  // Which in-flight exchange a delivery belongs to must not depend on
+  // how large the node ids are: a third node labeled 2^20 (ids 2 ..
+  // 2^20-1 isolated) runs exactly as when it is labeled 2.
+  const NodeId big = NodeId{1} << 20;
+  for (std::uint64_t seed = 1; seed <= 6; ++seed)
+    EXPECT_EQ(pull_three_nodes(big, seed), pull_three_nodes(2, seed))
+        << "seed " << seed;
+}
+
 TEST(PullOnly, ValidatesSource) {
   const auto g = make_path(3);
   NetworkView view(g, false);
