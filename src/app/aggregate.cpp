@@ -18,10 +18,10 @@ MinAggregation::MinAggregation(const NetworkView& view,
     if (v == global_min_) ++converged_count_;
 }
 
-std::optional<NodeId> MinAggregation::select_contact(NodeId u, Round) {
+std::optional<HalfEdge> MinAggregation::select_contact(NodeId u, Round) {
   const auto neigh = view_.neighbors(u);
   if (neigh.empty()) return std::nullopt;
-  return neigh[rng_.uniform(neigh.size())].to;
+  return neigh[rng_.uniform(neigh.size())];
 }
 
 MinAggregation::Payload MinAggregation::capture_payload(NodeId u,

@@ -28,7 +28,7 @@ class MinAggregation {
 
   static std::size_t payload_bits(const Payload&) { return 64; }
 
-  std::optional<NodeId> select_contact(NodeId u, Round r);
+  std::optional<HalfEdge> select_contact(NodeId u, Round r);
   Payload capture_payload(NodeId u, Round r) const;
   void deliver(NodeId u, NodeId peer, Payload payload, EdgeId e, Round start,
                Round now);

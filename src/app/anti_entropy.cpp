@@ -11,10 +11,10 @@ AntiEntropy::AntiEntropy(const NetworkView& view, std::vector<KvStore> stores,
     throw std::invalid_argument("anti-entropy: store count mismatch");
 }
 
-std::optional<NodeId> AntiEntropy::select_contact(NodeId u, Round) {
+std::optional<HalfEdge> AntiEntropy::select_contact(NodeId u, Round) {
   const auto neigh = view_.neighbors(u);
   if (neigh.empty()) return std::nullopt;
-  return neigh[rng_.uniform(neigh.size())].to;
+  return neigh[rng_.uniform(neigh.size())];
 }
 
 AntiEntropy::Payload AntiEntropy::capture_payload(NodeId u, Round) const {

@@ -27,7 +27,7 @@ class AntiEntropy {
     return KvStore::snapshot_bits(p);
   }
 
-  std::optional<NodeId> select_contact(NodeId u, Round r);
+  std::optional<HalfEdge> select_contact(NodeId u, Round r);
   Payload capture_payload(NodeId u, Round r) const;
   void deliver(NodeId u, NodeId peer, Payload payload, EdgeId e, Round start,
                Round now);

@@ -44,7 +44,7 @@ class SymmetricPushPull {
 
   static std::size_t payload_bits(const Payload&) { return 1; }
 
-  std::optional<Contact> select_contact(NodeId u, Round r);
+  std::optional<HalfEdge> select_contact(NodeId u, Round r);
   Payload capture_payload(NodeId u, Round r) const;
   void deliver(NodeId u, NodeId peer, Payload payload, EdgeId e, Round start,
                Round now);

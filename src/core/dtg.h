@@ -64,8 +64,7 @@ class DtgLocalBroadcast {
   /// id is added automatically). Requires view.latencies_known().
   DtgLocalBroadcast(const NetworkView& view, Latency ell,
                     std::vector<Bitset> initial_rumors)
-      : view_(view),
-        ell_(ell),
+      : ell_(ell),
         data_snaps_(view.num_nodes(), view.num_nodes()),
         session_snaps_(view.num_nodes(), view.num_nodes()) {
     if (!view.latencies_known())
@@ -86,8 +85,7 @@ class DtgLocalBroadcast {
       master_[u].set(u);
       master_count_[u] = master_[u].count();
       for (const HalfEdge& h : view.neighbors(u))
-        if (view.latency(h.edge) <= ell) ell_neighbors_[u].push_back(h.to);
-      std::sort(ell_neighbors_[u].begin(), ell_neighbors_[u].end());
+        if (view.latency(h.edge) <= ell) ell_neighbors_[u].push_back(h);
       NodeState st;
       st.linked_set = Bitset(n);
       st.session = Bitset(n);
@@ -103,7 +101,7 @@ class DtgLocalBroadcast {
     active_count_ = n;
   }
 
-  std::optional<NodeId> select_contact(NodeId u, Round r) {
+  std::optional<HalfEdge> select_contact(NodeId u, Round r) {
     if (r % ell_ != 0) return std::nullopt;  // superround boundaries only
     NodeState& st = state_[u];
     if (!st.active) return std::nullopt;
@@ -138,7 +136,7 @@ class DtgLocalBroadcast {
         partner_index = st.step;  // j = 1 up to i
         break;
     }
-    const NodeId partner = st.linked[partner_index];
+    const HalfEdge partner = st.linked[partner_index];
 
     // Advance the script position past this exchange.
     if (++st.step >= i) {
@@ -224,7 +222,7 @@ class DtgLocalBroadcast {
   enum class Phase : std::uint8_t { kPush1, kPull1, kPull2, kPush2 };
 
   struct NodeState {
-    std::vector<NodeId> linked;  ///< u_1 .. u_i in link order
+    std::vector<HalfEdge> linked;  ///< u_1 .. u_i in link order
     Bitset linked_set;           ///< membership mirror of `linked`
     Bitset session;              ///< R: this-invocation rumors received
     Bitset work_data;            ///< R'/R'' data content
@@ -239,8 +237,8 @@ class DtgLocalBroadcast {
 
   /// All G_ℓ neighbor ids of u present in u's session set?
   bool covered(NodeId u) const {
-    for (NodeId w : ell_neighbors_[u])
-      if (!state_[u].session.test(w)) return false;
+    for (const HalfEdge& h : ell_neighbors_[u])
+      if (!state_[u].session.test(h.to)) return false;
     return true;
   }
 
@@ -251,12 +249,12 @@ class DtgLocalBroadcast {
     // such a neighbor is necessarily unlinked (a direct exchange with a
     // linked neighbor has already delivered its session rumor).
     NodeState& st = state_[u];
-    for (NodeId w : ell_neighbors_[u]) {
-      if (st.session.test(w)) continue;
-      if (st.linked_set.test(w))
+    for (const HalfEdge& h : ell_neighbors_[u]) {
+      if (st.session.test(h.to)) continue;
+      if (st.linked_set.test(h.to))
         throw std::logic_error("DTG invariant: linked neighbor missing rumor");
-      st.linked.push_back(w);
-      st.linked_set.set(w);
+      st.linked.push_back(h);
+      st.linked_set.set(h.to);
       st.phase = Phase::kPush1;
       st.step = 0;
       reset_work(u);
@@ -277,9 +275,10 @@ class DtgLocalBroadcast {
     session_snaps_.invalidate(u);
   }
 
-  NetworkView view_;
   Latency ell_;
-  std::vector<std::vector<NodeId>> ell_neighbors_;  ///< sorted by id
+  /// Per node: its G_ℓ adjacency slots, in CSR order (sorted by
+  /// neighbor id, which start_iteration's lowest-id rule relies on).
+  std::vector<std::vector<HalfEdge>> ell_neighbors_;
   std::vector<Bitset> master_;
   std::vector<std::size_t> master_count_;  ///< incremental cardinalities
   std::vector<NodeState> state_;

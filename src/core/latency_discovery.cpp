@@ -23,10 +23,10 @@ ProbeProtocol::ProbeProtocol(const NetworkView& view, Latency wait_budget)
   deadline_ = max_degree + wait_budget;
 }
 
-std::optional<NodeId> ProbeProtocol::select_contact(NodeId u, Round r) {
+std::optional<HalfEdge> ProbeProtocol::select_contact(NodeId u, Round r) {
   const auto neigh = view_.neighbors(u);
   if (static_cast<std::size_t>(r) >= neigh.size()) return std::nullopt;
-  return neigh[static_cast<std::size_t>(r)].to;
+  return neigh[static_cast<std::size_t>(r)];
 }
 
 void ProbeProtocol::deliver(NodeId, NodeId, Payload, EdgeId e, Round start,

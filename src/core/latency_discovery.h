@@ -29,7 +29,7 @@ class ProbeProtocol {
 
   ProbeProtocol(const NetworkView& view, Latency wait_budget);
 
-  std::optional<NodeId> select_contact(NodeId u, Round r);
+  std::optional<HalfEdge> select_contact(NodeId u, Round r);
   Payload capture_payload(NodeId, Round) const { return true; }
   void deliver(NodeId u, NodeId peer, Payload payload, EdgeId e, Round start,
                Round now);

@@ -60,15 +60,14 @@ BiasedPushPullBroadcast::BiasedPushPullBroadcast(const NetworkView& view,
   informed_count_ = 1;
 }
 
-std::optional<Contact> BiasedPushPullBroadcast::select_contact(NodeId u,
-                                                               Round) {
+std::optional<HalfEdge> BiasedPushPullBroadcast::select_contact(NodeId u,
+                                                                Round) {
   const auto& cum = cumulative_[u];
   if (cum.empty()) return std::nullopt;
   const double x = rng_.uniform_double() * cum.back();
   const auto it = std::lower_bound(cum.begin(), cum.end(), x);
   const auto index = static_cast<std::size_t>(it - cum.begin());
-  const HalfEdge& h = view_.neighbors(u)[std::min(index, cum.size() - 1)];
-  return Contact{h.to, h.edge};
+  return view_.neighbors(u)[std::min(index, cum.size() - 1)];
 }
 
 bool BiasedPushPullBroadcast::capture_payload(NodeId u, Round) const {

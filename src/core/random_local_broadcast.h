@@ -44,8 +44,7 @@ class RandomLocalBroadcast {
 
   RandomLocalBroadcast(const NetworkView& view, Latency ell,
                        std::vector<Bitset> initial_rumors, Rng rng)
-      : view_(view),
-        ell_(ell),
+      : ell_(ell),
         rng_(rng),
         data_snaps_(view.num_nodes(), view.num_nodes()),
         session_snaps_(view.num_nodes(), view.num_nodes()) {
@@ -71,7 +70,7 @@ class RandomLocalBroadcast {
       master_[u].set(u);
       master_count_[u] = master_[u].count();
       for (const HalfEdge& h : view.neighbors(u))
-        if (view.latency(h.edge) <= ell) ell_neighbors_[u].push_back(h.to);
+        if (view.latency(h.edge) <= ell) ell_neighbors_[u].push_back(h);
       Bitset s(n);
       s.set(u);
       session_.push_back(std::move(s));
@@ -79,19 +78,25 @@ class RandomLocalBroadcast {
     active_count_ = n;
   }
 
-  std::optional<NodeId> select_contact(NodeId u, Round r) {
+  std::optional<HalfEdge> select_contact(NodeId u, Round r) {
     if (r % ell_ != 0) return std::nullopt;
     if (!active_[u]) return std::nullopt;
-    // Collect the not-yet-heard G_ell neighbors and pick one uniformly.
-    std::vector<NodeId> missing;
-    for (NodeId w : ell_neighbors_[u])
-      if (!session_[u].test(w)) missing.push_back(w);
-    if (missing.empty()) {
+    // Pick one of the not-yet-heard G_ell neighbors uniformly: count
+    // them, draw an index, and walk to it.
+    std::size_t missing = 0;
+    for (const HalfEdge& h : ell_neighbors_[u])
+      if (!session_[u].test(h.to)) ++missing;
+    if (missing == 0) {
       active_[u] = false;
       --active_count_;
       return std::nullopt;
     }
-    return missing[rng_.uniform(missing.size())];
+    std::size_t pick = rng_.uniform(missing);
+    for (const HalfEdge& h : ell_neighbors_[u]) {
+      if (session_[u].test(h.to)) continue;
+      if (pick-- == 0) return h;
+    }
+    throw std::logic_error("random local broadcast: pick out of range");
   }
 
   Payload capture_payload(NodeId u, Round /*r*/) {
@@ -128,15 +133,14 @@ class RandomLocalBroadcast {
 
  private:
   bool covered(NodeId u) const {
-    for (NodeId w : ell_neighbors_[u])
-      if (!session_[u].test(w)) return false;
+    for (const HalfEdge& h : ell_neighbors_[u])
+      if (!session_[u].test(h.to)) return false;
     return true;
   }
 
-  NetworkView view_;
   Latency ell_;
   Rng rng_;
-  std::vector<std::vector<NodeId>> ell_neighbors_;
+  std::vector<std::vector<HalfEdge>> ell_neighbors_;  ///< G_ell slots
   std::vector<Bitset> master_;
   std::vector<Bitset> session_;
   std::vector<std::size_t> master_count_;   ///< incremental cardinalities

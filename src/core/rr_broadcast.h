@@ -5,7 +5,8 @@
 // nodes at weighted distance <= k in G have exchanged rumors.
 //
 // The overlay is normally the oriented Baswana–Sen spanner (Theorem 14);
-// every overlay arc must be an edge of the underlying graph.
+// every overlay arc must be an edge of the underlying graph. The
+// constructor resolves each arc it keeps to that edge once.
 
 #include <algorithm>
 #include <optional>
@@ -26,7 +27,8 @@ class RRBroadcast {
 
   /// `k` caps both which arcs are used (latency <= k) and the iteration
   /// budget. `budget_override`, if nonzero, replaces the default
-  /// k*Δout + k iteration count.
+  /// k*Δout + k iteration count. Throws std::invalid_argument if a used
+  /// arc is not an edge of the view's graph.
   RRBroadcast(const NetworkView& view, const DirectedGraph& overlay, Latency k,
               std::vector<Bitset> initial_rumors, Round budget_override = 0)
       : k_(k),
@@ -47,8 +49,14 @@ class RRBroadcast {
             "RR broadcast: rumor bitset size mismatch");
       rumors_[u].set(u);
       rumor_count_[u] = rumors_[u].count();
-      for (const Arc& a : overlay.out_arcs(u))
-        if (a.latency <= k) out_targets_[u].push_back(a.to);
+      for (const Arc& a : overlay.out_arcs(u)) {
+        if (a.latency > k) continue;
+        const std::optional<EdgeId> e = view.graph().find_edge(u, a.to);
+        if (!e)
+          throw std::invalid_argument(
+              "RR broadcast: overlay arc is not a graph edge");
+        out_targets_[u].push_back(HalfEdge{a.to, *e});
+      }
       max_out = std::max(max_out, out_targets_[u].size());
     }
     budget_ = budget_override != 0
@@ -58,7 +66,7 @@ class RRBroadcast {
 
   static std::size_t payload_bits(const Payload& p) { return 32 * p.count(); }
 
-  std::optional<NodeId> select_contact(NodeId u, Round r) {
+  std::optional<HalfEdge> select_contact(NodeId u, Round r) {
     if (r >= budget_) return std::nullopt;
     const auto& targets = out_targets_[u];
     if (targets.empty()) return std::nullopt;
@@ -95,7 +103,8 @@ class RRBroadcast {
  private:
   Latency k_;
   Round budget_ = 0;
-  std::vector<std::vector<NodeId>> out_targets_;  ///< filtered, per node
+  /// Per node: the kept arcs, each with the graph edge it runs over.
+  std::vector<std::vector<HalfEdge>> out_targets_;
   std::vector<Bitset> rumors_;
   std::vector<std::size_t> rumor_count_;  ///< incremental cardinalities
   SnapshotCache snapshots_;

@@ -88,17 +88,6 @@ class WeightedGraph {
     return edges_[e];
   }
 
-  /// Half-edge at position `adj_index` of u's adjacency slice — the
-  /// cheap edge-resolution path for protocols that pick contacts by
-  /// neighbor index (no lookup; find_edge() remains the validating
-  /// path). Slices are sorted by neighbor id.
-  const HalfEdge& edge_at(NodeId u, std::size_t adj_index) const {
-    check_node(u);
-    if (adj_index >= offsets_[u + 1] - offsets_[u])
-      throw std::out_of_range("adjacency index out of range");
-    return half_edges_[offsets_[u] + adj_index];
-  }
-
   Latency latency(EdgeId e) const { return edge(e).latency; }
 
   /// Other endpoint of edge `e` relative to `u`.

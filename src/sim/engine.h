@@ -38,9 +38,10 @@
 //    dispatches to a NoHooks instantiation when neither is set and to
 //    the hooked path otherwise, so hook-free runs pay zero
 //    test-and-branch per event;
-//  * protocols that already know which half-edge they picked can return
-//    a Contact{node, edge} and skip the per-activation find_edge()
-//    binary search; the plain NodeId return stays supported;
+//  * every protocol returns the adjacency slot (HalfEdge{to, edge}) it
+//    picked, so the engine reads the exchange's edge straight from the
+//    slot — no per-activation find_edge() search — and checks it
+//    against the edge record with two compares;
 //  * payloads are obtained through the PayloadTraits hook below:
 //    rumor-set protocols capture copy-on-write snapshot handles
 //    (util/snapshot.h) so scheduling an exchange is allocation-free in
@@ -95,36 +96,12 @@ class NetworkView {
   bool latencies_known_;
 };
 
-/// A contact choice that names the connecting edge as well as the peer.
-/// Protocols that pick a neighbor straight out of neighbors(u) already
-/// hold the HalfEdge, so returning both lets the engine skip the
-/// find_edge() binary search (O(log deg) in the sorted CSR slice) on
-/// every activation.
-struct Contact {
-  NodeId node = kInvalidNode;
-  EdgeId edge = kInvalidEdge;
-};
-
-namespace detail {
-
-template <typename P>
-concept SelectsByContact = requires(P p, NodeId u, Round r) {
-  { p.select_contact(u, r) } -> std::convertible_to<std::optional<Contact>>;
-};
-
-template <typename P>
-concept SelectsByNodeId = requires(P p, NodeId u, Round r) {
-  { p.select_contact(u, r) } -> std::convertible_to<std::optional<NodeId>>;
-};
-
-}  // namespace detail
-
 /// Requirements on a protocol driven by run_gossip():
 ///  - Payload: the information carried by one direction of an exchange.
-///  - select_contact(u, r): the neighbor u initiates with in round r —
-///    either a NodeId (the engine resolves the edge via find_edge) or a
-///    Contact{node, edge} (no search; the engine validates that the
-///    edge really joins u and node) — or nullopt to stay silent.
+///  - select_contact(u, r): the adjacency slot of u's neighbors() that
+///    u initiates over in round r — HalfEdge{to, edge}, the peer and
+///    the edge joining them (the engine checks that the edge really
+///    joins u and `to`) — or nullopt to stay silent.
 ///  - capture_payload(u, r): snapshot of u's transmitted state.
 ///  - deliver(u, peer, payload, edge, start, now): u receives peer's
 ///    snapshot from the exchange initiated at `start`, completing `now`.
@@ -142,9 +119,9 @@ concept GossipProtocol =
       typename P::Payload;
       { p.capture_payload(u, r) } -> std::same_as<typename P::Payload>;
       { p.deliver(u, u, std::move(pay), e, r, r) };
+      { p.select_contact(u, r) } -> std::same_as<std::optional<HalfEdge>>;
       { cp.done(r) } -> std::convertible_to<bool>;
-    } &&
-    (detail::SelectsByContact<P> || detail::SelectsByNodeId<P>);
+    };
 
 /// Payload-traits hook: how a driver obtains payload snapshots from a
 /// protocol. The Delivery records below hold `P::Payload` by value, so
@@ -519,30 +496,15 @@ SimResult run_gossip_impl(const WeightedGraph& g, P& proto,
       }
       if (opts.blocking && outstanding[u] > 0) continue;
 
-      NodeId peer;
-      EdgeId edge;
-      Latency lat;
-      if constexpr (detail::SelectsByContact<P>) {
-        const std::optional<Contact> c = proto.select_contact(u, r);
-        if (!c) continue;
-        peer = c->node;
-        edge = c->edge;
-        const Edge& rec = g.edge(edge);  // bounds-checked
-        if (!((rec.u == u && rec.v == peer) ||
-              (rec.v == u && rec.u == peer)))
-          throw std::logic_error(
-              "protocol selected a contact over a mismatched edge");
-        lat = rec.latency;
-      } else {
-        const std::optional<NodeId> target = proto.select_contact(u, r);
-        if (!target) continue;
-        const auto e = g.find_edge(u, *target);
-        if (!e)
-          throw std::logic_error("protocol selected a non-neighbor contact");
-        peer = *target;
-        edge = *e;
-        lat = g.latency(*e);
-      }
+      const std::optional<HalfEdge> contact = proto.select_contact(u, r);
+      if (!contact) continue;
+      const NodeId peer = contact->to;
+      const EdgeId edge = contact->edge;
+      const Edge& rec = g.edge(edge);  // bounds-checked
+      if (!((rec.u == u && rec.v == peer) || (rec.v == u && rec.u == peer)))
+        throw std::logic_error(
+            "protocol selected a contact over a mismatched edge");
+      Latency lat = rec.latency;
       any_selected = true;
       ++result.activations;
       if constexpr (kHooked) {

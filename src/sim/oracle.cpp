@@ -19,13 +19,6 @@ ScopedOracleEngine::~ScopedOracleEngine() { --g_oracle_depth; }
 
 namespace oracle_detail {
 
-std::optional<EdgeId> scan_for_edge(const WeightedGraph& g, NodeId u,
-                                    NodeId v) {
-  for (const HalfEdge& h : g.neighbors(u))
-    if (h.to == v) return h.edge;
-  return std::nullopt;
-}
-
 bool scan_adjacency_for(const WeightedGraph& g, NodeId u, NodeId v,
                         EdgeId e) {
   for (const HalfEdge& h : g.neighbors(u))

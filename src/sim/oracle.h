@@ -13,8 +13,9 @@
 //   -------------------------------  --------------------------------
 //   calendar queue of delivery legs  flat in-flight exchange list,
 //   bucketed by due round            re-scanned in full every round
-//   O(log deg) CSR find_edge /       linear walk of the adjacency
-//   Contact edge-record validation   slice for every resolution
+//   returned adjacency slot checked  returned slot looked up by a
+//   against the edge record          linear walk of u's adjacency
+//                                    slice
 //   compile-time NoHooks fast path   every hook tested dynamically on
 //   + hoisted recorder pointer       every event, always
 //   blocking via outstanding-        blocking via a linear scan of the
@@ -98,14 +99,9 @@ struct ModelBug {
   Round crash_delay = 0;
 };
 
-/// Edge joining u and v found by a linear walk of u's adjacency slice
-/// (never find_edge's binary search — independence from the structure
-/// under test is the point).
-std::optional<EdgeId> scan_for_edge(const WeightedGraph& g, NodeId u,
-                                    NodeId v);
-
 /// Does u's adjacency slice contain exactly the half-edge (v, e)?
-/// Linear scan, same independence rationale.
+/// Linear scan — never the engine's edge-record check; independence
+/// from the structure under test is the point.
 bool scan_adjacency_for(const WeightedGraph& g, NodeId u, NodeId v, EdgeId e);
 
 /// Brute-force interpreters of the DynamicSpec schedule contracts
@@ -269,27 +265,15 @@ SimResult run_gossip_oracle(const WeightedGraph& g, P& proto,
         if (busy) continue;
       }
 
-      NodeId peer;
-      EdgeId edge;
-      if constexpr (detail::SelectsByContact<P>) {
-        const std::optional<Contact> c = proto.select_contact(u, r);
-        if (!c) continue;
-        peer = c->node;
-        edge = c->edge;
-        if (edge >= g.num_edges())
-          throw std::out_of_range("edge id out of range");
-        if (!oracle_detail::scan_adjacency_for(g, u, peer, edge))
-          throw std::logic_error(
-              "protocol selected a contact over a mismatched edge");
-      } else {
-        const std::optional<NodeId> target = proto.select_contact(u, r);
-        if (!target) continue;
-        peer = *target;
-        const auto e = oracle_detail::scan_for_edge(g, u, peer);
-        if (!e)
-          throw std::logic_error("protocol selected a non-neighbor contact");
-        edge = *e;
-      }
+      const std::optional<HalfEdge> contact = proto.select_contact(u, r);
+      if (!contact) continue;
+      const NodeId peer = contact->to;
+      const EdgeId edge = contact->edge;
+      if (edge >= g.num_edges())
+        throw std::out_of_range("edge id out of range");
+      if (!oracle_detail::scan_adjacency_for(g, u, peer, edge))
+        throw std::logic_error(
+            "protocol selected a contact over a mismatched edge");
       any_selected = true;
       ++result.activations;
       if (opts.recorder) opts.recorder->record_activation(u, peer, edge, r);

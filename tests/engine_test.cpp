@@ -19,7 +19,12 @@
 namespace latgossip {
 namespace {
 
-/// Scripted test protocol: per-node list of (round, target); payload is
+/// The adjacency slot of u that leads to v.
+HalfEdge slot(const WeightedGraph& g, NodeId u, NodeId v) {
+  return HalfEdge{v, g.find_edge(u, v).value()};
+}
+
+/// Scripted test protocol: per-node list of (round, contact); payload is
 /// the sender's id and the initiation round so tests can check snapshot
 /// timing. Records every delivery.
 class ScriptedProtocol {
@@ -35,13 +40,13 @@ class ScriptedProtocol {
 
   explicit ScriptedProtocol(std::size_t n) : script_(n) {}
 
-  void schedule(NodeId u, Round r, NodeId target) {
-    script_[u].emplace_back(r, target);
+  void schedule(NodeId u, Round r, HalfEdge contact) {
+    script_[u].emplace_back(r, contact);
   }
 
-  std::optional<NodeId> select_contact(NodeId u, Round r) {
-    for (const auto& [round, target] : script_[u])
-      if (round == r) return target;
+  std::optional<HalfEdge> select_contact(NodeId u, Round r) {
+    for (const auto& [round, contact] : script_[u])
+      if (round == r) return contact;
     return std::nullopt;
   }
 
@@ -59,13 +64,13 @@ class ScriptedProtocol {
   std::vector<DeliveryRecord> deliveries;
 
  private:
-  std::vector<std::vector<std::pair<Round, NodeId>>> script_;
+  std::vector<std::vector<std::pair<Round, HalfEdge>>> script_;
 };
 
 TEST(Engine, ExchangeTakesEdgeLatencyAndIsBidirectional) {
   const auto g = build_graph(2, {{0, 1, 3}});
   ScriptedProtocol proto(2);
-  proto.schedule(0, 0, 1);
+  proto.schedule(0, 0, slot(g, 0, 1));
   SimOptions opts;
   const SimResult result = run_gossip(g, proto, opts);
   ASSERT_EQ(proto.deliveries.size(), 2u);
@@ -85,7 +90,7 @@ TEST(Engine, NonBlockingPipelining) {
   // exchanges are in flight simultaneously.
   const auto g = build_graph(2, {{0, 1, 5}});
   ScriptedProtocol proto(2);
-  for (Round r = 0; r < 3; ++r) proto.schedule(0, r, 1);
+  for (Round r = 0; r < 3; ++r) proto.schedule(0, r, slot(g, 0, 1));
   const SimResult result = run_gossip(g, proto, {});
   EXPECT_EQ(result.activations, 3u);
   EXPECT_EQ(result.messages_delivered, 6u);
@@ -97,17 +102,10 @@ TEST(Engine, NonBlockingPipelining) {
   EXPECT_EQ(arrival, (std::vector<Round>{5, 6, 7}));
 }
 
-TEST(Engine, SelectingNonNeighborThrows) {
-  const auto g = build_graph(3, {{0, 1, 1}});
-  ScriptedProtocol proto(3);
-  proto.schedule(0, 0, 2);  // not a neighbor
-  EXPECT_THROW(run_gossip(g, proto, {}), std::logic_error);
-}
-
 TEST(Engine, StopsWhenIdle) {
   const auto g = build_graph(2, {{0, 1, 4}});
   ScriptedProtocol proto(2);
-  proto.schedule(0, 0, 1);
+  proto.schedule(0, 0, slot(g, 0, 1));
   SimOptions opts;
   opts.max_rounds = 1000;
   const SimResult result = run_gossip(g, proto, opts);
@@ -121,8 +119,9 @@ TEST(Engine, MaxRoundsTimeout) {
 
   struct Chatty {
     using Payload = int;
-    std::optional<NodeId> select_contact(NodeId u, Round) {
-      return u == 0 ? std::optional<NodeId>(1) : std::nullopt;
+    std::optional<HalfEdge> select_contact(NodeId u, Round) {
+      if (u != 0) return std::nullopt;
+      return HalfEdge{1, 0};  // edge 0 joins 0 and 1
     }
     Payload capture_payload(NodeId, Round) const { return 0; }
     void deliver(NodeId, NodeId, Payload, EdgeId, Round, Round) {}
@@ -143,8 +142,9 @@ TEST(Engine, DoneCheckedAfterDeliveries) {
   struct OneShot {
     using Payload = int;
     bool received = false;
-    std::optional<NodeId> select_contact(NodeId u, Round r) {
-      return (u == 0 && r == 0) ? std::optional<NodeId>(1) : std::nullopt;
+    std::optional<HalfEdge> select_contact(NodeId u, Round r) {
+      if (u == 0 && r == 0) return HalfEdge{1, 0};
+      return std::nullopt;
     }
     Payload capture_payload(NodeId, Round) const { return 7; }
     void deliver(NodeId u, NodeId, Payload, EdgeId, Round, Round) {
@@ -161,8 +161,8 @@ TEST(Engine, DoneCheckedAfterDeliveries) {
 TEST(Engine, ActivationObserverSeesEveryInitiation) {
   const auto g = build_graph(3, {{0, 1, 1}, {1, 2, 2}});
   ScriptedProtocol proto(3);
-  proto.schedule(0, 0, 1);
-  proto.schedule(1, 1, 2);
+  proto.schedule(0, 0, slot(g, 0, 1));
+  proto.schedule(1, 1, slot(g, 1, 2));
   EventRecorder rec;
   SimOptions opts;
   opts.recorder = &rec;
@@ -195,70 +195,31 @@ TEST(NetworkView, LatencyAccessGuarded) {
   EXPECT_EQ(known.degree(0), 1u);
 }
 
-/// Scripted protocol using the Contact fast path: the engine must not
-/// need find_edge() to resolve the exchange.
-class ContactScriptedProtocol {
- public:
-  using Payload = std::pair<NodeId, Round>;
-
-  explicit ContactScriptedProtocol(std::size_t n) : script_(n) {}
-
-  void schedule(NodeId u, Round r, Contact c) {
-    script_[u].emplace_back(r, c);
-  }
-
-  std::optional<Contact> select_contact(NodeId u, Round r) {
-    for (const auto& [round, contact] : script_[u])
-      if (round == r) return contact;
-    return std::nullopt;
-  }
-
-  Payload capture_payload(NodeId u, Round r) const { return {u, r}; }
-
-  void deliver(NodeId u, NodeId peer, Payload payload, EdgeId, Round start,
-               Round now) {
-    EXPECT_EQ(payload.first, peer);
-    EXPECT_EQ(payload.second, start);
-    deliveries.push_back(
-        ScriptedProtocol::DeliveryRecord{u, peer, start, now});
-  }
-
-  bool done(Round) const { return false; }
-
-  std::vector<ScriptedProtocol::DeliveryRecord> deliveries;
-
- private:
-  std::vector<std::vector<std::pair<Round, Contact>>> script_;
-};
-
-TEST(Engine, ContactApiResolvesEdgeWithoutLookup) {
-  const auto g = build_graph(3, {{0, 1, 3}, {1, 2, 2}});
-  ContactScriptedProtocol proto(3);
-  const HalfEdge& h01 = g.edge_at(0, 0);
-  proto.schedule(0, 0, Contact{h01.to, h01.edge});
-  const SimResult result = run_gossip(g, proto, {});
-  ASSERT_EQ(proto.deliveries.size(), 2u);
-  for (const auto& d : proto.deliveries) {
-    EXPECT_EQ(d.start, 0);
-    EXPECT_EQ(d.now, 3);
-  }
-  EXPECT_EQ(result.activations, 1u);
-}
-
 TEST(Engine, MismatchedContactEdgeThrows) {
   GraphBuilder b(3);
-  b.add_edge(0, 1, 1);
+  const EdgeId near = b.add_edge(0, 1, 1);
   const EdgeId far = b.add_edge(1, 2, 1);
   const WeightedGraph g = b.build();
-  // Edge {1,2} does not join {0,1}: the engine's validation must catch
-  // a protocol lying about its contact edge.
-  ContactScriptedProtocol lying(3);
-  lying.schedule(0, 0, Contact{1, far});
-  EXPECT_THROW(run_gossip(g, lying, {}), std::logic_error);
-  // Out-of-range edge ids are caught by the bounds check.
-  ContactScriptedProtocol bogus(3);
-  bogus.schedule(0, 0, Contact{1, 99});
-  EXPECT_THROW(run_gossip(g, bogus, {}), std::logic_error);
+  // The engine's edge-record check and the oracle's adjacency scan must
+  // each catch a protocol lying about its contact: an edge that does
+  // not join u and the peer, a peer that is not u's neighbor, and an
+  // edge id out of range.
+  const auto engine_run = [&](HalfEdge contact) {
+    ScriptedProtocol proto(3);
+    proto.schedule(0, 0, contact);
+    run_gossip(g, proto, {});
+  };
+  const auto oracle_run = [&](HalfEdge contact) {
+    ScriptedProtocol proto(3);
+    proto.schedule(0, 0, contact);
+    run_gossip_oracle(g, proto, {});
+  };
+  for (const HalfEdge lie : {HalfEdge{1, far}, HalfEdge{2, near}}) {
+    EXPECT_THROW(engine_run(lie), std::logic_error);
+    EXPECT_THROW(oracle_run(lie), std::logic_error);
+  }
+  EXPECT_THROW(engine_run(HalfEdge{1, 99}), std::out_of_range);
+  EXPECT_THROW(oracle_run(HalfEdge{1, 99}), std::out_of_range);
 }
 
 TEST(Engine, HookedAndFastPathsProduceIdenticalResults) {
@@ -295,8 +256,8 @@ TEST(Engine, JitterBeyondLatencyHorizonGrowsCalendarQueue) {
   // right rounds.
   const auto g = build_graph(2, {{0, 1, 2}});
   ScriptedProtocol proto(2);
-  proto.schedule(0, 0, 1);
-  proto.schedule(0, 1, 1);
+  proto.schedule(0, 0, slot(g, 0, 1));
+  proto.schedule(0, 1, slot(g, 0, 1));
   DynamicSpec spec;
   spec.jitter_spread = 1000;
   spec.jitter_seed = 3;
@@ -328,8 +289,8 @@ TEST(Engine, BothEndpointsSnapshotAtInitiationRound) {
   // must still carry round-0 snapshots (checked inside deliver()).
   const auto g = build_graph(2, {{0, 1, 4}});
   ScriptedProtocol proto(2);
-  proto.schedule(0, 0, 1);
-  proto.schedule(1, 1, 0);
+  proto.schedule(0, 0, slot(g, 0, 1));
+  proto.schedule(1, 1, slot(g, 1, 0));
   run_gossip(g, proto, {});
   ASSERT_EQ(proto.deliveries.size(), 4u);
 }
@@ -346,8 +307,9 @@ class OvercountingRumors {
 
   static std::size_t payload_bits(const Payload& p) { return p.count(); }
 
-  std::optional<NodeId> select_contact(NodeId u, Round r) {
-    return (u == 0 && r == 0) ? std::optional<NodeId>(1) : std::nullopt;
+  std::optional<HalfEdge> select_contact(NodeId u, Round r) {
+    if (u == 0 && r == 0) return HalfEdge{1, 0};
+    return std::nullopt;
   }
   Payload capture_payload(NodeId u, Round) {
     return snapshots_.shared(u, rumors_[u], rumors_[u].count() + 1);

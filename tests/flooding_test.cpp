@@ -99,10 +99,10 @@ TEST(Flooding, CyclesAdjacencyAndRestartsOnReset) {
   NetworkView view(g, false);
   PushPullGossip proto = flooding(view, GossipGoal::kAllToAll);
   const auto expect_slot = [&](std::size_t slot, Round r) {
-    const std::optional<Contact> c = proto.select_contact(0, r);
+    const std::optional<HalfEdge> c = proto.select_contact(0, r);
     ASSERT_TRUE(c.has_value());
-    EXPECT_EQ(c->node, g.edge_at(0, slot).to);
-    EXPECT_EQ(c->edge, g.edge_at(0, slot).edge);
+    EXPECT_EQ(c->to, g.neighbors(0)[slot].to);
+    EXPECT_EQ(c->edge, g.neighbors(0)[slot].edge);
   };
   for (const std::size_t slot : {0u, 1u, 2u, 0u})
     expect_slot(slot, 0);

@@ -25,8 +25,9 @@ TEST(Blocking, OneOutstandingInitiationEnforced) {
 
   struct Chatty {
     using Payload = int;
-    std::optional<NodeId> select_contact(NodeId u, Round) {
-      return u == 0 ? std::optional<NodeId>(1) : std::nullopt;
+    std::optional<HalfEdge> select_contact(NodeId u, Round) {
+      if (u != 0) return std::nullopt;
+      return HalfEdge{1, 0};  // edge 0 joins 0 and 1
     }
     Payload capture_payload(NodeId, Round) const { return 0; }
     void deliver(NodeId, NodeId, Payload, EdgeId, Round, Round) {}
@@ -158,10 +159,10 @@ TEST(Blocking, ResponseLossStillUnblocks) {
   struct Chatty {
     using Payload = int;
     std::size_t initiations = 0;
-    std::optional<NodeId> select_contact(NodeId u, Round) {
+    std::optional<HalfEdge> select_contact(NodeId u, Round) {
       if (u != 0) return std::nullopt;
       ++initiations;
-      return 1;
+      return HalfEdge{1, 0};
     }
     Payload capture_payload(NodeId, Round) const { return 0; }
     void deliver(NodeId, NodeId, Payload, EdgeId, Round, Round) {}
@@ -230,8 +231,9 @@ TEST(PayloadBits, DefaultsToOneBitWithoutHook) {
   const auto g = build_graph(2, {{0, 1, 1}});
   struct NoHook {
     using Payload = int;
-    std::optional<NodeId> select_contact(NodeId u, Round r) {
-      return (u == 0 && r == 0) ? std::optional<NodeId>(1) : std::nullopt;
+    std::optional<HalfEdge> select_contact(NodeId u, Round r) {
+      if (u == 0 && r == 0) return HalfEdge{1, 0};
+      return std::nullopt;
     }
     Payload capture_payload(NodeId, Round) const { return 1234; }
     void deliver(NodeId, NodeId, Payload, EdgeId, Round, Round) {}

@@ -121,6 +121,11 @@ TEST(RRBroadcast, ValidatesInput) {
                std::invalid_argument);
   EXPECT_THROW(RRBroadcast(view, DirectedGraph(2), 1, own_id_rumors(3)),
                std::invalid_argument);
+  // An overlay arc must run over a graph edge: {0,2} is not one.
+  DirectedGraph shortcut(3);
+  shortcut.add_arc(0, 2, 1);
+  EXPECT_THROW(RRBroadcast(view, shortcut, 1, own_id_rumors(3)),
+               std::invalid_argument);
 }
 
 TEST(RRBroadcastHelpers, AllSetsFullAndLocalBroadcastComplete) {
