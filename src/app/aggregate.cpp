@@ -30,7 +30,7 @@ MinAggregation::Payload MinAggregation::capture_payload(NodeId u,
 }
 
 void MinAggregation::deliver(NodeId u, NodeId, Payload payload, EdgeId,
-                             Round, Round) {
+                             Round, Round, Leg) {
   if (payload < current_[u]) {
     const bool was_min = (current_[u] == global_min_);
     current_[u] = payload;

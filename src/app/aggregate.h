@@ -31,7 +31,7 @@ class MinAggregation {
   std::optional<HalfEdge> select_contact(NodeId u, Round r);
   Payload capture_payload(NodeId u, Round r) const;
   void deliver(NodeId u, NodeId peer, Payload payload, EdgeId e, Round start,
-               Round now);
+               Round now, Leg leg);
   bool done(Round r) const;
 
   std::int64_t current(NodeId u) const { return current_[u]; }

@@ -22,7 +22,7 @@ AntiEntropy::Payload AntiEntropy::capture_payload(NodeId u, Round) const {
 }
 
 void AntiEntropy::deliver(NodeId u, NodeId, Payload payload, EdgeId, Round,
-                          Round) {
+                          Round, Leg) {
   stores_[u].merge(payload);
 }
 

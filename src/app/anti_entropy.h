@@ -30,7 +30,7 @@ class AntiEntropy {
   std::optional<HalfEdge> select_contact(NodeId u, Round r);
   Payload capture_payload(NodeId u, Round r) const;
   void deliver(NodeId u, NodeId peer, Payload payload, EdgeId e, Round start,
-               Round now);
+               Round now, Leg leg);
   bool done(Round r) const;
 
   const std::vector<KvStore>& stores() const { return stores_; }

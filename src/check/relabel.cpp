@@ -50,7 +50,7 @@ SymmetricPushPull::Payload SymmetricPushPull::capture_payload(NodeId u,
 }
 
 void SymmetricPushPull::deliver(NodeId u, NodeId, Payload payload, EdgeId,
-                                Round, Round) {
+                                Round, Round, Leg) {
   if (payload && !informed_[u]) {
     informed_[u] = true;
     ++informed_count_;

@@ -47,7 +47,7 @@ class SymmetricPushPull {
   std::optional<HalfEdge> select_contact(NodeId u, Round r);
   Payload capture_payload(NodeId u, Round r) const;
   void deliver(NodeId u, NodeId peer, Payload payload, EdgeId e, Round start,
-               Round now);
+               Round now, Leg leg);
   bool done(Round r) const;
 
   bool informed(NodeId u) const { return informed_[u]; }

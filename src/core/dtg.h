@@ -184,7 +184,7 @@ class DtgLocalBroadcast {
   }
 
   void deliver(NodeId u, NodeId /*peer*/, Payload payload, EdgeId /*e*/,
-               Round /*start*/, Round /*now*/) {
+               Round /*start*/, Round /*now*/, Leg /*leg*/) {
     NodeState& st = state_[u];
     const Bitset::OrDelta dm =
         master_[u].or_assign_changed(payload.data.bits());

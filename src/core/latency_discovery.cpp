@@ -30,7 +30,7 @@ std::optional<HalfEdge> ProbeProtocol::select_contact(NodeId u, Round r) {
 }
 
 void ProbeProtocol::deliver(NodeId, NodeId, Payload, EdgeId e, Round start,
-                            Round now) {
+                            Round now, Leg) {
   if (now <= deadline_) discovered_[e] = now - start;
 }
 

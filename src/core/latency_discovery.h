@@ -32,7 +32,7 @@ class ProbeProtocol {
   std::optional<HalfEdge> select_contact(NodeId u, Round r);
   Payload capture_payload(NodeId, Round) const { return true; }
   void deliver(NodeId u, NodeId peer, Payload payload, EdgeId e, Round start,
-               Round now);
+               Round now, Leg leg);
   bool done(Round r) const;
 
   /// Discovered latency of edge e, if it replied within the window.

@@ -111,7 +111,7 @@ class RandomLocalBroadcast {
   }
 
   void deliver(NodeId u, NodeId /*peer*/, Payload payload, EdgeId /*e*/,
-               Round /*start*/, Round /*now*/) {
+               Round /*start*/, Round /*now*/, Leg /*leg*/) {
     const Bitset::OrDelta dm =
         master_[u].or_assign_changed(payload.data.bits());
     master_count_[u] += dm.added;

@@ -83,7 +83,7 @@ class RRBroadcast {
   }
 
   void deliver(NodeId u, NodeId /*peer*/, Payload payload, EdgeId /*e*/,
-               Round /*start*/, Round /*now*/) {
+               Round /*start*/, Round /*now*/, Leg /*leg*/) {
     const Bitset::OrDelta delta = rumors_[u].or_assign_changed(payload.bits());
     if (!delta.changed) return;
     rumor_count_[u] += delta.added;

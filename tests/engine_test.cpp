@@ -26,7 +26,7 @@ HalfEdge slot(const WeightedGraph& g, NodeId u, NodeId v) {
 
 /// Scripted test protocol: per-node list of (round, contact); payload is
 /// the sender's id and the initiation round so tests can check snapshot
-/// timing. Records every delivery.
+/// timing. Records every delivery and checks its leg against the script.
 class ScriptedProtocol {
  public:
   using Payload = std::pair<NodeId, Round>;
@@ -36,6 +36,7 @@ class ScriptedProtocol {
     NodeId from;
     Round start;
     Round now;
+    Leg leg;
   };
 
   explicit ScriptedProtocol(std::size_t n) : script_(n) {}
@@ -53,10 +54,16 @@ class ScriptedProtocol {
   Payload capture_payload(NodeId u, Round r) const { return {u, r}; }
 
   void deliver(NodeId u, NodeId peer, Payload payload, EdgeId, Round start,
-               Round now) {
+               Round now, Leg leg) {
     EXPECT_EQ(payload.first, peer);
     EXPECT_EQ(payload.second, start);
-    deliveries.push_back(DeliveryRecord{u, peer, start, now});
+    // A push lands at the responder of peer's call, a response at the
+    // initiator of u's own call.
+    if (leg == Leg::kPush)
+      EXPECT_TRUE(calls(peer, start, u)) << peer << " -> " << u;
+    else
+      EXPECT_TRUE(calls(u, start, peer)) << u << " -> " << peer;
+    deliveries.push_back(DeliveryRecord{u, peer, start, now, leg});
   }
 
   bool done(Round) const { return false; }
@@ -64,6 +71,13 @@ class ScriptedProtocol {
   std::vector<DeliveryRecord> deliveries;
 
  private:
+  /// Does the script have u call v in round r?
+  bool calls(NodeId u, Round r, NodeId v) const {
+    for (const auto& [round, contact] : script_[u])
+      if (round == r && contact.to == v) return true;
+    return false;
+  }
+
   std::vector<std::vector<std::pair<Round, HalfEdge>>> script_;
 };
 
@@ -80,7 +94,9 @@ TEST(Engine, ExchangeTakesEdgeLatencyAndIsBidirectional) {
     EXPECT_EQ(d.now, 3);
   }
   EXPECT_EQ(proto.deliveries[0].to, 1u);  // responder gets initiator's payload
+  EXPECT_EQ(proto.deliveries[0].leg, Leg::kPush);
   EXPECT_EQ(proto.deliveries[1].to, 0u);
+  EXPECT_EQ(proto.deliveries[1].leg, Leg::kResponse);
   EXPECT_EQ(result.activations, 1u);
   EXPECT_EQ(result.messages_delivered, 2u);
 }
@@ -114,6 +130,48 @@ TEST(Engine, StopsWhenIdle) {
   EXPECT_GE(result.rounds, 4);
 }
 
+TEST(Engine, DeliveriesNameTheirLeg) {
+  // Both drivers label every leg from their own records, and
+  // ScriptedProtocol checks each label against the script. Nodes 0 and
+  // 1 call each other in round 0, so each is the responder of one
+  // exchange and the initiator of the other. Node 0 calls again every
+  // round, which the blocking model holds back until its response
+  // lands: calls in rounds 0 and 3 instead of 0 to 5.
+  const auto g = build_graph(3, {{0, 1, 3}, {1, 2, 1}});
+  for (const bool blocking : {false, true}) {
+    for (const bool on_oracle : {false, true}) {
+      ScriptedProtocol proto(3);
+      for (Round r = 0; r < 6; ++r) proto.schedule(0, r, slot(g, 0, 1));
+      proto.schedule(1, 0, slot(g, 1, 0));
+      proto.schedule(2, 2, slot(g, 2, 1));
+      SimOptions opts;
+      opts.blocking = blocking;
+      const SimResult result = on_oracle ? run_gossip_oracle(g, proto, opts)
+                                         : run_gossip(g, proto, opts);
+      const std::size_t exchanges = blocking ? 4 : 8;
+      EXPECT_EQ(result.activations, exchanges);
+      std::size_t pushes = 0;
+      for (const auto& d : proto.deliveries)
+        if (d.leg == Leg::kPush) ++pushes;
+      EXPECT_EQ(pushes, exchanges);
+      EXPECT_EQ(proto.deliveries.size(), 2 * exchanges);
+    }
+  }
+
+  // The oracle's leg-drop bug suppresses every response: only the
+  // pushes arrive.
+  ScriptedProtocol proto(3);
+  proto.schedule(0, 0, slot(g, 0, 1));
+  proto.schedule(1, 1, slot(g, 1, 0));
+  oracle_detail::ModelBug bug;
+  bug.drop_initiator_leg = true;
+  run_gossip_oracle(g, proto, {}, bug);
+  ASSERT_EQ(proto.deliveries.size(), 2u);
+  for (const auto& d : proto.deliveries) EXPECT_EQ(d.leg, Leg::kPush);
+  EXPECT_EQ(proto.deliveries[0].to, 1u);
+  EXPECT_EQ(proto.deliveries[1].to, 0u);
+}
+
 TEST(Engine, MaxRoundsTimeout) {
   const auto g = build_graph(2, {{0, 1, 1}});
 
@@ -124,7 +182,7 @@ TEST(Engine, MaxRoundsTimeout) {
       return HalfEdge{1, 0};  // edge 0 joins 0 and 1
     }
     Payload capture_payload(NodeId, Round) const { return 0; }
-    void deliver(NodeId, NodeId, Payload, EdgeId, Round, Round) {}
+    void deliver(NodeId, NodeId, Payload, EdgeId, Round, Round, Leg) {}
     bool done(Round) const { return false; }
   } proto;
 
@@ -147,7 +205,7 @@ TEST(Engine, DoneCheckedAfterDeliveries) {
       return std::nullopt;
     }
     Payload capture_payload(NodeId, Round) const { return 7; }
-    void deliver(NodeId u, NodeId, Payload, EdgeId, Round, Round) {
+    void deliver(NodeId u, NodeId, Payload, EdgeId, Round, Round, Leg) {
       if (u == 1) received = true;
     }
     bool done(Round) const { return received; }
@@ -317,7 +375,7 @@ class OvercountingRumors {
   Payload capture_payload_copy(NodeId u, Round) {
     return snapshots_.fresh(rumors_[u]);
   }
-  void deliver(NodeId, NodeId, Payload, EdgeId, Round, Round) {}
+  void deliver(NodeId, NodeId, Payload, EdgeId, Round, Round, Leg) {}
   bool done(Round) const { return false; }
 
  private:

@@ -30,7 +30,7 @@ TEST(Blocking, OneOutstandingInitiationEnforced) {
       return HalfEdge{1, 0};  // edge 0 joins 0 and 1
     }
     Payload capture_payload(NodeId, Round) const { return 0; }
-    void deliver(NodeId, NodeId, Payload, EdgeId, Round, Round) {}
+    void deliver(NodeId, NodeId, Payload, EdgeId, Round, Round, Leg) {}
     bool done(Round) const { return false; }
   } proto;
 
@@ -165,7 +165,7 @@ TEST(Blocking, ResponseLossStillUnblocks) {
       return HalfEdge{1, 0};
     }
     Payload capture_payload(NodeId, Round) const { return 0; }
-    void deliver(NodeId, NodeId, Payload, EdgeId, Round, Round) {}
+    void deliver(NodeId, NodeId, Payload, EdgeId, Round, Round, Leg) {}
     bool done(Round) const { return false; }
   } proto;
 
@@ -236,7 +236,7 @@ TEST(PayloadBits, DefaultsToOneBitWithoutHook) {
       return std::nullopt;
     }
     Payload capture_payload(NodeId, Round) const { return 1234; }
-    void deliver(NodeId, NodeId, Payload, EdgeId, Round, Round) {}
+    void deliver(NodeId, NodeId, Payload, EdgeId, Round, Round, Leg) {}
     bool done(Round) const { return false; }
   } proto;
   SimOptions opts;

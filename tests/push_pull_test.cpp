@@ -133,7 +133,7 @@ TEST(PushPullGossip, CapturesShareSnapshotsUntilStateChanges) {
 
   // A delivery that adds rumors invalidates node 3's cached snapshot;
   // the old snapshot stays immutable.
-  proto.deliver(3, 5, proto.capture_payload(5, 1), 0, 1, 2);
+  proto.deliver(3, 5, proto.capture_payload(5, 1), 0, 1, 2, Leg::kPush);
   const PushPullGossip::Payload c = proto.capture_payload(3, 2);
   EXPECT_NE(c.id(), a.id());
   EXPECT_EQ(c.count(), 2u);
@@ -141,7 +141,7 @@ TEST(PushPullGossip, CapturesShareSnapshotsUntilStateChanges) {
   EXPECT_FALSE(a.bits().test(5));
 
   // A delivery that adds nothing new keeps the cached snapshot.
-  proto.deliver(3, 5, proto.capture_payload(5, 2), 0, 2, 3);
+  proto.deliver(3, 5, proto.capture_payload(5, 2), 0, 2, 3, Leg::kPush);
   const PushPullGossip::Payload d = proto.capture_payload(3, 3);
   EXPECT_EQ(d.id(), c.id());
 
