@@ -24,8 +24,8 @@ double mean_rounds_biased(const WeightedGraph& g, double rho, int trials,
   Accumulator acc;
   for (int t = 0; t < trials; ++t) {
     NetworkView view(g, true);
-    BiasedPushPullBroadcast proto(view, 0, rho,
-                                  Rng(seed + static_cast<std::uint64_t>(t)));
+    PushPullBroadcast proto(view, 0, rho,
+                            Rng(seed + static_cast<std::uint64_t>(t)));
     SimOptions opts;
     opts.max_rounds = 2'000'000;
     acc.add(static_cast<double>(run_gossip(g, proto, opts).rounds));

@@ -10,7 +10,6 @@
 #include <cstdio>
 #include <string>
 
-#include "core/push_only.h"
 #include "core/push_pull.h"
 #include "core/rr_broadcast.h"
 #include "graph/generators.h"
@@ -29,7 +28,7 @@ double mean_rounds_push_only(const WeightedGraph& g, int trials,
   Accumulator acc;
   for (int t = 0; t < trials; ++t) {
     NetworkView view(g, false);
-    PushOnlyBroadcast proto(view, 0, Rng(seed + t));
+    PushPullBroadcast proto(view, 0, Rng(seed + t), LegRule::kPushOnly);
     SimOptions opts;
     opts.max_rounds = 5'000'000;
     const SimResult r = run_gossip(g, proto, opts);
@@ -74,7 +73,8 @@ int main(int argc, char** argv) {
     Accumulator pull_acc;
     for (int t = 0; t < trials; ++t) {
       NetworkView view(g, false);
-      PullOnlyBroadcast proto(view, 0, Rng(seed + 400 + t));
+      PushPullBroadcast proto(view, 0, Rng(seed + 400 + t),
+                              LegRule::kResponseOnly);
       SimOptions opts;
       opts.max_rounds = 5'000'000;
       pull_acc.add(static_cast<double>(run_gossip(g, proto, opts).rounds));

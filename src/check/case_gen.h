@@ -25,7 +25,7 @@ namespace latgossip {
 
 enum class CheckProto : std::uint8_t {
   kPushPull = 0,    ///< PushPullBroadcast (single-source rumor)
-  kPushOnly,        ///< PushOnlyBroadcast
+  kPushOnly,        ///< PushPullBroadcast, LegRule::kPushOnly
   kFlooding,        ///< round-robin PushPullGossip, single-source goal
   kGossipAllToAll,  ///< PushPullGossip, all-to-all goal (rumor sets)
   kGossipLocal,     ///< PushPullGossip, local-broadcast goal (rumor sets)

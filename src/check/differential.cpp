@@ -6,7 +6,6 @@
 
 #include "check/invariants.h"
 #include "core/eid.h"
-#include "core/push_only.h"
 #include "core/push_pull.h"
 #include "core/rr_broadcast.h"
 #include "core/tk_schedule.h"
@@ -23,7 +22,7 @@ namespace {
 struct RunArtifacts {
   SimResult result;
   EventRecorder recorder;
-  std::vector<Round> inform_round;  ///< push-pull only
+  std::vector<Round> inform_round;  ///< boolean broadcasts only
   bool has_inform = false;
 };
 
@@ -51,18 +50,17 @@ RunArtifacts run_simple_once(const TestCase& tc, const WeightedGraph& g,
                       : run_gossip(g, proto, opts);
   };
   switch (tc.proto) {
-    case CheckProto::kPushPull: {
-      PushPullBroadcast proto(view, tc.source, Rng(tc.seed));
+    case CheckProto::kPushPull:
+    case CheckProto::kPushOnly: {
+      PushPullBroadcast proto(view, tc.source, Rng(tc.seed),
+                              tc.proto == CheckProto::kPushOnly
+                                  ? LegRule::kPushOnly
+                                  : LegRule::kBoth);
       a.result = drive(proto);
       a.inform_round.resize(tc.num_nodes);
       for (NodeId u = 0; u < tc.num_nodes; ++u)
         a.inform_round[u] = proto.inform_round(u);
       a.has_inform = true;
-      break;
-    }
-    case CheckProto::kPushOnly: {
-      PushOnlyBroadcast proto(view, tc.source, Rng(tc.seed));
-      a.result = drive(proto);
       break;
     }
     case CheckProto::kFlooding: {

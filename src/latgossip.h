@@ -44,7 +44,6 @@
 #include "core/dtg.h"
 #include "core/eid.h"
 #include "core/latency_discovery.h"
-#include "core/push_only.h"
 #include "core/push_pull.h"
 #include "core/random_local_broadcast.h"
 #include "core/rr_broadcast.h"

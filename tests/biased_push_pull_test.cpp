@@ -4,6 +4,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
+
 #include "core/push_pull.h"
 #include "graph/builder.h"
 #include "graph/generators.h"
@@ -17,7 +20,7 @@ namespace {
 SimResult run_biased(const WeightedGraph& g, double rho, std::uint64_t seed,
                      Round max_rounds = 1'000'000) {
   NetworkView view(g, true);
-  BiasedPushPullBroadcast proto(view, 0, rho, Rng(seed));
+  PushPullBroadcast proto(view, 0, rho, Rng(seed));
   SimOptions opts;
   opts.max_rounds = max_rounds;
   return run_gossip(g, proto, opts);
@@ -80,11 +83,18 @@ TEST(BiasedPushPull, ValidatesInput) {
   const auto g = make_path(3);
   NetworkView known(g, true);
   NetworkView unknown(g, false);
-  EXPECT_THROW(BiasedPushPullBroadcast(known, 9, 1.0, Rng(1)),
+  EXPECT_THROW(PushPullBroadcast(known, 9, 1.0, Rng(1)),
                std::invalid_argument);
-  EXPECT_THROW(BiasedPushPullBroadcast(known, 0, -1.0, Rng(1)),
+  EXPECT_THROW(PushPullBroadcast(known, 0, -1.0, Rng(1)),
                std::invalid_argument);
-  EXPECT_THROW(BiasedPushPullBroadcast(unknown, 0, 1.0, Rng(1)),
+  EXPECT_THROW(PushPullBroadcast(unknown, 0, 1.0, Rng(1)),
+               std::invalid_argument);
+  // NaN weights every neighbor NaN and ρ = +∞ keeps only latency-1
+  // edges: either stalls a broadcast, so both are rejected.
+  EXPECT_THROW(PushPullBroadcast(known, 0, std::nan(""), Rng(1)),
+               std::invalid_argument);
+  EXPECT_THROW(PushPullBroadcast(
+                   known, 0, std::numeric_limits<double>::infinity(), Rng(1)),
                std::invalid_argument);
 }
 

@@ -1,9 +1,9 @@
-// Tests for the push-only baseline (footnote 2: without pull, a star
-// needs Ω(nD) time; bidirectional push-pull avoids it).
+// Tests for PushPullBroadcast's push-only baseline (footnote 2: without
+// pull, a star needs Ω(nD) time; bidirectional push-pull avoids it) and
+// its pull-only mirror.
 
 #include <gtest/gtest.h>
 
-#include "core/push_only.h"
 #include "core/push_pull.h"
 #include "graph/builder.h"
 #include "graph/generators.h"
@@ -17,7 +17,7 @@ namespace {
 SimResult run_push_only(const WeightedGraph& g, NodeId source,
                         std::uint64_t seed, Round max_rounds = 500'000) {
   NetworkView view(g, false);
-  PushOnlyBroadcast proto(view, source, Rng(seed));
+  PushPullBroadcast proto(view, source, Rng(seed), LegRule::kPushOnly);
   SimOptions opts;
   opts.max_rounds = max_rounds;
   return run_gossip(g, proto, opts);
@@ -41,7 +41,7 @@ TEST(PushOnly, UninformedNodesStaySilent) {
   // over nodes of (rounds - inform_round), far below n*rounds early on.
   const auto g = make_path(6);
   NetworkView view(g, false);
-  PushOnlyBroadcast proto(view, 0, Rng(3));
+  PushPullBroadcast proto(view, 0, Rng(3), LegRule::kPushOnly);
   SimOptions opts;
   opts.max_rounds = 3;
   const SimResult r = run_gossip(g, proto, opts);
@@ -56,7 +56,7 @@ TEST(PushOnly, ResponseLegDiscarded) {
   // pushes, so 0 is informed by 1's own initiation only.
   const auto g = build_graph(2, {{0, 1, 1}});
   NetworkView view(g, false);
-  PushOnlyBroadcast proto(view, 1, Rng(5));
+  PushPullBroadcast proto(view, 1, Rng(5), LegRule::kPushOnly);
   SimOptions opts;
   opts.max_rounds = 10;
   const SimResult r = run_gossip(g, proto, opts);
@@ -111,17 +111,17 @@ TEST(PushOnly, WeightedStarShowsNDBehavior) {
 TEST(PushOnly, ValidatesSource) {
   const auto g = make_path(3);
   NetworkView view(g, false);
-  EXPECT_THROW(PushOnlyBroadcast(view, 9, Rng(1)), std::invalid_argument);
+  EXPECT_THROW(PushPullBroadcast(view, 9, Rng(1), LegRule::kPushOnly),
+               std::invalid_argument);
 }
 
 TEST(PushOnly, PipelinedResponsesAllDiscarded) {
   // Latency-4 edge, node 1 informed, node 0 initiates every round while
-  // responses are in flight: every response leg must be discarded
-  // individually (regression for overlapping in-flight bookkeeping) —
-  // but node 1's own pushes inform node 0.
+  // responses are in flight: every response leg must be discarded,
+  // however many overlap — but node 1's own pushes inform node 0.
   const auto g = build_graph(2, {{0, 1, 4}});
   NetworkView view(g, false);
-  PushOnlyBroadcast proto(view, 1, Rng(11));
+  PushPullBroadcast proto(view, 1, Rng(11), LegRule::kPushOnly);
   SimOptions opts;
   opts.max_rounds = 50;
   const SimResult r = run_gossip(g, proto, opts);
@@ -131,7 +131,8 @@ TEST(PushOnly, PipelinedResponsesAllDiscarded) {
 SimResult run_pull_only(const WeightedGraph& g, NodeId source,
                         std::uint64_t seed, Round max_rounds = 500'000) {
   NetworkView view(g, false);
-  PullOnlyBroadcast proto(view, source, Rng(seed));
+  PushPullBroadcast proto(view, source, Rng(seed),
+                          LegRule::kResponseOnly);
   SimOptions opts;
   opts.max_rounds = max_rounds;
   return run_gossip(g, proto, opts);
@@ -165,7 +166,7 @@ TEST(PullOnly, UnsolicitedPushesIgnored) {
   // happen spontaneously.
   const auto g = build_graph(2, {{0, 1, 3}});
   NetworkView view(g, false);
-  PullOnlyBroadcast proto(view, 1, Rng(5));
+  PushPullBroadcast proto(view, 1, Rng(5), LegRule::kResponseOnly);
   SimOptions opts;
   opts.max_rounds = 100;
   const SimResult r = run_gossip(g, proto, opts);
@@ -183,7 +184,7 @@ std::vector<std::size_t> pull_three_nodes(NodeId w, std::uint64_t seed) {
   b.add_edge(1, w, 2);
   const WeightedGraph g = b.build();
   NetworkView view(g, false);
-  PullOnlyBroadcast proto(view, 0, Rng(seed));
+  PushPullBroadcast proto(view, 0, Rng(seed), LegRule::kResponseOnly);
   SimOptions opts;
   opts.max_rounds = 200;
   const SimResult r = run_gossip(g, proto, opts);
@@ -193,9 +194,9 @@ std::vector<std::size_t> pull_three_nodes(NodeId w, std::uint64_t seed) {
 }
 
 TEST(PullOnly, RelabelingToLargeNodeIdsKeepsTheRun) {
-  // Which in-flight exchange a delivery belongs to must not depend on
-  // how large the node ids are: a third node labeled 2^20 (ids 2 ..
-  // 2^20-1 isolated) runs exactly as when it is labeled 2.
+  // Which leg a delivery is must not depend on how large the node ids
+  // are: a third node labeled 2^20 (ids 2 .. 2^20-1 isolated) runs
+  // exactly as when it is labeled 2.
   const NodeId big = NodeId{1} << 20;
   for (std::uint64_t seed = 1; seed <= 6; ++seed)
     EXPECT_EQ(pull_three_nodes(big, seed), pull_three_nodes(2, seed))
@@ -205,7 +206,8 @@ TEST(PullOnly, RelabelingToLargeNodeIdsKeepsTheRun) {
 TEST(PullOnly, ValidatesSource) {
   const auto g = make_path(3);
   NetworkView view(g, false);
-  EXPECT_THROW(PullOnlyBroadcast(view, 9, Rng(1)), std::invalid_argument);
+  EXPECT_THROW(PushPullBroadcast(view, 9, Rng(1), LegRule::kResponseOnly),
+               std::invalid_argument);
 }
 
 }  // namespace
