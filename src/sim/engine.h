@@ -29,10 +29,11 @@
 // allocation-free where possible.
 //
 // Hot-path design (see DESIGN.md "Engine internals & performance"):
-//  * deliveries live in a calendar queue — a power-of-two ring of
-//    buckets covering the latency horizon; buckets are cleared but
-//    never deallocated between rounds, so steady state allocates
-//    nothing;
+//  * exchanges in flight live in a calendar queue — a ring of exactly
+//    ℓmax + 1 buckets, one record per exchange that drains as its push
+//    leg and then its response leg; a bucket reserves its storage when
+//    it first receives an exchange and is cleared but never
+//    deallocated between rounds, so steady state allocates nothing;
 //  * the two observer pointers (recorder, scenario plan) are hoisted
 //    out of the per-event loop by a compile-time policy: run_gossip()
 //    dispatches to a NoHooks instantiation when neither is set and to
@@ -244,23 +245,26 @@ struct SimOptions {
 
 namespace detail {
 
-/// One scheduled payload leg, parameterized on the protocol's payload
-/// type so EngineState below can persist buckets across runs.
+/// One scheduled exchange, parameterized on the protocol's payload
+/// type so EngineState below can persist buckets across runs. It lands
+/// as two legs, in this order: the push (`push` reaches `peer`) and the
+/// response (`pull` reaches `u`, which unblocks `u` in the blocking
+/// model).
 template <typename PayloadT>
 struct EngineDelivery {
-  NodeId to;
-  NodeId from;
+  NodeId u;     ///< the initiator
+  NodeId peer;  ///< the responder
   EdgeId edge;
   Round start;
-  Leg leg;  ///< a response leg unblocks `to` in the blocking model
-  PayloadT payload;
+  PayloadT push;  ///< u's snapshot at `start`
+  PayloadT pull;  ///< peer's snapshot at `start`
 };
 
 /// The engine's per-run storage, extracted so a TrialWorkspace can keep
-/// it alive between runs: the calendar queue (power-of-two ring of
-/// delivery buckets) plus the blocking / bounded-in-degree bookkeeping
-/// vectors. prepare() restores the exact fresh-run state while keeping
-/// every allocation whose capacity still fits — in the trial-sweep
+/// it alive between runs: the calendar queue (a ring of exchange
+/// buckets, round r's bucket at r % slots.size()) plus the blocking /
+/// bounded-in-degree bookkeeping vectors. prepare() restores the exact
+/// fresh-run state while keeping every allocation — in the trial-sweep
 /// steady state (same graph shape run after run) it allocates nothing.
 /// One state per payload type per workspace; protocols sharing a payload
 /// type share the state, which is safe because runs on one workspace are
@@ -273,39 +277,18 @@ class EngineState {
   using Delivery = EngineDelivery<PayloadT>;
 
   std::vector<std::vector<Delivery>> slots;
-  std::vector<Round> slot_due;
-  std::size_t capacity = 0;
-  std::size_t mask = 0;
   std::vector<std::size_t> outstanding;    ///< blocking model
   std::vector<Round> incoming_stamp;       ///< bounded in-degree
   std::vector<std::size_t> incoming_count;
   bool in_use = false;
 
-  /// Reset to fresh-run state for a latency horizon and node count.
-  /// Ring capacity and bucket storage are kept when large enough;
-  /// contents never survive (buckets are cleared here and on run exit).
+  /// Reset to fresh-run state for a latency horizon and node count. A
+  /// ring from an earlier run is kept when it has at least `horizon`
+  /// buckets, and buckets keep their storage; contents never survive
+  /// (release_pending() empties every bucket on run exit).
   void prepare(std::size_t horizon, std::size_t n, bool blocking,
                bool bounded_indegree) {
-    std::size_t want = 1;
-    while (want < horizon) want <<= 1;
-    if (want > capacity) {
-      slots.resize(want);
-      slot_due.resize(want);
-      capacity = want;
-      mask = want - 1;
-    }
-    std::fill(slot_due.begin(), slot_due.end(), Round{-1});
-    // Pre-size every bucket to the dense steady state (each round
-    // schedules at most 2n legs, and doubling growth would land a busy
-    // bucket at ~2n anyway); reused buckets already hold their storage
-    // and skip the reserve. Reserved-but-untouched pages cost nothing
-    // physical; the cap keeps the virtual footprint polite at large n.
-    const std::size_t bucket_hint =
-        std::min<std::size_t>(2 * n, std::size_t{1} << 16);
-    for (auto& slot : slots) {
-      slot.clear();
-      if (slot.capacity() < bucket_hint) slot.reserve(bucket_hint);
-    }
+    if (slots.size() < horizon) slots.resize(horizon);
     if (blocking)
       outstanding.assign(n, 0);
     else
@@ -319,24 +302,24 @@ class EngineState {
     }
   }
 
-  /// Re-bucket into a larger ring (latency jitter stretched a latency
-  /// past the nominal horizon).
-  void grow(std::size_t need) {
-    std::size_t new_capacity = std::max<std::size_t>(capacity, 1);
-    while (new_capacity < need) new_capacity <<= 1;
-    std::vector<std::vector<Delivery>> new_slots(new_capacity);
-    std::vector<Round> new_due(new_capacity, -1);
-    const std::size_t new_mask = new_capacity - 1;
-    for (std::size_t i = 0; i < capacity; ++i) {
+  /// Re-bucket into a ring of at least `need` buckets, doubling (latency
+  /// jitter stretched a latency past the ring). Called while round `now`
+  /// schedules, after its bucket drained, so every pending exchange is
+  /// due in (now, now + size]: a bucket's distance ahead of now's bucket
+  /// names its due round, and the exchanges move to due % new size.
+  void grow(std::size_t need, Round now) {
+    const std::size_t size = slots.size();
+    std::size_t new_size = size;
+    while (new_size < need) new_size *= 2;
+    std::vector<std::vector<Delivery>> grown(new_size);
+    const auto base = static_cast<std::size_t>(now);
+    const std::size_t cursor = base % size;
+    for (std::size_t i = 0; i < size; ++i) {
       if (slots[i].empty()) continue;
-      const auto j = static_cast<std::size_t>(slot_due[i]) & new_mask;
-      new_slots[j] = std::move(slots[i]);
-      new_due[j] = slot_due[i];
+      const std::size_t ahead = i > cursor ? i - cursor : i + size - cursor;
+      grown[(base + ahead) % new_size] = std::move(slots[i]);
     }
-    slots = std::move(new_slots);
-    slot_due = std::move(new_due);
-    capacity = new_capacity;
-    mask = new_mask;
+    slots = std::move(grown);
   }
 
   /// Destroy every pending delivery (payloads included). Runs on every
@@ -384,12 +367,14 @@ SimResult run_gossip_impl(const WeightedGraph& g, P& proto,
     return result;
   }
 
-  // Calendar queue: deliveries due at absolute round d live in slot
-  // d & mask. Capacity is a power of two covering the latency horizon,
-  // so within the pending window (now, now + capacity] every due round
-  // owns a distinct slot. Buckets are cleared after draining but keep
-  // their storage — steady state schedules without allocating. Jitter
-  // may stretch a latency past the nominal horizon; grow() re-buckets.
+  // Calendar queue: an exchange due at absolute round d lives in slot
+  // d % capacity, and a cursor holds round r's slot, r % capacity. The
+  // ring has at least ℓmax + 1 slots and round r's slot drains before r
+  // schedules, so every due round in the pending window
+  // (now, now + capacity] owns a distinct slot. Buckets are cleared
+  // after draining but keep their storage — steady state schedules
+  // without allocating. Jitter may stretch a latency past the ring;
+  // grow() re-buckets.
   //
   // The queue lives in the caller's TrialWorkspace when one is supplied
   // (so the next run on this thread reuses the buckets) and falls back
@@ -417,22 +402,40 @@ SimResult run_gossip_impl(const WeightedGraph& g, P& proto,
   } state_guard{st};
 
   auto& slots = st.slots;
-  auto& slot_due = st.slot_due;
-  std::size_t mask = st.mask;
-  [[maybe_unused]] std::size_t capacity = st.capacity;
+  std::size_t capacity = slots.size();
+  std::size_t cursor = 0;
+  // A bucket reserves the dense steady state (each round schedules at
+  // most n exchanges, and doubling growth would land a busy bucket near
+  // n anyway) when it first receives an exchange, so slots no exchange
+  // lands in cost nothing; the cap keeps the footprint polite at large
+  // n.
+  const std::size_t bucket_hint =
+      std::min<std::size_t>(n, std::size_t{1} << 15);
+  // Legs in flight, two per exchange.
   std::size_t inflight = 0;
 
-  auto grow = [&](std::size_t need) {
-    st.grow(need);
-    mask = st.mask;
-    capacity = st.capacity;
-  };
-
-  auto schedule = [&](Round due, Delivery&& d) {
-    const auto idx = static_cast<std::size_t>(due) & mask;
-    slot_due[idx] = due;
-    slots[idx].push_back(std::move(d));
-    ++inflight;
+  // One leg of a drained exchange: `to` receives `from`'s snapshot.
+  auto land = [&](NodeId to, NodeId from, typename P::Payload& payload,
+                  const Delivery& d, Leg leg, Round now) {
+    if constexpr (kHooked) {
+      // A leg touching a crashed or churned-away endpoint is a crash
+      // drop; only the other legs draw from the loss stream.
+      if (plan) {
+        const bool crashed = plan->down(to, now) || plan->down(from, now);
+        if (crashed || plan->drop_leg()) {
+          ++result.messages_dropped;
+          if (recorder)
+            recorder->record_drop(to, from, d.edge, d.start, now, crashed);
+          return;
+        }
+      }
+    }
+    proto.deliver(to, from, std::move(payload), d.edge, d.start, now, leg);
+    ++result.messages_delivered;
+    if constexpr (kHooked) {
+      if (recorder) recorder->record_delivery(to, from, d.edge, d.start, now);
+      if (plan) plan->note_delivery(to);
+    }
   };
 
   // Blocking-model bookkeeping: outstanding self-initiated exchanges.
@@ -451,45 +454,26 @@ SimResult run_gossip_impl(const WeightedGraph& g, P& proto,
       }
     }
 
-    // 1. Deliveries due now. Within the pending window, any entry in
+    // 1. Deliveries due now. Within the pending window, any exchange in
     // this slot is due exactly at r (see the capacity invariant above).
-    auto& due = slots[static_cast<std::size_t>(r) & mask];
+    // Each drains as its push leg and then its response leg.
+    auto& due = slots[cursor];
     if (!due.empty()) {
       for (std::size_t i = 0; i < due.size(); ++i) {
-        if (i + 1 < due.size()) {
-          detail::prefetch_payload<P>(due[i + 1].payload);
-          detail::prefetch_receiver(proto, due[i + 1].to);
-        }
         auto& d = due[i];
-        if (opts.blocking && d.leg == Leg::kResponse) {
-          // The response leg completes the initiator's round trip even
-          // if its content is lost.
-          if (outstanding[d.to] > 0) --outstanding[d.to];
+        detail::prefetch_payload<P>(d.pull);
+        detail::prefetch_receiver(proto, d.u);
+        land(d.peer, d.u, d.push, d, Leg::kPush, r);
+        if (i + 1 < due.size()) {
+          detail::prefetch_payload<P>(due[i + 1].push);
+          detail::prefetch_receiver(proto, due[i + 1].peer);
         }
-        if constexpr (kHooked) {
-          // A leg touching a crashed or churned-away endpoint is a crash
-          // drop; only the other legs draw from the loss stream.
-          if (plan) {
-            const bool crashed = plan->down(d.to, r) || plan->down(d.from, r);
-            if (crashed || plan->drop_leg()) {
-              ++result.messages_dropped;
-              if (recorder)
-                recorder->record_drop(d.to, d.from, d.edge, d.start, r,
-                                      crashed);
-              continue;
-            }
-          }
-        }
-        proto.deliver(d.to, d.from, std::move(d.payload), d.edge, d.start, r,
-                      d.leg);
-        ++result.messages_delivered;
-        if constexpr (kHooked) {
-          if (recorder)
-            recorder->record_delivery(d.to, d.from, d.edge, d.start, r);
-          if (plan) plan->note_delivery(d.to);
-        }
+        // The response leg completes the initiator's round trip even if
+        // its content is lost.
+        if (opts.blocking && outstanding[d.u] > 0) --outstanding[d.u];
+        land(d.u, d.peer, d.pull, d, Leg::kResponse, r);
       }
-      inflight -= due.size();
+      inflight -= 2 * due.size();
       due.clear();  // storage retained for bucket reuse
     }
 
@@ -540,28 +524,34 @@ SimResult run_gossip_impl(const WeightedGraph& g, P& proto,
         if (plan) {
           lat = plan->adjust_latency(u, peer, edge, lat, r);
           if (lat < 1) lat = 1;
-          if (static_cast<std::size_t>(lat) > capacity)
-            grow(static_cast<std::size_t>(lat) + 1);
+          if (static_cast<std::size_t>(lat) > capacity) {
+            st.grow(static_cast<std::size_t>(lat) + 1, r);
+            capacity = slots.size();
+            cursor = static_cast<std::size_t>(r) % capacity;
+          }
         }
       }
+      // lat <= capacity, so one compare wraps the target slot.
+      std::size_t target = cursor + static_cast<std::size_t>(lat);
+      if (target >= capacity) target -= capacity;
+      auto& bucket = slots[target];
+      if (bucket.capacity() < bucket_hint) [[unlikely]]
+        bucket.reserve(bucket_hint);
 #if defined(__GNUC__) || defined(__clang__)
       // Issue the write-allocate for the target bucket's tail while the
-      // payload captures below run; the two push_backs then land on a
-      // warm line instead of stalling on a read-for-ownership miss.
-      {
-        const auto& tgt = slots[static_cast<std::size_t>(r + lat) & mask];
-        __builtin_prefetch(tgt.data() + tgt.size(), /*rw=*/1, /*locality=*/1);
-      }
+      // payload captures below run; the push_back then lands on a warm
+      // line instead of stalling on a read-for-ownership miss.
+      __builtin_prefetch(bucket.data() + bucket.size(), /*rw=*/1,
+                         /*locality=*/1);
 #endif
       // Initiator's snapshot travels to the responder and vice versa.
       auto push = PayloadTraits<P>::capture(proto, u, r);
       auto pull = PayloadTraits<P>::capture(proto, peer, r);
       result.payload_bits += detail::payload_bits_of<P>(push);
       result.payload_bits += detail::payload_bits_of<P>(pull);
-      schedule(r + lat, Delivery{peer, u, edge, r, Leg::kPush,
-                                 std::move(push)});
-      schedule(r + lat, Delivery{u, peer, edge, r, Leg::kResponse,
-                                 std::move(pull)});
+      bucket.push_back(Delivery{u, peer, edge, r, std::move(push),
+                                std::move(pull)});
+      inflight += 2;
       if (opts.blocking) ++outstanding[u];
       result.max_inflight = std::max(result.max_inflight, inflight);
     }
@@ -571,6 +561,7 @@ SimResult run_gossip_impl(const WeightedGraph& g, P& proto,
       result.completed = proto.done(r);
       return result;
     }
+    if (++cursor == capacity) cursor = 0;
   }
 
   result.rounds = opts.max_rounds;

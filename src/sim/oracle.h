@@ -11,8 +11,9 @@
 //
 //   engine (run_gossip)              oracle (run_gossip_oracle)
 //   -------------------------------  --------------------------------
-//   calendar queue of delivery legs  flat in-flight exchange list,
-//   bucketed by due round            re-scanned in full every round
+//   calendar queue: one record per   flat in-flight exchange list,
+//   exchange in a ring of ℓmax + 1   re-scanned in full every round
+//   due-round buckets
 //   returned adjacency slot checked  returned slot looked up by a
 //   against the edge record          linear walk of u's adjacency
 //                                    slice
@@ -20,8 +21,9 @@
 //   + hoisted recorder pointer       every event, always
 //   blocking via outstanding-        blocking via a linear scan of the
 //   exchange counters                in-flight list per initiation
-//   deliver's leg read from each     deliver's leg named after the
-//   calendar-queue record            Exchange field that held the payload
+//   deliver's leg from the drain     deliver's leg named after the
+//   order: each record's push, then  Exchange field that held the payload
+//   its response
 //   stamp-trick in-degree counters   per-round counter vector,
 //   (O(1) reset)                     reallocated every round
 //   shared copy-on-write payload     naive private deep copy per

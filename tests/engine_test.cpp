@@ -13,6 +13,7 @@
 #include "obs/recorder.h"
 #include "sim/engine.h"
 #include "sim/oracle.h"
+#include "sim/workspace.h"
 #include "util/bitset.h"
 #include "util/snapshot.h"
 
@@ -308,7 +309,7 @@ TEST(Engine, HookedAndFastPathsProduceIdenticalResults) {
 }
 
 TEST(Engine, JitterBeyondLatencyHorizonGrowsCalendarQueue) {
-  // Nominal max latency is 2, so the calendar ring starts at 4 slots;
+  // Nominal max latency is 2, so the calendar ring starts at 3 slots;
   // a jitter spread of 1000 stretches the exchanges far past it, which
   // must trigger the re-bucketing growth path and still deliver at the
   // right rounds.
@@ -331,7 +332,7 @@ TEST(Engine, JitterBeyondLatencyHorizonGrowsCalendarQueue) {
       std::max<Latency>(1, 2 + jitter.uniform_int(-1000, 1000));
   const Latency second =
       std::max<Latency>(1, 2 + jitter.uniform_int(-1000, 1000));
-  ASSERT_GT(std::max(first, second), 4);  // beyond the initial ring
+  ASSERT_GT(std::max(first, second), 3);  // beyond the initial ring
   std::vector<Round> expected{first, first, 1 + second, 1 + second};
   std::sort(expected.begin(), expected.end());
   ASSERT_EQ(proto.deliveries.size(), 4u);
@@ -340,6 +341,90 @@ TEST(Engine, JitterBeyondLatencyHorizonGrowsCalendarQueue) {
   std::sort(arrivals.begin(), arrivals.end());
   EXPECT_EQ(arrivals, expected);
   EXPECT_EQ(result.messages_delivered, 4u);
+}
+
+TEST(Engine, RingGrowthAfterWrapKeepsDueRounds) {
+  // Nominal latency 2 gives a 3-slot ring. Jitter keeps round 3's
+  // exchange inside it, and round 4's outgrows it while the first is
+  // still pending: the grown ring must put round 4 at slot 4 % 6, not
+  // 4 % 3, for both exchanges to land on time.
+  const auto g = build_graph(2, {{0, 1, 2}});
+  ScriptedProtocol proto(2);
+  proto.schedule(0, 3, slot(g, 0, 1));
+  proto.schedule(0, 4, slot(g, 0, 1));
+  DynamicSpec spec;
+  spec.jitter_spread = 4;
+  spec.jitter_seed = 17;
+  DynamicPlan plan(2, g.num_edges(), spec);
+  SimOptions opts;
+  opts.max_rounds = 20;
+  opts.stop_when_idle = false;
+  opts.dynamics = &plan;
+  run_gossip(g, proto, opts);
+
+  Rng jitter(spec.jitter_seed);
+  const Latency first = std::max<Latency>(1, 2 + jitter.uniform_int(-4, 4));
+  const Latency second = std::max<Latency>(1, 2 + jitter.uniform_int(-4, 4));
+  ASSERT_TRUE(first == 2 || first == 3);  // pending at round 4's growth
+  ASSERT_GT(second, 3);                   // beyond the 3-slot ring
+  std::vector<Round> arrivals;
+  for (const auto& d : proto.deliveries) arrivals.push_back(d.now);
+  EXPECT_EQ(arrivals, (std::vector<Round>{3 + first, 3 + first, 4 + second,
+                                          4 + second}));
+}
+
+TEST(Engine, ReusedRingMatchesFreshRunsAndOracle) {
+  // One workspace keeps its calendar ring from run to run: horizons 13,
+  // 4, 13 and 6, so later runs wrap a ring larger than their own
+  // horizon, and jitter grows it past 13 mid-run. Every run must match
+  // a fresh workspace's and the oracle's, event for event; link loss
+  // makes the order of the two legs visible in the drop events.
+  TrialWorkspace ws;
+  const auto ring_size = [&ws] {
+    return ws.find_slot<detail::EngineState<bool>>()->slots.size();
+  };
+  Rng grng(17);
+  bool first_run = true;
+  for (const Latency lmax : {Latency{12}, Latency{3}, Latency{12}, Latency{5}}) {
+    auto g = make_erdos_renyi(40, 0.15, grng);
+    assign_two_level_latency(g, 1, lmax, 0.3, grng);
+    ASSERT_EQ(g.max_latency(), lmax);
+    for (const bool jitter : {false, true}) {
+      DynamicSpec spec;
+      if (jitter) {
+        spec.jitter_spread = 20;
+        spec.jitter_seed = 7;
+        spec.drop_prob = 0.2;
+        spec.fault_seed = 5;
+      }
+      const auto run = [&](TrialWorkspace* workspace, bool on_oracle) {
+        NetworkView view(g, false);
+        PushPullBroadcast proto(view, 0, Rng(static_cast<std::uint64_t>(lmax)));
+        EventRecorder rec;
+        DynamicPlan plan(g.num_nodes(), g.num_edges(), spec);
+        SimOptions opts;
+        opts.recorder = &rec;
+        opts.workspace = workspace;
+        if (jitter) opts.dynamics = &plan;
+        SimResult result = on_oracle ? run_gossip_oracle(g, proto, opts)
+                                     : run_gossip(g, proto, opts);
+        result.fingerprint = rec.fingerprint();
+        return result;
+      };
+      TrialWorkspace fresh;
+      const SimResult reused = run(&ws, false);
+      SCOPED_TRACE(testing::Message() << "lmax " << lmax << " jitter "
+                                      << jitter << " ring " << ring_size());
+      EXPECT_TRUE(reused.completed);
+      EXPECT_EQ(reused, run(&fresh, false));
+      EXPECT_EQ(reused, run(nullptr, true));
+      if (first_run) {
+        EXPECT_EQ(ring_size(), 13u);  // exactly ℓmax + 1
+      }
+      first_run = false;
+    }
+  }
+  EXPECT_GT(ring_size(), 13u);  // jitter grew it
 }
 
 TEST(Engine, BothEndpointsSnapshotAtInitiationRound) {
