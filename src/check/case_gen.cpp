@@ -127,6 +127,8 @@ const char* check_proto_name(CheckProto p) {
   switch (p) {
     case CheckProto::kPushPull: return "pushpull";
     case CheckProto::kPushOnly: return "pushonly";
+    case CheckProto::kPullOnly: return "pullonly";
+    case CheckProto::kBiased: return "biased";
     case CheckProto::kFlooding: return "flooding";
     case CheckProto::kGossipAllToAll: return "gossip_a2a";
     case CheckProto::kGossipLocal: return "gossip_local";
@@ -169,6 +171,12 @@ TestCase random_case(Rng& rng, const CaseProfile& profile) {
   tc.seed = rng() | 1;  // nonzero
   tc.source = static_cast<NodeId>(rng.uniform(tc.num_nodes));
   tc.tk_estimate = 1 + static_cast<Latency>(rng.uniform(8));
+  if (tc.proto == CheckProto::kBiased) {
+    // ρ = 0 runs the weighted draw with equal weights; 2 shuns slow
+    // edges. Each prints exactly, so a dumped case reproduces.
+    constexpr double kRhos[] = {0.0, 0.5, 2.0};
+    tc.rho = kRhos[rng.uniform(3)];
+  }
 
   if (dyn_scenario >= 0) {
     DynamicSpec& d = tc.dynamics;
@@ -268,6 +276,7 @@ std::string describe(const TestCase& tc) {
       << " m=" << tc.edges.size() << " seed=" << tc.seed
       << " source=" << tc.source;
   if (tc.proto == CheckProto::kTk) out << " k=" << tc.tk_estimate;
+  if (tc.proto == CheckProto::kBiased) out << " rho=" << tc.rho;
   if (tc.blocking) out << " blocking";
   if (tc.max_incoming_per_round > 0)
     out << " max_in=" << tc.max_incoming_per_round;
@@ -281,6 +290,7 @@ void write_case(std::ostream& out, const TestCase& tc) {
       << "# " << describe(tc) << "\n"
       << "# proto=" << check_proto_name(tc.proto) << " seed=" << tc.seed
       << " source=" << tc.source << " tk=" << tc.tk_estimate
+      << " rho=" << tc.rho
       << " blocking=" << (tc.blocking ? 1 : 0)
       << " max_incoming=" << tc.max_incoming_per_round
       << " max_rounds=" << tc.max_rounds << "\n";

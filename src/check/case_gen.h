@@ -26,6 +26,8 @@ namespace latgossip {
 enum class CheckProto : std::uint8_t {
   kPushPull = 0,    ///< PushPullBroadcast (single-source rumor)
   kPushOnly,        ///< PushPullBroadcast, LegRule::kPushOnly
+  kPullOnly,        ///< PushPullBroadcast, LegRule::kResponseOnly
+  kBiased,          ///< latency-biased PushPullBroadcast (known latencies)
   kFlooding,        ///< round-robin PushPullGossip, single-source goal
   kGossipAllToAll,  ///< PushPullGossip, all-to-all goal (rumor sets)
   kGossipLocal,     ///< PushPullGossip, local-broadcast goal (rumor sets)
@@ -45,6 +47,7 @@ struct TestCase {
   std::uint64_t seed = 1;   ///< protocol + fault + jitter randomness
   NodeId source = 0;        ///< broadcast source (simple protocols)
   Latency tk_estimate = 1;  ///< T(k) schedule parameter
+  double rho = 0.0;         ///< latency bias exponent (kBiased only)
 
   // Engine-model knobs (simple protocols only).
   bool blocking = false;

@@ -49,20 +49,29 @@ RunArtifacts run_simple_once(const TestCase& tc, const WeightedGraph& g,
     return use_oracle ? run_gossip_oracle(g, proto, opts, bug)
                       : run_gossip(g, proto, opts);
   };
+  auto broadcast = [&](PushPullBroadcast proto) {
+    a.result = drive(proto);
+    a.inform_round.resize(tc.num_nodes);
+    for (NodeId u = 0; u < tc.num_nodes; ++u)
+      a.inform_round[u] = proto.inform_round(u);
+    a.has_inform = true;
+  };
   switch (tc.proto) {
     case CheckProto::kPushPull:
-    case CheckProto::kPushOnly: {
-      PushPullBroadcast proto(view, tc.source, Rng(tc.seed),
-                              tc.proto == CheckProto::kPushOnly
-                                  ? LegRule::kPushOnly
-                                  : LegRule::kBoth);
-      a.result = drive(proto);
-      a.inform_round.resize(tc.num_nodes);
-      for (NodeId u = 0; u < tc.num_nodes; ++u)
-        a.inform_round[u] = proto.inform_round(u);
-      a.has_inform = true;
+      broadcast(PushPullBroadcast(view, tc.source, Rng(tc.seed)));
       break;
-    }
+    case CheckProto::kPushOnly:
+      broadcast(PushPullBroadcast(view, tc.source, Rng(tc.seed),
+                                  LegRule::kPushOnly));
+      break;
+    case CheckProto::kPullOnly:
+      broadcast(PushPullBroadcast(view, tc.source, Rng(tc.seed),
+                                  LegRule::kResponseOnly));
+      break;
+    case CheckProto::kBiased:
+      broadcast(PushPullBroadcast(NetworkView(g, /*latencies_known=*/true),
+                                  tc.source, tc.rho, Rng(tc.seed)));
+      break;
     case CheckProto::kFlooding: {
       PushPullGossip proto(view, GossipGoal::kSingleSource, tc.source,
                            own_id_rumors(tc.num_nodes), Rng{},

@@ -56,7 +56,7 @@ void sweep(Rng& rng, const CaseProfile& profile, int cases,
   }
 }
 
-// The quick-profile sweep: >= 2000 random cases across all eight
+// The quick-profile sweep: >= 2000 random cases across all ten
 // protocols (including the rumor-set goals that exercise the
 // copy-on-write snapshot payloads), with and without faults, plus the
 // dynamic families (drift / churn / adversary); zero divergence
