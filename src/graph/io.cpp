@@ -66,22 +66,23 @@ WeightedGraph read_graph(std::istream& in) {
          " exceeds a simple graph on " + std::to_string(n) + " nodes");
   GraphBuilder b(static_cast<std::size_t>(n));
   for (std::int64_t i = 0; i < m; ++i) {
-    const std::string at = " at edge " + std::to_string(i);
+    // Built only on a failure path: the success path formats nothing.
+    const auto at = [i] { return " at edge " + std::to_string(i); };
     skip_noise(in);
     std::int64_t u = 0, v = 0;
     Latency latency = 0;
-    if (!(in >> u >> v >> latency)) fail("truncated edge list" + at);
-    if (u < 0 || v < 0) fail("negative node id" + at);
-    if (u >= n || v >= n) fail("edge endpoint out of range" + at);
+    if (!(in >> u >> v >> latency)) fail("truncated edge list" + at());
+    if (u < 0 || v < 0) fail("negative node id" + at());
+    if (u >= n || v >= n) fail("edge endpoint out of range" + at());
     if (latency < 1)
-      fail("latency must be >= 1" + at + " (got " +
+      fail("latency must be >= 1" + at() + " (got " +
            std::to_string(latency) + ")");
     try {
       b.add_edge(static_cast<NodeId>(u), static_cast<NodeId>(v), latency);
     } catch (const std::exception& e) {
       // Self-loops, rejected by the builder — re-thrown with the
       // offending edge's position attached.
-      fail(std::string(e.what()) + at);
+      fail(std::string(e.what()) + at());
     }
   }
   skip_noise(in);
