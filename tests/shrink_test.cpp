@@ -5,6 +5,8 @@
 // assert the shrinker reduces the counterexample to a handful of nodes
 // while keeping the divergence alive.
 
+#include <sstream>
+
 #include <gtest/gtest.h>
 
 #include "check/case_gen.h"
@@ -107,6 +109,29 @@ TEST(Shrink, ReducesDroppedLegBug) {
     return;
   }
   FAIL() << "no divergent case within 50 draws";
+}
+
+// A latency-biased case carries its ρ: both dumps print it, and the
+// shrinker hands it on to the minimal case.
+TEST(Shrink, KeepsBiasedRho) {
+  Rng rng(5);
+  CaseProfile profile;
+  profile.composites = false;
+  TestCase tc = random_case(rng, profile);
+  while (tc.proto != CheckProto::kBiased || tc.rho == 0.0)
+    tc = random_case(rng, profile);
+  std::ostringstream rho;
+  rho << "rho=" << tc.rho;
+  EXPECT_NE(describe(tc).find(rho.str()), std::string::npos) << describe(tc);
+  std::ostringstream dump;
+  write_case(dump, tc);
+  EXPECT_NE(dump.str().find(rho.str()), std::string::npos) << dump.str();
+
+  const TestCase small = shrink_case(
+      tc, [](const TestCase& c) { return c.num_nodes >= 3; });
+  EXPECT_EQ(small.num_nodes, 3u);
+  EXPECT_EQ(small.proto, CheckProto::kBiased);
+  EXPECT_EQ(small.rho, tc.rho);
 }
 
 }  // namespace
