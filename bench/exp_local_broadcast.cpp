@@ -1,6 +1,7 @@
 // A4 (ablation) — local broadcast subroutines (Section 5.1): the paper
-// builds on deterministic DTG (O(ℓ log² n)); the randomized alternative
-// contacts a uniformly random not-yet-heard neighbor per superround.
+// builds on deterministic DTG (O(ℓ log² n)); the randomized alternative,
+// DTG's LinkRule::kUniformUnheard, contacts a uniformly random
+// not-yet-heard neighbor per superround.
 //
 // Part 1: rounds and message bits of ℓ-DTG vs the randomized subroutine
 // across topologies.
@@ -11,7 +12,6 @@
 #include "analysis/distance.h"
 #include "core/dtg.h"
 #include "core/eid.h"
-#include "core/random_local_broadcast.h"
 #include "core/rr_broadcast.h"
 #include "graph/generators.h"
 #include "graph/latency_models.h"
@@ -67,9 +67,9 @@ int main(int argc, char** argv) {
     Accumulator rnd_rounds, rnd_bits;
     for (int t = 0; t < trials; ++t) {
       NetworkView view(c.g, true);
-      RandomLocalBroadcast proto(
-          view, c.ell,
-          own_id_rumors(c.g.num_nodes()),
+      DtgLocalBroadcast proto(
+          view, c.ell, own_id_rumors(c.g.num_nodes()),
+          LinkRule::kUniformUnheard,
           Rng(seed + static_cast<std::uint64_t>(t) * 31));
       SimOptions opts;
       opts.stop_when_idle = false;

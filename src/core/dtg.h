@@ -30,6 +30,18 @@
 // incident edges belong to G_ℓ. Within O(ℓ log² n) rounds every node has
 // exchanged current rumor sets with all of its G_ℓ neighbors.
 //
+// The randomized alternative (LinkRule::kUniformUnheard). Section 5.1
+// names two local-broadcast subroutines for unweighted graphs: the
+// randomized "Superstep" algorithm of Censor-Hillel et al. and
+// Haeupler's deterministic DTG; the paper builds on DTG. Under the
+// randomized rule, every superround each node that has not yet heard
+// all of its G_ℓ neighbors exchanges with a uniformly random unheard
+// one, and stops as soon as a delivery covers it. It keeps no working
+// pair: rumors relay transitively through the same (data, session)
+// payloads. It is typically faster on average but lacks DTG's
+// deterministic O(ℓ log² n) bound; EID's discovery phase offers it as
+// an ablation (EidOptions::randomized_local_broadcast).
+//
 // NOTE: the protocol initiates exchanges only at superround boundaries
 // (every ℓ rounds); run it with SimOptions::stop_when_idle = false so
 // the engine does not mistake the in-between rounds for quiescence.
@@ -42,15 +54,26 @@
 
 #include "sim/engine.h"
 #include "util/bitset.h"
+#include "util/rng.h"
 #include "util/snapshot.h"
 
 namespace latgossip {
 
+/// How a DtgLocalBroadcast node chooses its exchanges.
+enum class LinkRule {
+  /// Haeupler's script: link the lowest-id unheard G_ℓ neighbor, then
+  /// sweep the linked list with the working pair (Algorithm 5).
+  kScript,
+  /// One uniformly random unheard G_ℓ neighbor per superround, with no
+  /// working pair: the randomized alternative.
+  kUniformUnheard,
+};
+
 class DtgLocalBroadcast {
  public:
   /// Both components are copy-on-write snapshot handles
-  /// (util/snapshot.h): a node whose working pair is unchanged since
-  /// its last capture hands out the same immutable snapshots again.
+  /// (util/snapshot.h): a node whose sets are unchanged since its last
+  /// capture hands out the same immutable snapshots again.
   struct Payload {
     SnapshotRef data;     ///< union of accumulated rumor sets
     SnapshotRef session;  ///< this-invocation coverage included
@@ -61,42 +84,31 @@ class DtgLocalBroadcast {
   }
 
   /// `initial_rumors[u]` seeds node u's accumulated knowledge (u's own
-  /// id is added automatically). Requires view.latencies_known().
+  /// id is added automatically). Requires view.latencies_known(). Only
+  /// LinkRule::kUniformUnheard draws from `rng`.
   DtgLocalBroadcast(const NetworkView& view, Latency ell,
-                    std::vector<Bitset> initial_rumors)
+                    std::vector<Bitset> initial_rumors,
+                    LinkRule rule = LinkRule::kScript, Rng rng = Rng{})
       : ell_(ell),
-        data_snaps_(view.num_nodes(), view.num_nodes()),
-        session_snaps_(view.num_nodes(), view.num_nodes()) {
+        rule_(rule),
+        rng_(rng),
+        data_("DTG", view.num_nodes(), std::move(initial_rumors)),
+        session_(view.num_nodes()),
+        work_data_(rule == LinkRule::kScript ? view.num_nodes() : 0),
+        work_session_(rule == LinkRule::kScript ? view.num_nodes() : 0) {
     if (!view.latencies_known())
       throw std::invalid_argument(
           "DTG requires the known-latency model (a node must know which "
           "incident edges belong to G_ell)");
     if (ell < 1) throw std::invalid_argument("DTG: ell must be >= 1");
     const std::size_t n = view.num_nodes();
-    if (initial_rumors.size() != n)
-      throw std::invalid_argument("DTG: rumor vector size mismatch");
-    master_ = std::move(initial_rumors);
-    master_count_.assign(n, 0);
     ell_neighbors_.resize(n);
-    state_.reserve(n);
+    state_.resize(n);
     for (NodeId u = 0; u < n; ++u) {
-      if (master_[u].size() != n)
-        throw std::invalid_argument("DTG: rumor bitset size mismatch");
-      master_[u].set(u);
-      master_count_[u] = master_[u].count();
+      data_.add(u, u);
+      if (rule == LinkRule::kScript) work_data_.copy_from(u, data_);
       for (const HalfEdge& h : view.neighbors(u))
         if (view.latency(h.edge) <= ell) ell_neighbors_[u].push_back(h);
-      NodeState st;
-      st.linked_set = Bitset(n);
-      st.session = Bitset(n);
-      st.session.set(u);  // R = {v}
-      st.session_count = 1;
-      st.work_data = master_[u];
-      st.work_data_count = master_count_[u];
-      st.work_session = Bitset(n);
-      st.work_session.set(u);
-      st.work_session_count = 1;
-      state_.push_back(std::move(st));
     }
     active_count_ = n;
   }
@@ -105,6 +117,7 @@ class DtgLocalBroadcast {
     if (r % ell_ != 0) return std::nullopt;  // superround boundaries only
     NodeState& st = state_[u];
     if (!st.active) return std::nullopt;
+    if (rule_ == LinkRule::kUniformUnheard) return pick_unheard(u);
 
     // At an iteration boundary: decide whether to stop or link anew. The
     // boundary is encoded by an exhausted script (step == linked.size()
@@ -112,16 +125,9 @@ class DtgLocalBroadcast {
     const bool at_boundary =
         st.linked.empty() ||
         (st.phase == Phase::kPush2 && st.step >= st.linked.size());
-    if (at_boundary) {
-      if (covered(u) || !start_iteration(u)) {
-        st.active = false;
-        --active_count_;
-        // The capture source switches from the working pair to
-        // (master, session); drop any cached working-pair snapshots.
-        data_snaps_.invalidate(u);
-        session_snaps_.invalidate(u);
-        return std::nullopt;
-      }
+    if (at_boundary && (covered(u) || !start_iteration(u))) {
+      stop(u);
+      return std::nullopt;
     }
 
     const std::size_t i = st.linked.size();
@@ -161,85 +167,90 @@ class DtgLocalBroadcast {
   }
 
   Payload capture_payload(NodeId u, Round /*r*/) {
-    // Active nodes transmit their pipelined working pair (the behavior
-    // the O(log^2 n) analysis relies on); finished nodes answer with all
-    // they know.
-    const NodeState& st = state_[u];
-    if (st.active)
-      return Payload{data_snaps_.shared(u, st.work_data, st.work_data_count),
-                     session_snaps_.shared(u, st.work_session,
-                                           st.work_session_count)};
-    return Payload{data_snaps_.shared(u, master_[u], master_count_[u]),
-                   session_snaps_.shared(u, st.session, st.session_count)};
+    // A scripted node still running transmits its pipelined working
+    // pair (the behavior the O(log^2 n) analysis relies on); every
+    // other node answers with all it knows.
+    if (working(u))
+      return Payload{work_data_.capture(u), work_session_.capture(u)};
+    return Payload{data_.capture(u), session_.capture(u)};
   }
 
   /// Naive deep-copy capture for the reference oracle (sim/oracle.h).
   Payload capture_payload_copy(NodeId u, Round /*r*/) {
-    const NodeState& st = state_[u];
-    if (st.active)
-      return Payload{data_snaps_.fresh(st.work_data),
-                     session_snaps_.fresh(st.work_session)};
-    return Payload{data_snaps_.fresh(master_[u]),
-                   session_snaps_.fresh(st.session)};
+    if (working(u))
+      return Payload{work_data_.capture_copy(u),
+                     work_session_.capture_copy(u)};
+    return Payload{data_.capture_copy(u), session_.capture_copy(u)};
   }
 
   void deliver(NodeId u, NodeId /*peer*/, Payload payload, EdgeId /*e*/,
                Round /*start*/, Round /*now*/, Leg /*leg*/) {
-    NodeState& st = state_[u];
-    const Bitset::OrDelta dm =
-        master_[u].or_assign_changed(payload.data.bits());
-    master_count_[u] += dm.added;
-    const Bitset::OrDelta ds =
-        st.session.or_assign_changed(payload.session.bits());
-    st.session_count += ds.added;
-    if (st.active) {
-      const Bitset::OrDelta dw =
-          st.work_data.or_assign_changed(payload.data.bits());
-      st.work_data_count += dw.added;
-      const Bitset::OrDelta dws =
-          st.work_session.or_assign_changed(payload.session.bits());
-      st.work_session_count += dws.added;
-      // Active captures read the working pair.
-      if (dw.changed) data_snaps_.invalidate(u);
-      if (dws.changed) session_snaps_.invalidate(u);
-    } else {
-      // Finished captures read (master, session).
-      if (dm.changed) data_snaps_.invalidate(u);
-      if (ds.changed) session_snaps_.invalidate(u);
+    data_.merge(u, payload.data.bits());
+    session_.merge(u, payload.session.bits());
+    if (working(u)) {
+      work_data_.merge(u, payload.data.bits());
+      work_session_.merge(u, payload.session.bits());
+    } else if (rule_ == LinkRule::kUniformUnheard && state_[u].active &&
+               covered(u)) {
+      stop(u);  // the randomized rule stops as soon as it is covered
     }
   }
 
   bool done(Round /*r*/) const { return active_count_ == 0; }
 
-  const std::vector<Bitset>& rumors() const { return master_; }
-  std::vector<Bitset> take_rumors() { return std::move(master_); }
-  Latency ell() const { return ell_; }
+  const std::vector<Bitset>& rumors() const { return data_.sets(); }
+  std::vector<Bitset> take_rumors() { return data_.take(); }
 
-  /// Largest iteration index any node reached (DTG predicts O(log n)).
+  /// Largest iteration index any node reached (DTG predicts O(log n);
+  /// always 0 under LinkRule::kUniformUnheard).
   std::size_t max_iteration() const { return max_iteration_; }
 
  private:
   enum class Phase : std::uint8_t { kPush1, kPull1, kPull2, kPush2 };
 
+  /// A node's place in the script (only `active` under kUniformUnheard).
   struct NodeState {
     std::vector<HalfEdge> linked;  ///< u_1 .. u_i in link order
-    Bitset linked_set;           ///< membership mirror of `linked`
-    Bitset session;              ///< R: this-invocation rumors received
-    Bitset work_data;            ///< R'/R'' data content
-    Bitset work_session;         ///< R'/R'' session content
-    std::size_t session_count = 0;       ///< cardinality of `session`
-    std::size_t work_data_count = 0;     ///< cardinality of `work_data`
-    std::size_t work_session_count = 0;  ///< cardinality of `work_session`
     Phase phase = Phase::kPush1;
-    std::size_t step = 0;        ///< position within the current phase
+    std::size_t step = 0;          ///< position within the current phase
     bool active = true;
   };
+
+  /// Do u's captures and deliveries use the working pair? Only while a
+  /// scripted node still runs.
+  bool working(NodeId u) const {
+    return rule_ == LinkRule::kScript && state_[u].active;
+  }
 
   /// All G_ℓ neighbor ids of u present in u's session set?
   bool covered(NodeId u) const {
     for (const HalfEdge& h : ell_neighbors_[u])
-      if (!state_[u].session.test(h.to)) return false;
+      if (!session_[u].test(h.to)) return false;
     return true;
+  }
+
+  void stop(NodeId u) {
+    state_[u].active = false;
+    --active_count_;
+  }
+
+  /// LinkRule::kUniformUnheard: count u's unheard G_ℓ neighbors, draw
+  /// one index uniformly and walk to it; a node with none left stops.
+  std::optional<HalfEdge> pick_unheard(NodeId u) {
+    const Bitset& heard = session_[u];
+    std::size_t missing = 0;
+    for (const HalfEdge& h : ell_neighbors_[u])
+      if (!heard.test(h.to)) ++missing;
+    if (missing == 0) {
+      stop(u);
+      return std::nullopt;
+    }
+    std::size_t pick = rng_.uniform(missing);
+    for (const HalfEdge& h : ell_neighbors_[u]) {
+      if (heard.test(h.to)) continue;
+      if (pick-- == 0) return h;
+    }
+    throw std::logic_error("DTG: unheard pick out of range");
   }
 
   /// Start the next iteration for u (links a new neighbor); returns
@@ -250,11 +261,11 @@ class DtgLocalBroadcast {
     // linked neighbor has already delivered its session rumor).
     NodeState& st = state_[u];
     for (const HalfEdge& h : ell_neighbors_[u]) {
-      if (st.session.test(h.to)) continue;
-      if (st.linked_set.test(h.to))
+      if (session_[u].test(h.to)) continue;
+      if (std::any_of(st.linked.begin(), st.linked.end(),
+                      [&h](const HalfEdge& l) { return l.to == h.to; }))
         throw std::logic_error("DTG invariant: linked neighbor missing rumor");
       st.linked.push_back(h);
-      st.linked_set.set(h.to);
       st.phase = Phase::kPush1;
       st.step = 0;
       reset_work(u);
@@ -265,25 +276,22 @@ class DtgLocalBroadcast {
   }
 
   void reset_work(NodeId u) {
-    NodeState& st = state_[u];
-    st.work_data = master_[u];  // R' = {v}: v's (compound) rumor
-    st.work_data_count = master_count_[u];
-    st.work_session.clear();
-    st.work_session.set(u);
-    st.work_session_count = 1;
-    data_snaps_.invalidate(u);
-    session_snaps_.invalidate(u);
+    work_data_.copy_from(u, data_);  // R' = {v}: v's (compound) rumor
+    work_session_.reset_to(u, u);
   }
 
   Latency ell_;
+  LinkRule rule_;
+  Rng rng_;  ///< LinkRule::kUniformUnheard's draws
   /// Per node: its G_ℓ adjacency slots, in CSR order (sorted by
   /// neighbor id, which start_iteration's lowest-id rule relies on).
   std::vector<std::vector<HalfEdge>> ell_neighbors_;
-  std::vector<Bitset> master_;
-  std::vector<std::size_t> master_count_;  ///< incremental cardinalities
+  RumorTable data_;     ///< accumulated knowledge: the rumors
+  RumorTable session_;  ///< R: this-invocation rumors received
+  /// R'/R'': the working pair, built only under LinkRule::kScript.
+  RumorTable work_data_;
+  RumorTable work_session_;
   std::vector<NodeState> state_;
-  SnapshotCache data_snaps_;
-  SnapshotCache session_snaps_;
   std::size_t active_count_ = 0;
   std::size_t max_iteration_ = 0;
 };

@@ -4,7 +4,6 @@
 #include <stdexcept>
 
 #include "core/dtg.h"
-#include "core/random_local_broadcast.h"
 #include "core/rr_broadcast.h"
 #include "core/termination.h"
 #include "obs/metrics.h"
@@ -35,11 +34,8 @@ EidOutcome run_eid(const WeightedGraph& g, const EidOptions& options,
     throw std::invalid_argument("EID: rumor vector size mismatch");
   const Latency d = options.diameter_estimate;
   const std::size_t n_hat = options.n_hat == 0 ? n : options.n_hat;
-  const std::size_t reps = options.dtg_repetitions == 0
-                               ? ceil_log2(n)
-                               : options.dtg_repetitions;
-  const std::size_t spanner_k =
-      options.spanner_k == 0 ? ceil_log2(n_hat) : options.spanner_k;
+  const std::size_t reps = ceil_log2(n);
+  const std::size_t spanner_k = ceil_log2(n_hat);
 
   NetworkView view(g, /*latencies_known=*/true);
   EidOutcome out;
@@ -48,30 +44,29 @@ EidOutcome run_eid(const WeightedGraph& g, const EidOptions& options,
   EventRecorder* recorder = options.obs ? options.obs->recorder : nullptr;
 
   // Phase 1: O(log n) executions of D-local-broadcast (neighborhood
-  // discovery) — deterministic DTG by default, the randomized
-  // subroutine under the ablation flag.
+  // discovery) — deterministic DTG by default, the randomized link rule
+  // under the ablation flag.
+  const LinkRule rule = options.randomized_local_broadcast
+                            ? LinkRule::kUniformUnheard
+                            : LinkRule::kScript;
   {
     PhaseScope phase(options.obs, "eid/local_broadcast");
     for (std::size_t i = 0; i < reps; ++i) {
       SimOptions opts;
-      // Both subroutines act only on superround boundaries (every d
+      // Both link rules act only on superround boundaries (every d
       // rounds), so the engine's idle-stop must not fire in between.
       opts.stop_when_idle = false;
       opts.max_rounds = static_cast<Round>(d) * 64 *
                         static_cast<Round>(ceil_log2(n) * ceil_log2(n) + 4);
       opts.recorder = recorder;
       opts.workspace = options.workspace;
-      SimResult sim;
-      if (options.randomized_local_broadcast) {
-        RandomLocalBroadcast rlb(view, d, std::move(out.rumors),
-                                 rng.fork(1000 + i));
-        sim = dispatch_gossip(g, rlb, opts);
-        out.rumors = rlb.take_rumors();
-      } else {
-        DtgLocalBroadcast dtg(view, d, std::move(out.rumors));
-        sim = dispatch_gossip(g, dtg, opts);
-        out.rumors = dtg.take_rumors();
-      }
+      // Fork only for the randomized rule: fork() advances `rng`, so a
+      // fork under DTG would move the spanner's draws.
+      DtgLocalBroadcast lb(
+          view, d, std::move(out.rumors), rule,
+          rule == LinkRule::kScript ? Rng{} : rng.fork(1000 + i));
+      const SimResult sim = dispatch_gossip(g, lb, opts);
+      out.rumors = lb.take_rumors();
       phase.add(sim);
       out.sim.accumulate(sim);
     }

@@ -34,11 +34,9 @@ class TrialWorkspace;  // sim/workspace.h
 struct EidOptions {
   Latency diameter_estimate = 0;  ///< D (required, >= 1)
   std::size_t n_hat = 0;          ///< size estimate; 0 = exact n
-  std::size_t dtg_repetitions = 0; ///< 0 = ceil(log2 n)
-  std::size_t spanner_k = 0;      ///< 0 = ceil(log2 n_hat)
-  /// Ablation: use the randomized local-broadcast subroutine for the
-  /// discovery phase instead of deterministic DTG (Section 5.1 lists
-  /// both as viable; the paper builds on DTG).
+  /// Ablation: run the discovery phase under DTG's randomized link rule
+  /// (LinkRule::kUniformUnheard) instead of the deterministic script
+  /// (Section 5.1 lists both as viable; the paper builds on DTG).
   bool randomized_local_broadcast = false;
   /// Optional observability sinks (obs/metrics.h). Phases tagged:
   /// "eid/local_broadcast" (the O(log n) DTG discovery executions),

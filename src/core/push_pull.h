@@ -160,21 +160,12 @@ class PushPullGossip {
         source_(source),
         rng_(rng),
         rule_(rule),
-        rumors_(std::move(initial_rumors)),
-        rumor_count_(view.num_nodes(), 0),
-        snapshots_(view.num_nodes(), view.num_nodes()),
+        rumors_("push-pull", view.num_nodes(), std::move(initial_rumors)),
         satisfied_(view.num_nodes(), false),
         last_gain_(view.num_nodes(), 0) {
-    if (rumors_.size() != view.num_nodes())
-      throw std::invalid_argument("push-pull: rumor vector size mismatch");
     if (goal == GossipGoal::kSingleSource && source >= view.num_nodes())
       throw std::invalid_argument("push-pull: bad source");
-    for (NodeId u = 0; u < view.num_nodes(); ++u) {
-      if (rumors_[u].size() != view.num_nodes())
-        throw std::invalid_argument("push-pull: rumor bitset size mismatch");
-      rumor_count_[u] = rumors_[u].count();
-      refresh_satisfied(u);
-    }
+    for (NodeId u = 0; u < view.num_nodes(); ++u) refresh_satisfied(u);
     // Only round-robin reads cursors, so uniform instances skip their
     // n words.
     if (rule == ContactRule::kRoundRobin)
@@ -203,15 +194,13 @@ class PushPullGossip {
   }
 
   Payload capture_payload(NodeId u, Round /*r*/) {
-    return snapshots_.shared(u, rumors_[u], rumor_count_[u]);
+    return rumors_.capture(u);
   }
 
-  /// Naive always-deep-copy capture; the reference oracle uses this so
-  /// differential sweeps prove snapshot sharing ≡ copy-at-capture. It
-  /// recounts the copy instead of trusting rumor_count_, so the sweeps
-  /// also check the incremental counts.
+  /// Naive always-deep-copy capture for the reference oracle
+  /// (RumorTable::capture_copy).
   Payload capture_payload_copy(NodeId u, Round /*r*/) {
-    return snapshots_.fresh(rumors_[u]);
+    return rumors_.capture_copy(u);
   }
 
   void deliver(NodeId u, NodeId /*peer*/, Payload payload, EdgeId /*e*/,
@@ -220,28 +209,20 @@ class PushPullGossip {
     // payload; returning before the union avoids touching the payload's
     // (usually cold) snapshot words in the late all-to-all rounds, where
     // most deliveries are no-ops.
-    if (rumor_count_[u] == rumors_.size()) return;
-    const Bitset::OrDelta delta = rumors_[u].or_assign_changed(payload.bits());
-    if (!delta.changed) return;
-    rumor_count_[u] += delta.added;
-    snapshots_.invalidate(u);
+    if (rumors_.full(u)) return;
+    if (!rumors_.merge(u, payload.bits())) return;
     last_gain_[u] = now;
     if (!satisfied_[u]) refresh_satisfied(u);
   }
 
   /// Churn rejoin-with-reset: u restarts with only its own rumor (and a
   /// round-robin node at its first neighbor), as a freshly constructed
-  /// node would. Cached snapshots are invalidated (in-flight payload
-  /// refs keep their blocks alive via the arena refcounts) and the
-  /// satisfied bookkeeping is re-derived both ways — a previously
-  /// satisfied node can become unsatisfied here, which the grow-only
-  /// refresh_satisfied() never handles.
+  /// node would. In-flight payload refs keep their snapshots (the
+  /// arena refcounts), and the satisfied bookkeeping is re-derived both
+  /// ways — a previously satisfied node can become unsatisfied here,
+  /// which the grow-only refresh_satisfied() never handles.
   void reset_node(NodeId u, Round r) {
-    const std::size_t n = rumors_.size();
-    rumors_[u].reinit(n);
-    rumors_[u].set(u);
-    rumor_count_[u] = 1;
-    snapshots_.invalidate(u);
+    rumors_.reset_to(u, u);
     if (rule_ == ContactRule::kRoundRobin) next_neighbor_[u] = 0;
     const bool now_sat = node_satisfied(u);
     if (satisfied_[u] && !now_sat) {
@@ -259,20 +240,13 @@ class PushPullGossip {
 
   /// Warm u's rumor storage + count ahead of deliver(u, ...) — called by
   /// the engine one delivery ahead (sim/engine.h).
-  void prefetch_deliver(NodeId u) const noexcept {
-#if defined(__GNUC__) || defined(__clang__)
-    __builtin_prefetch(&rumor_count_[u], 0, 1);
-    const auto w = rumors_[u].words();
-    __builtin_prefetch(w.data(), /*rw=*/1, /*locality=*/1);
-    __builtin_prefetch(reinterpret_cast<const char*>(w.data()) + 64, 1, 1);
-#endif
-  }
+  void prefetch_deliver(NodeId u) const noexcept { rumors_.prefetch(u); }
 
   bool done(Round /*r*/) const {
     return satisfied_count_ == satisfied_.size();
   }
 
-  const std::vector<Bitset>& rumors() const { return rumors_; }
+  const std::vector<Bitset>& rumors() const { return rumors_.sets(); }
 
  private:
   bool node_satisfied(NodeId u) const {
@@ -280,7 +254,7 @@ class PushPullGossip {
       case GossipGoal::kSingleSource:
         return rumors_[u].test(source_);
       case GossipGoal::kAllToAll:
-        return rumor_count_[u] == view_.num_nodes();
+        return rumors_.full(u);
       case GossipGoal::kLocalBroadcast:
         for (const HalfEdge& h : view_.neighbors(u))
           if (!rumors_[u].test(h.to)) return false;
@@ -301,11 +275,7 @@ class PushPullGossip {
   NodeId source_;
   Rng rng_;
   ContactRule rule_;
-  std::vector<Bitset> rumors_;
-  /// rumors_[u].count(), maintained incrementally from deliver()'s
-  /// OrDelta — the all-to-all done() check never re-popcounts.
-  std::vector<std::size_t> rumor_count_;
-  SnapshotCache snapshots_;
+  RumorTable rumors_;
   /// kRoundRobin only: each node's next adjacency slot (empty otherwise).
   std::vector<std::size_t> next_neighbor_;
   std::vector<bool> satisfied_;

@@ -32,23 +32,15 @@ class RRBroadcast {
   RRBroadcast(const NetworkView& view, const DirectedGraph& overlay, Latency k,
               std::vector<Bitset> initial_rumors, Round budget_override = 0)
       : k_(k),
-        rumors_(std::move(initial_rumors)),
-        rumor_count_(view.num_nodes(), 0),
-        snapshots_(view.num_nodes(), view.num_nodes()) {
+        rumors_("RR broadcast", view.num_nodes(), std::move(initial_rumors)) {
     if (k < 1) throw std::invalid_argument("RR broadcast: k must be >= 1");
     const std::size_t n = view.num_nodes();
     if (overlay.num_nodes() != n)
       throw std::invalid_argument("RR broadcast: overlay size mismatch");
-    if (rumors_.size() != n)
-      throw std::invalid_argument("RR broadcast: rumor vector size mismatch");
     out_targets_.resize(n);
     std::size_t max_out = 0;
     for (NodeId u = 0; u < n; ++u) {
-      if (rumors_[u].size() != n)
-        throw std::invalid_argument(
-            "RR broadcast: rumor bitset size mismatch");
-      rumors_[u].set(u);
-      rumor_count_[u] = rumors_[u].count();
+      rumors_.add(u, u);
       for (const Arc& a : overlay.out_arcs(u)) {
         if (a.latency > k) continue;
         const std::optional<EdgeId> e = view.graph().find_edge(u, a.to);
@@ -74,20 +66,17 @@ class RRBroadcast {
   }
 
   Payload capture_payload(NodeId u, Round /*r*/) {
-    return snapshots_.shared(u, rumors_[u], rumor_count_[u]);
+    return rumors_.capture(u);
   }
 
   /// Naive deep-copy capture for the reference oracle (sim/oracle.h).
   Payload capture_payload_copy(NodeId u, Round /*r*/) {
-    return snapshots_.fresh(rumors_[u]);
+    return rumors_.capture_copy(u);
   }
 
   void deliver(NodeId u, NodeId /*peer*/, Payload payload, EdgeId /*e*/,
                Round /*start*/, Round /*now*/, Leg /*leg*/) {
-    const Bitset::OrDelta delta = rumors_[u].or_assign_changed(payload.bits());
-    if (!delta.changed) return;
-    rumor_count_[u] += delta.added;
-    snapshots_.invalidate(u);
+    rumors_.merge(u, payload.bits());
   }
 
   bool done(Round r) const {
@@ -97,17 +86,15 @@ class RRBroadcast {
   }
 
   Round budget() const { return budget_; }
-  const std::vector<Bitset>& rumors() const { return rumors_; }
-  std::vector<Bitset> take_rumors() { return std::move(rumors_); }
+  const std::vector<Bitset>& rumors() const { return rumors_.sets(); }
+  std::vector<Bitset> take_rumors() { return rumors_.take(); }
 
  private:
   Latency k_;
   Round budget_ = 0;
   /// Per node: the kept arcs, each with the graph edge it runs over.
   std::vector<std::vector<HalfEdge>> out_targets_;
-  std::vector<Bitset> rumors_;
-  std::vector<std::size_t> rumor_count_;  ///< incremental cardinalities
-  SnapshotCache snapshots_;
+  RumorTable rumors_;
 };
 
 /// True iff every rumor set contains every node id.

@@ -45,7 +45,6 @@
 #include "core/eid.h"
 #include "core/latency_discovery.h"
 #include "core/push_pull.h"
-#include "core/random_local_broadcast.h"
 #include "core/rr_broadcast.h"
 #include "core/spanner.h"
 #include "core/termination.h"

@@ -439,14 +439,14 @@ TEST(Engine, BothEndpointsSnapshotAtInitiationRound) {
 }
 
 /// A rumor-set protocol whose incremental count is one too high: its
-/// engine capture hands that count to shared(), while its oracle
-/// capture goes through fresh(), which counts the copy itself.
+/// engine capture hands that count to the arena, while its oracle
+/// capture lets the arena count the copy itself.
 class OvercountingRumors {
  public:
   using Payload = SnapshotRef;
 
   explicit OvercountingRumors(std::size_t n)
-      : rumors_(own_id_rumors(n)), snapshots_(n, n) {}
+      : arena_(n), rumors_(own_id_rumors(n)) {}
 
   static std::size_t payload_bits(const Payload& p) { return p.count(); }
 
@@ -455,17 +455,17 @@ class OvercountingRumors {
     return std::nullopt;
   }
   Payload capture_payload(NodeId u, Round) {
-    return snapshots_.shared(u, rumors_[u], rumors_[u].count() + 1);
+    return arena_.capture(rumors_[u], rumors_[u].count() + 1);
   }
   Payload capture_payload_copy(NodeId u, Round) {
-    return snapshots_.fresh(rumors_[u]);
+    return arena_.capture(rumors_[u]);
   }
   void deliver(NodeId, NodeId, Payload, EdgeId, Round, Round, Leg) {}
   bool done(Round) const { return false; }
 
  private:
+  SnapshotArena arena_;
   std::vector<Bitset> rumors_;
-  SnapshotCache snapshots_;
 };
 
 TEST(OracleCapture, RecountsRumorSnapshots) {

@@ -20,7 +20,6 @@
 #include "core/eid.h"
 #include "core/latency_discovery.h"
 #include "core/push_pull.h"
-#include "core/random_local_broadcast.h"
 #include "core/rr_broadcast.h"
 #include "core/tk_schedule.h"
 #include "graph/builder.h"
@@ -438,10 +437,10 @@ TEST(GoldenFingerprint, SeededBaselines) {
 }
 
 TEST(GoldenFingerprint, SeededRumorSubroutines) {
-  // RR broadcast over every edge in both directions, and the two
-  // G_ell local broadcasts run standalone (EID and T(k) pin them only
-  // inside their composite runs). All three rest between initiations
-  // (RR while its last exchanges drain, the others between
+  // RR broadcast over every edge in both directions, and the G_ell
+  // local broadcast under both link rules, run standalone (EID and T(k)
+  // pin DTG only inside their composite runs). All three rest between
+  // initiations (RR while its last exchanges drain, the others between
   // superrounds), so none may stop when idle.
   const WeightedGraph g = golden_graph();
   const NetworkView known(g, true);
@@ -459,8 +458,8 @@ TEST(GoldenFingerprint, SeededRumorSubroutines) {
                        false),
             (GoldenRun{0xad2bdaf132946015ULL, 73, 2746368}));
   EXPECT_EQ(golden_run(g,
-                       RandomLocalBroadcast(known, 3, own_id_rumors(n),
-                                            Rng(3)),
+                       DtgLocalBroadcast(known, 3, own_id_rumors(n),
+                                         LinkRule::kUniformUnheard, Rng(3)),
                        {}, false),
             (GoldenRun{0x875b3109a879fb7aULL, 15, 100864}));
 }
