@@ -132,6 +132,8 @@ const char* check_proto_name(CheckProto p) {
     case CheckProto::kFlooding: return "flooding";
     case CheckProto::kGossipAllToAll: return "gossip_a2a";
     case CheckProto::kGossipLocal: return "gossip_local";
+    case CheckProto::kLocalDtg: return "local_dtg";
+    case CheckProto::kLocalRandom: return "local_random";
     case CheckProto::kUnified: return "unified";
     case CheckProto::kEid: return "eid";
     case CheckProto::kTk: return "tk";
@@ -145,19 +147,23 @@ bool check_proto_is_composite(CheckProto p) {
          p == CheckProto::kTk;
 }
 
+bool check_proto_takes_knobs(CheckProto p) {
+  return p < CheckProto::kLocalDtg;
+}
+
 TestCase random_case(Rng& rng, const CaseProfile& profile) {
   TestCase tc;
-  // Non-composite protocols are the contiguous prefix [0, kUnified).
+  // Knob-taking protocols are the contiguous prefix [0, kLocalDtg).
   const std::uint64_t proto_pool = static_cast<std::uint64_t>(
-      profile.composites ? CheckProto::kCount : CheckProto::kUnified);
+      profile.composites ? CheckProto::kCount : CheckProto::kLocalDtg);
   tc.proto = static_cast<CheckProto>(rng.uniform(proto_pool));
 
-  // Dynamic scenario (drift / churn / adversary), simple protocols
+  // Dynamic scenario (drift / churn / adversary), knob-taking protocols
   // only; chosen before the topology so each scenario can steer the
   // graph family (drifting ER, churning ring/torus, adversarial
   // star/path).
   int dyn_scenario = -1;
-  if (profile.allow_dynamics && !check_proto_is_composite(tc.proto) &&
+  if (profile.allow_dynamics && check_proto_takes_knobs(tc.proto) &&
       rng.bernoulli(0.25))
     dyn_scenario = static_cast<int>(rng.uniform(3));
 
@@ -200,10 +206,11 @@ TestCase random_case(Rng& rng, const CaseProfile& profile) {
     }
   }
 
-  if (!check_proto_is_composite(tc.proto)) {
-    // Give non-terminating (faulted) runs a bounded but roomy horizon.
+  // Give non-terminating (faulted) runs a bounded but roomy horizon.
+  if (!check_proto_is_composite(tc.proto))
     tc.max_rounds =
         500 + static_cast<Round>(tc.num_nodes) * 8 * g.max_latency();
+  if (check_proto_takes_knobs(tc.proto)) {
     if (profile.allow_model_variants) {
       tc.blocking = rng.bernoulli(0.15);
       if (rng.bernoulli(0.15))
@@ -245,12 +252,13 @@ bool case_valid(const TestCase& tc) {
   if (tc.num_nodes == 0) return false;
   if (tc.source >= tc.num_nodes) return false;
   if (tc.tk_estimate < 1) return false;
-  // Composite protocols own their SimOptions internally, so every
-  // engine-model knob must stay off for them — enforced here (not by
-  // generator convention alone) so a future case family can't silently
-  // hand a composite a fault/jitter/dynamics knob it would ignore on
-  // one side of the differential check but not the other.
-  if (check_proto_is_composite(tc.proto)) {
+  // Composite protocols own their SimOptions internally, and a lost
+  // exchange breaks standalone DTG's invariant, so every engine-model
+  // knob must stay off for them — enforced here (not by generator
+  // convention alone) so a future case family can't silently hand one a
+  // fault/jitter/dynamics knob it would ignore on one side of the
+  // differential check but not the other.
+  if (!check_proto_takes_knobs(tc.proto)) {
     if (tc.blocking || tc.max_incoming_per_round > 0 || tc.dynamics.any())
       return false;
   }
@@ -275,7 +283,9 @@ std::string describe(const TestCase& tc) {
   out << check_proto_name(tc.proto) << " n=" << tc.num_nodes
       << " m=" << tc.edges.size() << " seed=" << tc.seed
       << " source=" << tc.source;
-  if (tc.proto == CheckProto::kTk) out << " k=" << tc.tk_estimate;
+  if (tc.proto == CheckProto::kTk || tc.proto == CheckProto::kLocalDtg ||
+      tc.proto == CheckProto::kLocalRandom)
+    out << " k=" << tc.tk_estimate;
   if (tc.proto == CheckProto::kBiased) out << " rho=" << tc.rho;
   if (tc.blocking) out << " blocking";
   if (tc.max_incoming_per_round > 0)

@@ -9,8 +9,10 @@
 // exact case — latgossip_check prints the case seed of any failure.
 //
 // Composite protocols (unified, EID, T(k)) own their SimOptions
-// internally, so the fault/blocking/jitter knobs apply only to the
-// simple protocols; random_case() keeps them off elsewhere.
+// internally, and the local broadcasts run DTG standalone, where a lost
+// exchange breaks the script's invariant. So the fault/blocking/jitter
+// knobs and scenarios apply only to the protocols before kLocalDtg;
+// random_case() keeps them off elsewhere.
 
 #include <cstdint>
 #include <iosfwd>
@@ -31,6 +33,10 @@ enum class CheckProto : std::uint8_t {
   kFlooding,        ///< round-robin PushPullGossip, single-source goal
   kGossipAllToAll,  ///< PushPullGossip, all-to-all goal (rumor sets)
   kGossipLocal,     ///< PushPullGossip, local-broadcast goal (rumor sets)
+  /// DtgLocalBroadcast, LinkRule::kScript, with ell = tk_estimate
+  /// (known latencies, no idle stop).
+  kLocalDtg,
+  kLocalRandom,     ///< the same, LinkRule::kUniformUnheard
   kUnified,         ///< run_unified (both branches)
   kEid,             ///< run_general_eid (guess-and-double + check)
   kTk,              ///< run_tk_schedule
@@ -39,6 +45,9 @@ enum class CheckProto : std::uint8_t {
 
 const char* check_proto_name(CheckProto p);
 bool check_proto_is_composite(CheckProto p);
+/// Does the protocol run under the case's model knobs and scenario?
+/// Only the prefix [0, kLocalDtg) does.
+bool check_proto_takes_knobs(CheckProto p);
 
 struct TestCase {
   CheckProto proto = CheckProto::kPushPull;
@@ -46,17 +55,17 @@ struct TestCase {
   std::vector<Edge> edges;  ///< explicit and shrinkable; EdgeId == index
   std::uint64_t seed = 1;   ///< protocol + fault + jitter randomness
   NodeId source = 0;        ///< broadcast source (simple protocols)
-  Latency tk_estimate = 1;  ///< T(k) schedule parameter
+  Latency tk_estimate = 1;  ///< T(k)'s k; the local broadcasts' ell
   double rho = 0.0;         ///< latency bias exponent (kBiased only)
 
-  // Engine-model knobs (simple protocols only).
+  // Engine-model knobs (check_proto_takes_knobs protocols only).
   bool blocking = false;
   std::size_t max_incoming_per_round = 0;
   Round max_rounds = 2000;
   /// Scenario (sim/dynamics_spec.h): random crashes, link loss, jitter,
-  /// drift, churn and the adversary, all off by default. Simple
-  /// protocols only, like the knobs above — case_valid() rejects
-  /// composite cases with any knob set. The crash spare and the fault
+  /// drift, churn and the adversary, all off by default. The same
+  /// protocols only, like the knobs above — case_valid() rejects other
+  /// cases with any knob set. The crash spare and the fault
   /// and jitter seeds are not stored here: scenario_of() derives them
   /// from `source` and `seed`.
   DynamicSpec dynamics;
@@ -74,7 +83,9 @@ struct CaseProfile {
   bool allow_faults = true;
   bool allow_model_variants = true;  ///< blocking / in-degree / jitter
   bool allow_dynamics = true;        ///< drift / churn / adversary families
-  bool composites = true;            ///< include unified / EID / T(k)
+  /// Include the local broadcasts and unified / EID / T(k); without
+  /// them every case takes knobs.
+  bool composites = true;
 };
 
 /// One random case. Uses only `rng`; deterministic given its state.

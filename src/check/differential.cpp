@@ -5,6 +5,7 @@
 #include <utility>
 
 #include "check/invariants.h"
+#include "core/dtg.h"
 #include "core/eid.h"
 #include "core/push_pull.h"
 #include "core/rr_broadcast.h"
@@ -93,6 +94,20 @@ RunArtifacts run_simple_once(const TestCase& tc, const WeightedGraph& g,
       PushPullGossip proto(view, GossipGoal::kLocalBroadcast, tc.source,
                            own_id_rumors(tc.num_nodes),
                            Rng(tc.seed));
+      a.result = drive(proto);
+      break;
+    }
+    // DTG under each link rule, standalone with ell = the case's k. Both
+    // rules act only on superround boundaries, so idle stop is off.
+    case CheckProto::kLocalDtg:
+    case CheckProto::kLocalRandom: {
+      opts.stop_when_idle = false;
+      DtgLocalBroadcast proto(NetworkView(g, /*latencies_known=*/true),
+                              tc.tk_estimate, own_id_rumors(tc.num_nodes),
+                              tc.proto == CheckProto::kLocalDtg
+                                  ? LinkRule::kScript
+                                  : LinkRule::kUniformUnheard,
+                              Rng(tc.seed));
       a.result = drive(proto);
       break;
     }

@@ -56,11 +56,11 @@ void sweep(Rng& rng, const CaseProfile& profile, int cases,
   }
 }
 
-// The quick-profile sweep: >= 2000 random cases across all ten
-// protocols (including the rumor-set goals that exercise the
-// copy-on-write snapshot payloads), with and without faults, plus the
-// dynamic families (drift / churn / adversary); zero divergence
-// tolerated.
+// The quick-profile sweep: >= 2000 random cases across all twelve
+// protocols (including the rumor-set goals and local broadcasts that
+// exercise the copy-on-write snapshot payloads), with and without
+// faults, plus the dynamic families (drift / churn / adversary); zero
+// divergence tolerated.
 TEST(Differential, QuickProfileSweep) {
   Rng rng(0x20260806);
   Coverage cov;
@@ -139,39 +139,53 @@ TEST(Differential, ForcedDynamics) {
   }
 }
 
-// Composite protocols own their SimOptions internally, so random cases
-// must keep every engine-model knob off for them — and case_valid must
-// reject a hand-built composite case that smuggles one in (this used to
-// be convention only; now it is an enforced contract).
+// Composite protocols own their SimOptions internally, and standalone
+// DTG's script assumes every exchange with a linked neighbor lands, so
+// random cases must keep every engine-model knob off for both — and
+// case_valid must reject a hand-built case that smuggles one in (this
+// used to be convention only; now it is an enforced contract).
 TEST(Differential, CompositeCasesKeepKnobsOff) {
   Rng rng(0xc0de);
   CaseProfile profile;
   int composites_seen = 0;
+  int local_seen = 0;
   for (int i = 0; i < 400; ++i) {
     const TestCase tc = random_case(rng, profile);
-    if (!check_proto_is_composite(tc.proto)) continue;
-    ++composites_seen;
+    if (check_proto_takes_knobs(tc.proto)) continue;
+    if (check_proto_is_composite(tc.proto)) {
+      ++composites_seen;
+    } else {
+      ++local_seen;
+      EXPECT_NE(describe(tc).find(" k="), std::string::npos) << describe(tc);
+    }
     EXPECT_FALSE(tc.blocking) << describe(tc);
     EXPECT_EQ(tc.max_incoming_per_round, 0u) << describe(tc);
     EXPECT_FALSE(tc.dynamics.any()) << describe(tc);
   }
   EXPECT_GT(composites_seen, 30);
+  EXPECT_GT(local_seen, 20);
 
   // Hand-built violations are rejected outright.
-  TestCase tc;
-  tc.proto = CheckProto::kUnified;
-  tc.num_nodes = 4;
-  tc.edges = {Edge{0, 1, 1}, Edge{1, 2, 1}, Edge{2, 3, 1}, Edge{0, 3, 1}};
-  ASSERT_TRUE(case_valid(tc));
-  TestCase with_dynamics = tc;
-  with_dynamics.dynamics.drift_step = 64;
-  EXPECT_FALSE(case_valid(with_dynamics));
-  TestCase with_faults = tc;
-  with_faults.dynamics.drop_prob = 0.5;
-  EXPECT_FALSE(case_valid(with_faults));
-  TestCase with_jitter = tc;
-  with_jitter.dynamics.jitter_spread = 2;
-  EXPECT_FALSE(case_valid(with_jitter));
+  for (const CheckProto proto : {CheckProto::kUnified, CheckProto::kLocalDtg,
+                                 CheckProto::kLocalRandom}) {
+    TestCase tc;
+    tc.proto = proto;
+    tc.num_nodes = 4;
+    tc.edges = {Edge{0, 1, 1}, Edge{1, 2, 1}, Edge{2, 3, 1}, Edge{0, 3, 1}};
+    ASSERT_TRUE(case_valid(tc));
+    TestCase with_dynamics = tc;
+    with_dynamics.dynamics.drift_step = 64;
+    EXPECT_FALSE(case_valid(with_dynamics));
+    TestCase with_faults = tc;
+    with_faults.dynamics.drop_prob = 0.5;
+    EXPECT_FALSE(case_valid(with_faults));
+    TestCase with_jitter = tc;
+    with_jitter.dynamics.jitter_spread = 2;
+    EXPECT_FALSE(case_valid(with_jitter));
+    TestCase with_blocking = tc;
+    with_blocking.blocking = true;
+    EXPECT_FALSE(case_valid(with_blocking));
+  }
 }
 
 // The shrinker drops a candidate edge list only because case_valid says

@@ -21,7 +21,8 @@
 //   --no-faults      disable crash/drop injection
 //   --no-dynamics    disable dynamic scenarios (latency drift, churn,
 //                    adversarial slowdown)
-//   --no-composites  simple protocols only
+//   --no-composites  only the protocols that take model knobs (no
+//                    local broadcasts, unified, EID or T(k))
 //   --shrink         shrink a failing case before reporting (default on;
 //                    --shrink=0 disables)
 //   --out=PATH       write the (shrunk) counterexample dump to PATH
