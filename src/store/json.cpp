@@ -1,9 +1,10 @@
 #include "store/json.h"
 
-#include <cctype>
-#include <cerrno>
-#include <cstdlib>
-#include <cstring>
+#include <array>
+#include <charconv>
+#include <cstdio>
+#include <system_error>
+#include <utility>
 
 namespace latgossip {
 
@@ -89,243 +90,344 @@ JsonValue JsonValue::make_object(
 
 namespace {
 
-/// Recursive-descent parser over a string_view. Depth-capped so a
-/// malicious "[[[[…" request frame cannot blow the server's stack.
-class Parser {
- public:
-  explicit Parser(std::string_view text) : text_(text) {}
+bool is_digit(char c) { return c >= '0' && c <= '9'; }
 
-  std::optional<JsonValue> parse(std::string* error) {
-    JsonValue v;
-    if (!parse_value(v, 0)) {
-      if (error != nullptr)
-        *error = error_ + " at byte " + std::to_string(pos_);
-      return std::nullopt;
-    }
-    skip_ws();
-    if (pos_ != text_.size()) {
-      if (error != nullptr)
-        *error = "trailing garbage at byte " + std::to_string(pos_);
-      return std::nullopt;
-    }
-    return v;
-  }
-
- private:
-  static constexpr int kMaxDepth = 64;
-
-  bool fail(const char* what) {
-    if (error_.empty()) error_ = what;
-    return false;
-  }
-
-  void skip_ws() {
-    while (pos_ < text_.size() &&
-           (text_[pos_] == ' ' || text_[pos_] == '\t' || text_[pos_] == '\n' ||
-            text_[pos_] == '\r'))
-      ++pos_;
-  }
-
-  bool eat(char c) {
-    if (pos_ < text_.size() && text_[pos_] == c) {
-      ++pos_;
-      return true;
-    }
-    return false;
-  }
-
-  bool parse_value(JsonValue& out, int depth) {
-    if (depth > kMaxDepth) return fail("nesting too deep");
-    skip_ws();
-    if (pos_ >= text_.size()) return fail("unexpected end of input");
-    switch (text_[pos_]) {
-      case '{': return parse_object(out, depth);
-      case '[': return parse_array(out, depth);
-      case '"': return parse_string_value(out);
-      case 't':
-      case 'f': return parse_bool(out);
-      case 'n': return parse_null(out);
-      default: return parse_number(out);
-    }
-  }
-
-  bool parse_literal(const char* lit) {
-    const std::size_t len = std::strlen(lit);
-    if (text_.compare(pos_, len, lit) != 0) return fail("bad literal");
-    pos_ += len;
-    return true;
-  }
-
-  bool parse_null(JsonValue& out) {
-    if (!parse_literal("null")) return false;
-    out = JsonValue::make_null();
-    return true;
-  }
-
-  bool parse_bool(JsonValue& out) {
-    if (text_[pos_] == 't') {
-      if (!parse_literal("true")) return false;
-      out = JsonValue::make_bool(true);
-    } else {
-      if (!parse_literal("false")) return false;
-      out = JsonValue::make_bool(false);
-    }
-    return true;
-  }
-
-  bool parse_number(JsonValue& out) {
-    const std::size_t start = pos_;
-    if (pos_ < text_.size() && text_[pos_] == '-') ++pos_;
-    bool integral = true;
-    while (pos_ < text_.size()) {
-      const char c = text_[pos_];
-      if (std::isdigit(static_cast<unsigned char>(c))) {
-        ++pos_;
-      } else if (c == '.' || c == 'e' || c == 'E' || c == '+' || c == '-') {
-        integral = false;
-        ++pos_;
-      } else {
-        break;
-      }
-    }
-    if (pos_ == start) return fail("expected value");
-    const std::string token(text_.substr(start, pos_ - start));
-    errno = 0;
-    char* end = nullptr;
-    if (integral) {
-      const long long i = std::strtoll(token.c_str(), &end, 10);
-      if (errno == 0 && end != nullptr && *end == '\0') {
-        out = JsonValue::make_integer(i);
-        return true;
-      }
-      // Out-of-range integer literal: fall through to double.
-    }
-    errno = 0;
-    const double d = std::strtod(token.c_str(), &end);
-    if (end == nullptr || *end != '\0' || end == token.c_str())
-      return fail("bad number");
-    out = JsonValue::make_number(d);
-    return true;
-  }
-
-  bool parse_string_raw(std::string& out) {
-    if (!eat('"')) return fail("expected string");
-    out.clear();
-    while (pos_ < text_.size()) {
-      const char c = text_[pos_++];
-      if (c == '"') return true;
-      if (static_cast<unsigned char>(c) < 0x20)
-        return fail("control character in string");
-      if (c != '\\') {
-        out += c;
-        continue;
-      }
-      if (pos_ >= text_.size()) return fail("dangling escape");
-      const char esc = text_[pos_++];
-      switch (esc) {
-        case '"': out += '"'; break;
-        case '\\': out += '\\'; break;
-        case '/': out += '/'; break;
-        case 'b': out += '\b'; break;
-        case 'f': out += '\f'; break;
-        case 'n': out += '\n'; break;
-        case 'r': out += '\r'; break;
-        case 't': out += '\t'; break;
-        case 'u': {
-          if (pos_ + 4 > text_.size()) return fail("bad \\u escape");
-          unsigned code = 0;
-          for (int i = 0; i < 4; ++i) {
-            const char h = text_[pos_++];
-            code <<= 4;
-            if (h >= '0' && h <= '9') code |= static_cast<unsigned>(h - '0');
-            else if (h >= 'a' && h <= 'f')
-              code |= static_cast<unsigned>(h - 'a' + 10);
-            else if (h >= 'A' && h <= 'F')
-              code |= static_cast<unsigned>(h - 'A' + 10);
-            else
-              return fail("bad \\u escape");
-          }
-          // UTF-8 encode the BMP code point; the exporter only ever
-          // emits \u00xx for control bytes, but accept the full plane.
-          if (code < 0x80) {
-            out += static_cast<char>(code);
-          } else if (code < 0x800) {
-            out += static_cast<char>(0xc0 | (code >> 6));
-            out += static_cast<char>(0x80 | (code & 0x3f));
-          } else {
-            out += static_cast<char>(0xe0 | (code >> 12));
-            out += static_cast<char>(0x80 | ((code >> 6) & 0x3f));
-            out += static_cast<char>(0x80 | (code & 0x3f));
-          }
-          break;
-        }
-        default: return fail("bad escape");
-      }
-    }
-    return fail("unterminated string");
-  }
-
-  bool parse_string_value(JsonValue& out) {
-    std::string s;
-    if (!parse_string_raw(s)) return false;
-    out = JsonValue::make_string(std::move(s));
-    return true;
-  }
-
-  bool parse_array(JsonValue& out, int depth) {
-    eat('[');
-    std::vector<JsonValue> items;
-    skip_ws();
-    if (eat(']')) {
-      out = JsonValue::make_array(std::move(items));
-      return true;
-    }
-    while (true) {
-      JsonValue item;
-      if (!parse_value(item, depth + 1)) return false;
-      items.push_back(std::move(item));
-      skip_ws();
-      if (eat(']')) break;
-      if (!eat(',')) return fail("expected ',' or ']'");
-    }
-    out = JsonValue::make_array(std::move(items));
-    return true;
-  }
-
-  bool parse_object(JsonValue& out, int depth) {
-    eat('{');
-    std::vector<std::pair<std::string, JsonValue>> members;
-    skip_ws();
-    if (eat('}')) {
-      out = JsonValue::make_object(std::move(members));
-      return true;
-    }
-    while (true) {
-      skip_ws();
-      std::string key;
-      if (!parse_string_raw(key)) return false;
-      skip_ws();
-      if (!eat(':')) return fail("expected ':'");
-      JsonValue value;
-      if (!parse_value(value, depth + 1)) return false;
-      members.emplace_back(std::move(key), std::move(value));
-      skip_ws();
-      if (eat('}')) break;
-      if (!eat(',')) return fail("expected ',' or '}'");
-    }
-    out = JsonValue::make_object(std::move(members));
-    return true;
-  }
-
-  std::string_view text_;
-  std::size_t pos_ = 0;
-  std::string error_;
-};
+/// Bytes that end the plain run of a string: the closing quote, a
+/// backslash and the control characters JSON forbids unescaped.
+constexpr auto kStringStop = [] {
+  std::array<bool, 256> stop{};
+  for (int c = 0; c < 0x20; ++c) stop[c] = true;
+  stop['"'] = stop['\\'] = true;
+  return stop;
+}();
 
 }  // namespace
 
+bool JsonReader::fail(const char* what) {
+  if (error_ == nullptr) {
+    error_ = what;
+    error_pos_ = pos_;
+  }
+  return false;
+}
+
+std::string JsonReader::error() const {
+  if (error_ == nullptr) return std::string();
+  return std::string(error_) + " at byte " + std::to_string(error_pos_);
+}
+
+inline void JsonReader::skip_ws() {
+  while (pos_ < text_.size()) {
+    const char c = text_[pos_];
+    if (c != ' ' && c != '\t' && c != '\n' && c != '\r') return;
+    ++pos_;
+  }
+}
+
+inline bool JsonReader::eat(char c) {
+  if (pos_ < text_.size() && text_[pos_] == c) {
+    ++pos_;
+    return true;
+  }
+  return false;
+}
+
+/// Every value read starts here: the sticky error, the depth cap,
+/// whitespace, end of input.
+inline bool JsonReader::start_value() {
+  if (!ok()) return false;
+  if (depth_ > kMaxDepth) return fail("nesting too deep");
+  skip_ws();
+  if (pos_ >= text_.size()) return fail("unexpected end of input");
+  return true;
+}
+
+bool JsonReader::peek(JsonValue::Kind& kind) {
+  if (!start_value()) return false;
+  switch (text_[pos_]) {
+    case '{': kind = JsonValue::Kind::kObject; return true;
+    case '[': kind = JsonValue::Kind::kArray; return true;
+    case '"': kind = JsonValue::Kind::kString; return true;
+    case 't':
+    case 'f': kind = JsonValue::Kind::kBool; return true;
+    case 'n': kind = JsonValue::Kind::kNull; return true;
+    default:
+      if (text_[pos_] != '-' && !is_digit(text_[pos_]))
+        return fail("expected value");
+      kind = JsonValue::Kind::kNumber;
+      return true;
+  }
+}
+
+bool JsonReader::begin_object() {
+  if (!start_value()) return false;
+  if (!eat('{')) return fail("expected object");
+  ++depth_;
+  first_ = true;
+  return true;
+}
+
+bool JsonReader::next_member(std::string_view& name) {
+  if (!ok()) return false;
+  skip_ws();
+  const bool first = std::exchange(first_, false);
+  if (eat('}')) {
+    --depth_;
+    return false;
+  }
+  if (!first && !eat(',')) return fail("expected ',' or '}'");
+  skip_ws();
+  if (!eat('"')) return fail("expected string");
+  if (!string_body(name)) return false;
+  skip_ws();
+  if (!eat(':')) return fail("expected ':'");
+  return true;
+}
+
+bool JsonReader::begin_array() {
+  if (!start_value()) return false;
+  if (!eat('[')) return fail("expected array");
+  ++depth_;
+  first_ = true;
+  return true;
+}
+
+bool JsonReader::next_item() {
+  if (!ok()) return false;
+  skip_ws();
+  const bool first = std::exchange(first_, false);
+  if (eat(']')) {
+    --depth_;
+    return false;
+  }
+  if (!first && !eat(',')) return fail("expected ',' or ']'");
+  return true;
+}
+
+bool JsonReader::read_string(std::string_view& out) {
+  if (!start_value()) return false;
+  if (!eat('"')) return fail("expected string");
+  return string_body(out);
+}
+
+/// After the opening quote. A string without escapes is a view of the
+/// text; the first backslash switches to decoding into scratch_.
+bool JsonReader::string_body(std::string_view& out) {
+  const std::size_t begin = pos_;
+  while (pos_ < text_.size() &&
+         !kStringStop[static_cast<unsigned char>(text_[pos_])])
+    ++pos_;
+  if (pos_ >= text_.size()) return fail("unterminated string");
+  const char c = text_[pos_];
+  if (c == '\\') return escaped_string(begin, out);
+  ++pos_;
+  if (c != '"') return fail("control character in string");
+  out = text_.substr(begin, pos_ - 1 - begin);
+  return true;
+}
+
+bool JsonReader::escaped_string(std::size_t begin, std::string_view& out) {
+  scratch_.assign(text_.substr(begin, pos_ - begin));
+  while (pos_ < text_.size()) {
+    const char c = text_[pos_++];
+    if (c == '"') {
+      out = scratch_;
+      return true;
+    }
+    if (static_cast<unsigned char>(c) < 0x20)
+      return fail("control character in string");
+    if (c != '\\') {
+      scratch_ += c;
+      continue;
+    }
+    if (pos_ >= text_.size()) return fail("dangling escape");
+    const char esc = text_[pos_++];
+    switch (esc) {
+      case '"': scratch_ += '"'; break;
+      case '\\': scratch_ += '\\'; break;
+      case '/': scratch_ += '/'; break;
+      case 'b': scratch_ += '\b'; break;
+      case 'f': scratch_ += '\f'; break;
+      case 'n': scratch_ += '\n'; break;
+      case 'r': scratch_ += '\r'; break;
+      case 't': scratch_ += '\t'; break;
+      case 'u': {
+        if (pos_ + 4 > text_.size()) return fail("bad \\u escape");
+        unsigned code = 0;
+        for (int i = 0; i < 4; ++i) {
+          const char h = text_[pos_++];
+          code <<= 4;
+          if (h >= '0' && h <= '9') code |= static_cast<unsigned>(h - '0');
+          else if (h >= 'a' && h <= 'f')
+            code |= static_cast<unsigned>(h - 'a' + 10);
+          else if (h >= 'A' && h <= 'F')
+            code |= static_cast<unsigned>(h - 'A' + 10);
+          else
+            return fail("bad \\u escape");
+        }
+        // UTF-8 encode the BMP code point; the exporter only ever
+        // emits \u00xx for control bytes, but accept the full plane.
+        if (code < 0x80) {
+          scratch_ += static_cast<char>(code);
+        } else if (code < 0x800) {
+          scratch_ += static_cast<char>(0xc0 | (code >> 6));
+          scratch_ += static_cast<char>(0x80 | (code & 0x3f));
+        } else {
+          scratch_ += static_cast<char>(0xe0 | (code >> 12));
+          scratch_ += static_cast<char>(0x80 | ((code >> 6) & 0x3f));
+          scratch_ += static_cast<char>(0x80 | (code & 0x3f));
+        }
+        break;
+      }
+      default: return fail("bad escape");
+    }
+  }
+  return fail("unterminated string");
+}
+
+bool JsonReader::read_number(Number& out) {
+  if (!start_value()) return false;
+  const std::size_t start = pos_;
+  const char* const first = text_.data() + start;
+  const char* const last = text_.data() + text_.size();
+  const char* const int_digits = first + (*first == '-' ? 1 : 0);
+  if (int_digits == last || !is_digit(*int_digits))
+    return fail(int_digits == first ? "expected number" : "bad number");
+  // from_chars takes every digit of the integer part, even past int64
+  // range, so its end is the integer part's end.
+  std::int64_t integer = 0;
+  const std::from_chars_result int_res = std::from_chars(first, last, integer);
+  pos_ = static_cast<std::size_t>(int_res.ptr - text_.data());
+  if (*int_digits == '0' && int_res.ptr - int_digits > 1)
+    return fail("bad number");  // leading zero
+  const auto digits = [this] {
+    const std::size_t from = pos_;
+    while (pos_ < text_.size() && is_digit(text_[pos_])) ++pos_;
+    return pos_ > from;
+  };
+  bool integral = true;
+  if (eat('.')) {
+    integral = false;
+    if (!digits()) return fail("bad number");
+  }
+  if (eat('e') || eat('E')) {
+    integral = false;
+    if (!eat('+')) eat('-');
+    if (!digits()) return fail("bad number");
+  }
+  // The literal may not run on into more number characters: "1.2.3"
+  // and "1e2e3" are malformed, not a number and garbage.
+  if (pos_ < text_.size()) {
+    const char c = text_[pos_];
+    if (is_digit(c) || c == '.' || c == 'e' || c == 'E' || c == '+' ||
+        c == '-')
+      return fail("bad number");
+  }
+  if (integral && int_res.ec == std::errc()) {
+    out = Number{static_cast<double>(integer), integer, true};
+    return true;
+  }
+  // A fraction, an exponent, or an integer beyond int64. A literal
+  // that would read as infinity, or as zero though it is not, is out of
+  // double's range.
+  const char* const end = text_.data() + pos_;
+  double d = 0.0;
+  const std::from_chars_result res = std::from_chars(first, end, d);
+  if (res.ec == std::errc::result_out_of_range)
+    return fail("number out of range");
+  if (res.ec != std::errc() || res.ptr != end) return fail("bad number");
+  out = Number{d, 0, false};
+  return true;
+}
+
+bool JsonReader::literal(std::string_view lit) {
+  if (text_.substr(pos_, lit.size()) != lit) return fail("bad literal");
+  pos_ += lit.size();
+  return true;
+}
+
+bool JsonReader::read_bool(bool& out) {
+  if (!start_value()) return false;
+  out = text_[pos_] == 't';
+  if (out || text_[pos_] == 'f') return literal(out ? "true" : "false");
+  return fail("expected boolean");
+}
+
+bool JsonReader::read_null() {
+  return start_value() && literal("null");
+}
+
+bool JsonReader::read_value(JsonValue& out) {
+  JsonValue::Kind kind = JsonValue::Kind::kNull;
+  if (!peek(kind)) return false;
+  switch (kind) {
+    case JsonValue::Kind::kNull:
+      out = JsonValue::make_null();
+      return read_null();
+    case JsonValue::Kind::kBool: {
+      bool b = false;
+      if (!read_bool(b)) return false;
+      out = JsonValue::make_bool(b);
+      return true;
+    }
+    case JsonValue::Kind::kNumber: {
+      Number num;
+      if (!read_number(num)) return false;
+      out = num.integral ? JsonValue::make_integer(num.integer)
+                         : JsonValue::make_number(num.value);
+      return true;
+    }
+    case JsonValue::Kind::kString: {
+      std::string_view s;
+      if (!read_string(s)) return false;
+      out = JsonValue::make_string(std::string(s));
+      return true;
+    }
+    case JsonValue::Kind::kArray: {
+      begin_array();
+      std::vector<JsonValue> items;
+      while (next_item()) {
+        items.emplace_back();
+        if (!read_value(items.back())) return false;
+      }
+      if (!ok()) return false;
+      out = JsonValue::make_array(std::move(items));
+      return true;
+    }
+    case JsonValue::Kind::kObject: {
+      begin_object();
+      std::vector<std::pair<std::string, JsonValue>> members;
+      std::string_view name;
+      while (next_member(name)) {
+        members.emplace_back(std::string(name), JsonValue());
+        if (!read_value(members.back().second)) return false;
+      }
+      if (!ok()) return false;
+      out = JsonValue::make_object(std::move(members));
+      return true;
+    }
+  }
+  return false;
+}
+
+bool JsonReader::skip_value() {
+  JsonValue ignored;
+  return read_value(ignored);
+}
+
+bool JsonReader::finish() {
+  if (!ok()) return false;
+  skip_ws();
+  if (pos_ != text_.size()) return fail("trailing garbage");
+  return true;
+}
+
 std::optional<JsonValue> json_parse(std::string_view text, std::string* error) {
-  return Parser(text).parse(error);
+  JsonReader reader(text);
+  JsonValue value;
+  if (reader.read_value(value) && reader.finish()) return value;
+  if (error != nullptr) *error = reader.error();
+  return std::nullopt;
 }
 
 namespace {

@@ -1,16 +1,19 @@
 #pragma once
-// Minimal JSON document parser for the experiment store and the serve
-// wire protocol.
+// JSON for the experiment store and the serve wire protocol: one pull
+// reader, a document tree built with it, and a serializer.
 //
 // The rest of the codebase only ever *emits* JSON (hand-built strings in
 // obs/export); the store is the first subsystem that has to read it
 // back: log replay on open, requests arriving over the serve socket,
-// and cached spread-curve payloads. This is a small recursive-descent
-// parser for exactly that — no streaming, no SAX, no allocator
-// cleverness. Documents are parsed into a JsonValue tree;
-// objects keep insertion order (round-trip friendly) and lookups are
-// linear, which is fine at the handful-of-fields scale of store records
-// and query requests.
+// and cached spread-curve payloads. JsonReader is the codebase's one
+// JSON grammar (RFC 8259, depth-capped): a pull reader over a
+// string_view that hands out member names, strings, numbers, booleans
+// and null one at a time, or skips a value. Log replay walks each
+// record with it directly, writing fields into place without building
+// a tree; json_parse builds a JsonValue tree with it for requests and
+// record meta. Tree objects keep insertion order (round-trip friendly)
+// and lookups are linear, which is fine at the handful-of-fields scale
+// of query requests.
 //
 // Integers are kept exact: a number token with no '.', 'e' or 'E' is
 // stored as int64 (as well as double), so 64-bit counters survive a
@@ -77,7 +80,7 @@ class JsonValue {
   bool get_bool(std::string_view key, bool def) const noexcept;
   std::string get_string(std::string_view key, std::string_view def) const;
 
-  // Construction (parser + tests).
+  // Construction (JsonReader::read_value + tests).
   static JsonValue make_null() { return JsonValue(); }
   static JsonValue make_bool(bool b);
   static JsonValue make_number(double d);
@@ -96,6 +99,84 @@ class JsonValue {
   std::string string_;
   std::vector<JsonValue> items_;
   std::vector<std::pair<std::string, JsonValue>> members_;
+};
+
+/// Pull reader over one JSON text. Each read consumes the next value
+/// (after whitespace) and returns false on a syntax error; the first
+/// error sticks, every later read fails too, and error() describes it
+/// as "<what> at byte N". Values nest at most 64 levels deep, so a
+/// hostile "[[[[…" frame cannot exhaust the stack of a recursive
+/// consumer. Numbers follow RFC 8259 (no '+', no leading zeros, digits
+/// on both sides of '.') and must lie in double's range: a literal that
+/// would read as infinity, or as zero though it is not, is an error.
+///
+/// String views handed out (member names, string values) point into
+/// the text, or into the reader's scratch buffer when the string had
+/// escapes; either way they stay valid only until the next read.
+class JsonReader {
+ public:
+  /// One number literal: `integral` iff it has no fraction or exponent
+  /// and fits in int64, in which case `integer` holds it exactly;
+  /// `value` always holds it as a double.
+  struct Number {
+    double value = 0.0;
+    std::int64_t integer = 0;
+    bool integral = false;
+  };
+
+  explicit JsonReader(std::string_view text) noexcept : text_(text) {}
+
+  /// Kind of the next value, judged by its first byte; consumes only
+  /// the whitespace before it.
+  bool peek(JsonValue::Kind& kind);
+
+  /// Object: begin_object() consumes '{'; each next_member() call then
+  /// consumes `"name":` and yields the name (the caller reads or skips
+  /// the value) or consumes the closing '}' and returns false. After the
+  /// loop, ok() tells the closing brace from an error.
+  bool begin_object();
+  bool next_member(std::string_view& name);
+
+  /// Array: begin_array() consumes '['; next_item() returns true when an
+  /// item follows (the caller reads or skips it) and false after ']'.
+  bool begin_array();
+  bool next_item();
+
+  bool read_string(std::string_view& out);
+  bool read_number(Number& out);
+  bool read_bool(bool& out);
+  bool read_null();
+  /// The next value as a tree (for json_parse and embedded payloads).
+  bool read_value(JsonValue& out);
+  /// Consume the next value, checked as strictly as read_value checks
+  /// it (only records' rare unknown or mistyped members are skipped).
+  bool skip_value();
+
+  /// Only whitespace may follow the values read so far.
+  bool finish();
+
+  bool ok() const noexcept { return error_ == nullptr; }
+  /// "<what> at byte N", or "" while ok().
+  std::string error() const;
+
+ private:
+  static constexpr int kMaxDepth = 64;
+
+  bool fail(const char* what);
+  bool start_value();
+  void skip_ws();
+  bool eat(char c);
+  bool literal(std::string_view lit);
+  bool string_body(std::string_view& out);
+  bool escaped_string(std::size_t begin, std::string_view& out);
+
+  std::string_view text_;
+  std::size_t pos_ = 0;
+  int depth_ = 0;           ///< containers open around the next value
+  bool first_ = false;      ///< just after '{' or '[' (no ',' expected)
+  const char* error_ = nullptr;
+  std::size_t error_pos_ = 0;
+  std::string scratch_;     ///< decoded form of an escaped string
 };
 
 /// Parse one complete JSON document (leading/trailing whitespace

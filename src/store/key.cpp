@@ -1,6 +1,7 @@
 #include "store/key.h"
 
 #include <algorithm>
+#include <array>
 #include <cstdio>
 #include <stdexcept>
 
@@ -42,21 +43,42 @@ std::string StoreKey::hex() const {
   return buf;
 }
 
-std::optional<StoreKey> StoreKey::from_hex(std::string_view s) {
-  if (s.size() != 32) return std::nullopt;
-  StoreKey k;
-  std::uint64_t* half = &k.hi;
-  for (std::size_t i = 0; i < 32; ++i) {
-    if (i == 16) half = &k.lo;
-    const char c = s[i];
-    std::uint64_t digit;
-    if (c >= '0' && c <= '9') digit = static_cast<std::uint64_t>(c - '0');
-    else if (c >= 'a' && c <= 'f')
-      digit = static_cast<std::uint64_t>(c - 'a' + 10);
-    else
-      return std::nullopt;
-    *half = (*half << 4) | digit;
+namespace {
+
+/// Value of each lowercase hex digit; 0xff marks every other byte.
+constexpr auto kHexDigit = [] {
+  std::array<std::uint8_t, 256> digit{};
+  digit.fill(0xff);
+  for (int c = '0'; c <= '9'; ++c)
+    digit[c] = static_cast<std::uint8_t>(c - '0');
+  for (int c = 'a'; c <= 'f'; ++c)
+    digit[c] = static_cast<std::uint8_t>(c - 'a' + 10);
+  return digit;
+}();
+
+}  // namespace
+
+bool parse_hex64(std::string_view s, std::uint64_t& out) noexcept {
+  if (s.size() != 16) return false;
+  // Branch-free: a store log's keys and fingerprints are random digits,
+  // which a digit-or-letter branch would mispredict every other byte.
+  std::uint64_t value = 0;
+  unsigned bad = 0;
+  for (const char c : s) {
+    const std::uint8_t digit = kHexDigit[static_cast<unsigned char>(c)];
+    bad |= digit;
+    value = (value << 4) | (digit & 0xfu);
   }
+  if ((bad & 0xf0u) != 0) return false;
+  out = value;
+  return true;
+}
+
+std::optional<StoreKey> StoreKey::from_hex(std::string_view s) {
+  StoreKey k;
+  if (s.size() != 32 || !parse_hex64(s.substr(0, 16), k.hi) ||
+      !parse_hex64(s.substr(16), k.lo))
+    return std::nullopt;
   return k;
 }
 

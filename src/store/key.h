@@ -62,6 +62,10 @@ struct StoreKey {
   static std::optional<StoreKey> from_hex(std::string_view s);
 };
 
+/// Exactly 16 lowercase hex digits (one half of a key's hex form, or an
+/// event fingerprint after its "0x"); false on anything else.
+bool parse_hex64(std::string_view s, std::uint64_t& out) noexcept;
+
 struct StoreKeyHash {
   std::size_t operator()(const StoreKey& k) const noexcept {
     return static_cast<std::size_t>(k.hi ^ (k.lo * 0x9e3779b97f4a7c15ULL));

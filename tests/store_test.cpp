@@ -1,14 +1,17 @@
 // Tests for the content-addressed experiment store: JSON round trips,
 // canonical key derivation (field-order independence + golden digests),
-// hit/miss/insert semantics, crash recovery from corrupted/truncated
-// logs, concurrent inserts from TrialPool workers, and the
-// run_trials_stored hit/miss bit-identity + verify contract.
+// hit/miss/insert semantics, the record reader against the tree walk it
+// replaced, crash recovery from corrupted/truncated logs, concurrent
+// inserts from TrialPool workers, and the run_trials_stored hit/miss
+// bit-identity + verify contract.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <set>
 #include <stdexcept>
 #include <string>
@@ -117,6 +120,73 @@ TEST(StoreJson, RejectsMalformed) {
   deep += std::string(70, ']');
   EXPECT_FALSE(json_parse(deep));
   EXPECT_TRUE(json_parse(std::string(60, '[') + std::string(60, ']')));
+  // RFC 8259 numbers only, and in double's range: a literal beyond it
+  // would serialize back as "inf", which is not JSON.
+  for (const char* bad :
+       {"1e999", "-1e999", "[1e400]", "1e-400", "-1e-400", "+5", "01", "-01",
+        "[00]", "1.", "1.e5", ".5", "-.5", "-", "1e", "1e+", "1E-", "1.2.3",
+        "1e2e3", "2-1", "{\"a\":+1}", "[- 1]", "0x10", "Infinity", "NaN"}) {
+    err.clear();
+    EXPECT_FALSE(json_parse(bad, &err)) << bad;
+    EXPECT_NE(err.find(" at byte "), std::string::npos) << bad << ": " << err;
+  }
+  EXPECT_TRUE(json_parse(
+      "[0,-0,0.5,-0.5e-3,1E+2,1.7976931348623157e308,4.9e-324,0e-999]"));
+  // Beyond int64 is still a number, read as a double.
+  const auto big = json_parse("[9223372036854775808,-9223372036854775809]");
+  ASSERT_TRUE(big);
+  EXPECT_FALSE(big->items()[0].is_integer());
+  EXPECT_DOUBLE_EQ(big->items()[0].as_double(), 9223372036854775808.0);
+  EXPECT_DOUBLE_EQ(big->items()[1].as_double(), -9223372036854775808.0);
+}
+
+TEST(StoreJson, ReaderWalksWithoutATree) {
+  JsonReader reader(
+      R"( {"a":[1,"x\ty"],"b\u0041":{"c":null},"d":-2.5,"e":true} )");
+  ASSERT_TRUE(reader.begin_object());
+  std::string_view name;
+  ASSERT_TRUE(reader.next_member(name));
+  EXPECT_EQ(name, "a");
+  ASSERT_TRUE(reader.begin_array());
+  ASSERT_TRUE(reader.next_item());
+  JsonReader::Number num;
+  ASSERT_TRUE(reader.read_number(num));
+  EXPECT_TRUE(num.integral);
+  EXPECT_EQ(num.integer, 1);
+  ASSERT_TRUE(reader.next_item());
+  std::string_view str;
+  ASSERT_TRUE(reader.read_string(str));
+  EXPECT_EQ(str, "x\ty");  // escapes decoded
+  EXPECT_FALSE(reader.next_item());
+  ASSERT_TRUE(reader.ok());
+  ASSERT_TRUE(reader.next_member(name));
+  EXPECT_EQ(name, "bA");
+  JsonValue::Kind kind;
+  ASSERT_TRUE(reader.peek(kind));
+  EXPECT_EQ(kind, JsonValue::Kind::kObject);
+  ASSERT_TRUE(reader.skip_value());
+  ASSERT_TRUE(reader.next_member(name));
+  EXPECT_EQ(name, "d");
+  ASSERT_TRUE(reader.read_number(num));
+  EXPECT_FALSE(num.integral);
+  EXPECT_EQ(num.value, -2.5);
+  ASSERT_TRUE(reader.next_member(name));
+  bool flag = false;
+  ASSERT_TRUE(reader.read_bool(flag));
+  EXPECT_TRUE(flag);
+  EXPECT_FALSE(reader.next_member(name));
+  EXPECT_TRUE(reader.finish());
+  EXPECT_EQ(reader.error(), "");
+
+  // A read of the wrong kind fails, and the first error sticks.
+  JsonReader typed(R"({"n":"37"})");
+  ASSERT_TRUE(typed.begin_object());
+  ASSERT_TRUE(typed.next_member(name));
+  EXPECT_FALSE(typed.read_number(num));
+  EXPECT_EQ(typed.error(), "expected number at byte 5");
+  EXPECT_FALSE(typed.skip_value());
+  EXPECT_FALSE(typed.finish());
+  EXPECT_EQ(typed.error(), "expected number at byte 5");
 }
 
 TEST(StoreJson, SerializeParseFixedPoint) {
@@ -347,6 +417,301 @@ TEST(Store, RecordLineParseRejectsDamage) {
   ASSERT_NE(rpos, std::string::npos);
   nofield.replace(rpos, 8, "\"r0unds\"");
   EXPECT_FALSE(parse_store_record(nofield));
+
+  // A required field of the wrong type or range is damage as well: it
+  // must not replay as a default and be served as a hit.
+  const auto with_value = [&line](const std::string& field,
+                                  const std::string& value) {
+    std::string damaged = line;
+    const std::size_t begin = damaged.find("\"" + field + "\":") +
+                              field.size() + 3;
+    return damaged.replace(begin, damaged.find_first_of(",}", begin) - begin,
+                           value);
+  };
+  for (const auto& [field, value] :
+       std::vector<std::pair<std::string, std::string>>{
+           {"rounds", "3.5"},
+           {"rounds", "\"37\""},
+           {"rounds", "-37"},
+           {"rounds", "9223372036854775808"},
+           {"rounds", "1e2"},
+           {"rounds", "null"},
+           {"completed", "1"},
+           {"completed", "\"false\""},
+           {"activations", "-1"},
+           {"messages_delivered", "2.0"},
+           {"messages_dropped", "\"0\""},
+           {"exchanges_rejected", "false"},
+           {"payload_bits", "18446744073709551615"},
+           {"max_inflight", "[5]"},
+           {"fingerprint", "\"0X00000000deadbeef\""},
+           {"fingerprint", "\"0x00000000DEADBEEF\""},
+           {"fingerprint", "3735928559"}}) {
+    EXPECT_FALSE(parse_store_record(with_value(field, value)))
+        << field << " = " << value;
+  }
+  // So is a member named twice, whichever copy a reader would keep.
+  std::string dup_field = line;
+  dup_field.insert(dup_field.find("\"rounds\""), "\"rounds\":13,");
+  EXPECT_FALSE(parse_store_record(dup_field));
+  std::string dup_key = line;
+  dup_key.insert(1, "\"key\":\"" + StoreKey{1, 2}.hex() + "\",");
+  EXPECT_FALSE(parse_store_record(dup_key));
+  std::string dup_other = line;
+  dup_other.insert(1, "\"note\":1,\"note\":1,");
+  EXPECT_FALSE(parse_store_record(dup_other));
+
+  // Still a record: unknown members (each once), no wall_ms, and a
+  // CRLF line ending.
+  std::string extra = line;
+  extra.insert(1, "\"note\":{\"a\":[1,\"x\"]},");
+  extra.insert(extra.find("\"rounds\""), "\"note\":null,");
+  std::string no_wall = line;
+  const std::size_t wall = no_wall.find(",\"wall_ms\":");
+  no_wall.erase(wall, no_wall.size() - 1 - wall);
+  for (const std::string& variant : {extra, no_wall, line + "\r"}) {
+    const auto got = parse_store_record(variant);
+    ASSERT_TRUE(got) << variant;
+    EXPECT_EQ(got->first, k);
+    EXPECT_EQ(got->second.result, rec.result);
+  }
+  EXPECT_EQ(parse_store_record(no_wall)->second.wall_ms, 0.0);
+}
+
+// ---------------------------------------------------------------------------
+// Differential check of the record reader against the tree walk it
+// replaced
+
+/// The tree-walking record parser the store used before its streaming
+/// reader, kept verbatim as the reference. It runs on today's
+/// json_parse, so both sides share one JSON grammar and differ only in
+/// how they read a record out of it.
+std::optional<std::pair<StoreKey, StoreRecord>> reference_parse_store_record(
+    std::string_view line) {
+  const std::optional<JsonValue> doc = json_parse(line);
+  if (!doc || !doc->is_object()) return std::nullopt;
+  if (doc->get_string("schema", "") != ExperimentStore::kSchema)
+    return std::nullopt;
+  const std::optional<StoreKey> key =
+      StoreKey::from_hex(doc->get_string("key", ""));
+  if (!key) return std::nullopt;
+  const JsonValue* result = doc->get("result");
+  if (result == nullptr || !result->is_object()) return std::nullopt;
+  // Every result field is required: a record that lost one is damage,
+  // not a schema variant.
+  for (const char* field :
+       {"rounds", "completed", "activations", "messages_delivered",
+        "messages_dropped", "exchanges_rejected", "payload_bits",
+        "max_inflight", "fingerprint"}) {
+    if (result->get(field) == nullptr) return std::nullopt;
+  }
+  StoreRecord rec;
+  rec.result.rounds = result->get_i64("rounds", 0);
+  rec.result.completed = result->get_bool("completed", false);
+  rec.result.activations =
+      static_cast<std::size_t>(result->get_u64("activations", 0));
+  rec.result.messages_delivered =
+      static_cast<std::size_t>(result->get_u64("messages_delivered", 0));
+  rec.result.messages_dropped =
+      static_cast<std::size_t>(result->get_u64("messages_dropped", 0));
+  rec.result.exchanges_rejected =
+      static_cast<std::size_t>(result->get_u64("exchanges_rejected", 0));
+  rec.result.payload_bits =
+      static_cast<std::size_t>(result->get_u64("payload_bits", 0));
+  rec.result.max_inflight =
+      static_cast<std::size_t>(result->get_u64("max_inflight", 0));
+  const std::string fp = result->get_string("fingerprint", "");
+  if (fp.size() != 18 || fp.compare(0, 2, "0x") != 0) return std::nullopt;
+  std::uint64_t fp_value = 0;
+  for (std::size_t i = 2; i < fp.size(); ++i) {
+    const char c = fp[i];
+    std::uint64_t digit;
+    if (c >= '0' && c <= '9') digit = static_cast<std::uint64_t>(c - '0');
+    else if (c >= 'a' && c <= 'f')
+      digit = static_cast<std::uint64_t>(c - 'a' + 10);
+    else
+      return std::nullopt;
+    fp_value = (fp_value << 4) | digit;
+  }
+  rec.result.fingerprint = fp_value;
+  rec.wall_ms = doc->get_double("wall_ms", 0.0);
+  if (const JsonValue* meta = doc->get("meta");
+      meta != nullptr && meta->is_object())
+    rec.meta = json_serialize(*meta);
+  return std::make_pair(*key, std::move(rec));
+}
+
+using ParsedRecord = std::pair<StoreKey, StoreRecord>;
+
+bool same_record(const ParsedRecord& a, const ParsedRecord& b) {
+  return a.first == b.first && a.second.result == b.second.result &&
+         a.second.wall_ms == b.second.wall_ms && a.second.meta == b.second.meta;
+}
+
+/// A record with counters anywhere in [0, 2^63) and, when asked, a meta
+/// object in json_serialize's canonical form.
+StoreRecord random_record(Rng& rng, bool with_meta) {
+  const auto count = [&rng]() -> std::uint64_t {
+    switch (rng.uniform(3)) {
+      case 0: return rng.uniform(10);
+      case 1: return rng.uniform(1'000'000);
+      default: return rng() >> 1;
+    }
+  };
+  StoreRecord rec;
+  rec.result.rounds = static_cast<Round>(count());
+  rec.result.completed = rng.uniform(2) == 0;
+  rec.result.activations = count();
+  rec.result.messages_delivered = count();
+  rec.result.messages_dropped = count();
+  rec.result.exchanges_rejected = count();
+  rec.result.payload_bits = count();
+  rec.result.max_inflight = count();
+  rec.result.fingerprint = rng();
+  rec.wall_ms = static_cast<double>(rng.uniform(10'000'000)) / 1000.0;
+  if (with_meta) {
+    std::vector<JsonValue> curve;
+    for (std::size_t i = 0, len = rng.uniform(6); i < len; ++i)
+      curve.push_back(
+          JsonValue::make_integer(static_cast<std::int64_t>(count())));
+    rec.meta = json_serialize(JsonValue::make_object(
+        {{"curve", JsonValue::make_array(std::move(curve))},
+         {"note", JsonValue::make_string("q\"b\\s\n\x01")},
+         {"x", JsonValue::make_number(
+                   0.1 * static_cast<double>(rng.uniform(100)))}}));
+  }
+  return rec;
+}
+
+std::string flip_byte(std::string line, Rng& rng) {
+  static constexpr char kBytes[] = "09afxX\"\\,:{}[]-+.eE \t\r\n\x01\x7f";
+  const std::size_t at = rng.uniform(line.size());
+  line[at] = rng.uniform(2) == 0
+                 ? kBytes[rng.uniform(sizeof kBytes - 1)]
+                 : static_cast<char>(line[at] ^ (1 << rng.uniform(8)));
+  return line;
+}
+
+/// Duplicate, reorder, remove or retype a member of the record or of
+/// its result object, through the tree, then write the line back.
+std::string mutate_member(const std::string& line, Rng& rng) {
+  static const std::vector<JsonValue> kRetypes = [] {
+    std::vector<JsonValue> values;
+    for (const char* text :
+         {"3.5", "\"37\"", "1", "0", "-1", "-37", "true", "null",
+          "9223372036854775808", "1e3", "[]", "{}", "\"0x0000000000000001\""})
+      values.push_back(*json_parse(text));
+    return values;
+  }();
+  std::vector<std::pair<std::string, JsonValue>> record =
+      json_parse(line)->members();
+  const auto result =
+      std::find_if(record.begin(), record.end(),
+                   [](const auto& m) { return m.first == "result"; });
+  const bool in_result = rng.uniform(2) == 0;
+  std::vector<std::pair<std::string, JsonValue>> members =
+      in_result ? result->second.members() : record;
+  const std::size_t i = rng.uniform(members.size());
+  switch (rng.uniform(4)) {
+    case 0: {
+      auto copy = members[i];
+      if (rng.uniform(2) == 0)
+        copy.second = kRetypes[rng.uniform(kRetypes.size())];
+      members.insert(members.begin() + static_cast<std::ptrdiff_t>(
+                                           rng.uniform(members.size() + 1)),
+                     std::move(copy));
+      break;
+    }
+    case 1: rng.shuffle(members); break;
+    case 2:
+      members.erase(members.begin() + static_cast<std::ptrdiff_t>(i));
+      break;
+    default: members[i].second = kRetypes[rng.uniform(kRetypes.size())];
+  }
+  if (!in_result)
+    return json_serialize(JsonValue::make_object(std::move(members)));
+  result->second = JsonValue::make_object(std::move(members));
+  return json_serialize(JsonValue::make_object(std::move(record)));
+}
+
+bool names_repeat(const JsonValue& object) {
+  std::set<std::string> names;
+  for (const auto& member : object.members())
+    if (!names.insert(member.first).second) return true;
+  return false;
+}
+
+/// A required result field the reference read through a typed getter's
+/// default: a count that is no integer in [0, 2^63), or a non-boolean
+/// "completed".
+bool required_field_mistyped(const JsonValue& result) {
+  for (const char* field : {"rounds", "activations", "messages_delivered",
+                            "messages_dropped", "exchanges_rejected",
+                            "payload_bits", "max_inflight"}) {
+    const JsonValue* v = result.get(field);
+    if (!v->is_integer() || v->as_i64() < 0) return true;
+  }
+  return !result.get("completed")->is_bool();
+}
+
+TEST(Store, RecordReaderAgreesWithTreeReference) {
+  Rng rng(25);
+  std::size_t both_accept = 0, both_reject = 0;
+  std::size_t duplicate_names = 0, mistyped_fields = 0;
+  for (std::size_t r = 0; r < 300; ++r) {
+    const StoreKey key{rng(), rng()};
+    const StoreRecord rec = random_record(rng, r % 2 == 1);
+    const std::string line = store_record_line(key, rec);
+    // Every written line reads back as the record that was written, on
+    // both readers.
+    const auto fast = parse_store_record(line);
+    const auto ref = reference_parse_store_record(line);
+    ASSERT_TRUE(fast && ref) << line;
+    ASSERT_TRUE(same_record(*fast, ParsedRecord{key, rec})) << line;
+    ASSERT_TRUE(same_record(*ref, *fast)) << line;
+
+    for (std::size_t m = 0; m < 24; ++m) {
+      static constexpr const char* kTails[] = {"\r", "\r\n", " ", "x", "}",
+                                               ",", "{}", "\"\""};
+      std::string damaged;
+      switch (m % 6) {
+        case 0: damaged = flip_byte(line, rng); break;
+        case 1: damaged = line.substr(0, rng.uniform(line.size())); break;
+        case 2:
+        case 3: damaged = mutate_member(line, rng); break;
+        case 4: damaged = mutate_member(line, rng) + "\r"; break;
+        default: damaged = line + kTails[rng.uniform(std::size(kTails))];
+      }
+      const auto got = parse_store_record(damaged);
+      const auto want = reference_parse_store_record(damaged);
+      if (got) {
+        // Whatever the streaming reader accepts, the reference accepts
+        // as the same record.
+        ASSERT_TRUE(want) << damaged;
+        ASSERT_TRUE(same_record(*got, *want)) << damaged;
+        ++both_accept;
+        continue;
+      }
+      if (!want) {
+        ++both_reject;
+        continue;
+      }
+      // Rejected here, accepted there: only a member named twice or a
+      // required field of the wrong type may explain it.
+      const JsonValue doc = *json_parse(damaged);
+      const JsonValue& result = *doc.get("result");
+      if (names_repeat(doc) || names_repeat(result)) {
+        ++duplicate_names;
+      } else {
+        ASSERT_TRUE(required_field_mistyped(result)) << damaged;
+        ++mistyped_fields;
+      }
+    }
+  }
+  EXPECT_GT(both_accept, 0u);
+  EXPECT_GT(both_reject, 0u);
+  EXPECT_GT(duplicate_names, 0u);
+  EXPECT_GT(mistyped_fields, 0u);
 }
 
 TEST(Store, RecoversFromCorruptedAndTruncatedLog) {
