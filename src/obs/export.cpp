@@ -316,11 +316,4 @@ std::string manifest_record(const RunInfo& info, std::size_t trial,
   return out;
 }
 
-bool append_jsonl(const std::string& path, const std::string& line) {
-  FILE* f = std::fopen(path.c_str(), "a");
-  if (f == nullptr) return false;
-  const bool ok = std::fputs(line.c_str(), f) >= 0 && std::fputc('\n', f) != EOF;
-  return std::fclose(f) == 0 && ok;
-}
-
 }  // namespace latgossip

@@ -109,8 +109,4 @@ std::string manifest_record(const RunInfo& info, std::size_t trial,
                             double wall_ms,
                             const std::string& metrics_json_snapshot);
 
-/// Append `line` + '\n' to `path` (creating it if needed). Returns
-/// false on I/O failure.
-bool append_jsonl(const std::string& path, const std::string& line);
-
 }  // namespace latgossip

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cstdio>
 #include <cstdlib>
 #include <stdexcept>
 #include <thread>
@@ -134,17 +135,24 @@ TrialAggregate run_trials(std::size_t num_trials, std::size_t threads,
     info.threads_effective = threads;
     if (const char* env = std::getenv("LATGOSSIP_THREADS"))
       info.threads_env = env;
-    for (std::size_t t = 0; t < num_trials; ++t) {
+    // One open per batch. Every write is checked, and so is the close,
+    // which flushes what the stream still buffers.
+    std::FILE* f = std::fopen(manifest->path.c_str(), "a");
+    bool written = f != nullptr;
+    for (std::size_t t = 0; written && t < num_trials; ++t) {
       const std::string metrics_snapshot =
           manifest->metrics_json_snapshot ? manifest->metrics_json_snapshot(t)
                                           : std::string();
-      if (!append_jsonl(manifest->path,
-                        manifest_record(info, t,
-                                        trial_seed(seed, t), agg.trials[t],
-                                        agg.wall_ms[t], metrics_snapshot)))
-        throw std::runtime_error("run_trials: cannot write manifest " +
-                                 manifest->path);
+      std::string line = manifest_record(info, t, trial_seed(seed, t),
+                                         agg.trials[t], agg.wall_ms[t],
+                                         metrics_snapshot);
+      line += '\n';
+      written = std::fwrite(line.data(), 1, line.size(), f) == line.size();
     }
+    if (f != nullptr && std::fclose(f) != 0) written = false;
+    if (!written)
+      throw std::runtime_error("run_trials: cannot write manifest " +
+                               manifest->path);
   }
   return agg;
 }

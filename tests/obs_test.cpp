@@ -7,9 +7,6 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdio>
-#include <filesystem>
-#include <fstream>
 #include <optional>
 #include <ostream>
 #include <sstream>
@@ -706,21 +703,6 @@ TEST(Export, ManifestRecordFieldsAndJsonl) {
       manifest_record(info, 0, 99, r, 1.5, metrics_json(metrics));
   EXPECT_EQ(no_env.find("\"threads_env\""), std::string::npos);
   EXPECT_NE(no_env.find("\"threads_effective\":2"), std::string::npos);
-
-  const auto path =
-      (std::filesystem::temp_directory_path() / "latgossip_obs_test.jsonl")
-          .string();
-  std::remove(path.c_str());
-  ASSERT_TRUE(append_jsonl(path, line));
-  ASSERT_TRUE(append_jsonl(path, line));
-  std::ifstream in(path);
-  std::string l1, l2, l3;
-  ASSERT_TRUE(std::getline(in, l1));
-  ASSERT_TRUE(std::getline(in, l2));
-  EXPECT_FALSE(std::getline(in, l3));
-  EXPECT_EQ(l1, line);
-  EXPECT_EQ(l2, line);
-  std::remove(path.c_str());
 }
 
 TEST(Export, BuildInfoPopulated) {

@@ -4,8 +4,12 @@
 
 #include <gtest/gtest.h>
 
+#include <filesystem>
+#include <fstream>
 #include <set>
 #include <stdexcept>
+#include <string>
+#include <vector>
 
 #include "core/push_pull.h"
 #include "graph/generators.h"
@@ -146,6 +150,38 @@ TEST(RunTrials, AggregatesMatchManualLoop) {
   }
   EXPECT_EQ(manual.mean(), agg.rounds.mean());
   EXPECT_EQ(manual.stddev(), agg.rounds.stddev());
+}
+
+TEST(RunTrials, ManifestAppendsOneRecordPerTrialInOrder) {
+  const std::string path = (std::filesystem::temp_directory_path() /
+                            "latgossip_parallel_test_manifest.jsonl")
+                               .string();
+  std::filesystem::remove(path);
+  const WeightedGraph g = test_graph();
+  ManifestSpec manifest;
+  manifest.path = path;
+  manifest.info.tool = "parallel_test";
+  // Two batches on one file: the second appends after the first.
+  const TrialAggregate first =
+      run_trials(3, 2, 17, push_pull_trial(g), &manifest);
+  run_trials(2, 1, 23, push_pull_trial(g), &manifest);
+  std::ifstream in(path);
+  std::vector<std::string> lines;
+  for (std::string line; std::getline(in, line);) lines.push_back(line);
+  ASSERT_EQ(lines.size(), 5u);
+  for (std::size_t i = 0; i < lines.size(); ++i) {
+    const std::size_t t = i < 3 ? i : i - 3;
+    const std::uint64_t seed = trial_seed(i < 3 ? 17 : 23, t);
+    EXPECT_NE(lines[i].find("\"trial\":" + std::to_string(t) +
+                            ",\"trial_seed\":" + std::to_string(seed) + ","),
+              std::string::npos)
+        << lines[i];
+  }
+  EXPECT_NE(lines[1].find("\"rounds\":" +
+                          std::to_string(first.trials[1].rounds) + ","),
+            std::string::npos)
+      << lines[1];
+  std::filesystem::remove(path);
 }
 
 }  // namespace
