@@ -285,10 +285,18 @@ class EngineState {
   /// Reset to fresh-run state for a latency horizon and node count. A
   /// ring from an earlier run is kept when it has at least `horizon`
   /// buckets, and buckets keep their storage; contents never survive
-  /// (release_pending() empties every bucket on run exit).
+  /// (release_pending() empties every bucket on run exit). A ring far
+  /// larger than the horizon, left by one run over a very slow link, is
+  /// replaced by a fresh one of `horizon` buckets instead of being held
+  /// for the workspace's lifetime; the 4x / 2^16 slack keeps a sweep on
+  /// one graph, and a ring jitter grew, from ever reallocating.
   void prepare(std::size_t horizon, std::size_t n, bool blocking,
                bool bounded_indegree) {
-    if (slots.size() < horizon) slots.resize(horizon);
+    constexpr std::size_t kAlwaysKept = std::size_t{1} << 16;
+    if (slots.size() > std::max(4 * horizon, kAlwaysKept))
+      slots = std::vector<std::vector<Delivery>>(horizon);
+    else if (slots.size() < horizon)
+      slots.resize(horizon);
     if (blocking)
       outstanding.assign(n, 0);
     else

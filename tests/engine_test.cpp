@@ -427,6 +427,40 @@ TEST(Engine, ReusedRingMatchesFreshRunsAndOracle) {
   EXPECT_GT(ring_size(), 13u);  // jitter grew it
 }
 
+TEST(Engine, OversizedRingGivesWayToTheNextHorizon) {
+  // One run over an ℓ = 10^6 link needs a ring of 10^6 + 1 buckets; the
+  // next run, on unit latencies, must not inherit it for the
+  // workspace's lifetime. Both runs still match a fresh workspace's,
+  // event for event. Blocking keeps two exchanges in flight, not 2·10^6.
+  TrialWorkspace ws;
+  const auto ring_size = [&ws] {
+    return ws.find_slot<detail::EngineState<bool>>()->slots.size();
+  };
+  const auto run = [](const WeightedGraph& g, TrialWorkspace* workspace) {
+    NetworkView view(g, false);
+    PushPullBroadcast proto(view, 0, Rng(3));
+    EventRecorder rec;
+    SimOptions opts;
+    opts.max_rounds = 2'000'000;
+    opts.blocking = true;
+    opts.recorder = &rec;
+    opts.workspace = workspace;
+    SimResult result = run_gossip(g, proto, opts);
+    result.fingerprint = rec.fingerprint();
+    return result;
+  };
+  const auto slow = build_graph(2, {{0, 1, 1'000'000}});
+  const auto fast =
+      build_graph(4, {{0, 1, 1}, {1, 2, 1}, {2, 3, 1}, {3, 0, 1}});
+  for (const WeightedGraph* g : {&slow, &fast}) {
+    TrialWorkspace fresh;
+    const SimResult reused = run(*g, &ws);
+    EXPECT_TRUE(reused.completed);
+    EXPECT_EQ(reused, run(*g, &fresh));
+    EXPECT_EQ(ring_size(), static_cast<std::size_t>(g->max_latency()) + 1);
+  }
+}
+
 TEST(Engine, BothEndpointsSnapshotAtInitiationRound) {
   // Node 1 also initiates at round 1; node 0's exchange from round 0
   // must still carry round-0 snapshots (checked inside deliver()).
