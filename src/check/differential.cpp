@@ -22,7 +22,7 @@ namespace {
 /// the invariant checks need afterwards.
 struct RunArtifacts {
   SimResult result;
-  EventRecorder recorder;
+  EventRecorder recorder{EventLog::kKeep};  ///< the invariants read it
   std::vector<Round> inform_round;  ///< boolean broadcasts only
   bool has_inform = false;
 };
@@ -205,8 +205,8 @@ void composite_invariants(DiffReport& rep, const WeightedGraph& g,
 
 DiffReport diff_composite(const TestCase& tc, const WeightedGraph& g) {
   DiffReport rep;
-  EventRecorder engine_rec;
-  EventRecorder oracle_rec;
+  EventRecorder engine_rec(EventLog::kKeep);
+  EventRecorder oracle_rec(EventLog::kKeep);
 
   switch (tc.proto) {
     case CheckProto::kUnified: {

@@ -31,6 +31,8 @@ namespace latgossip {
 struct InvariantInput {
   const WeightedGraph* graph = nullptr;
   SimResult result;
+  /// The run's events; the checks read them, so it keeps its log
+  /// (EventLog::kKeep).
   const EventRecorder* recorder = nullptr;
   /// Jitter rewrites per-exchange latencies; the exact-latency check
   /// degrades to completion-after-initiation.

@@ -119,14 +119,7 @@ std::uint64_t remapped_fingerprint(const EventRecorder& rec,
       if (edge_map != nullptr && edge < edge_map->size())
         edge = (*edge_map)[edge];
     }
-    // Same per-event packing as EventRecorder::refresh_stats().
-    fp.add(fp_hash3(
-        (static_cast<std::uint64_t>(e.round()) << 3) |
-            static_cast<std::uint64_t>(kind),
-        (static_cast<std::uint64_t>(a) << 32) | b,
-        (static_cast<std::uint64_t>(edge) << 32) |
-            static_cast<std::uint64_t>(
-                static_cast<std::uint32_t>(e.start()))));
+    fp.add(Event::make(e.round(), e.start(), a, b, edge, kind).hash());
   }
   return fp.digest();
 }

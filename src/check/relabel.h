@@ -80,7 +80,9 @@ WeightedGraph permute_edge_ids(const WeightedGraph& g,
 /// Recompute the recorder's order-insensitive digest with node ids
 /// mapped through `node_map` and edge ids through `edge_map` (either
 /// may be null for identity). Phase events carry interned name ids, not
-/// node ids, and are folded unmapped.
+/// node ids, and are folded unmapped. `rec` must keep its log
+/// (EventLog::kKeep); each event is hashed by the recorder's own
+/// Event::hash().
 std::uint64_t remapped_fingerprint(const EventRecorder& rec,
                                    const std::vector<NodeId>* node_map,
                                    const std::vector<EdgeId>* edge_map);

@@ -52,7 +52,7 @@ ReductionResult drive(const GuessingGadget& gadget, Proto& proto,
   GuessingGame game(gadget.m, gadget.target);
   ReductionResult result;
   GameFeeder feeder(gadget, game);
-  EventRecorder recorder;
+  EventRecorder recorder(EventLog::kKeep);
   SimOptions opts;
   opts.max_rounds = max_rounds;
   opts.recorder = &recorder;

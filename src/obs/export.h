@@ -57,6 +57,8 @@ void json_append_fingerprint(std::string& out, std::uint64_t fingerprint);
 void json_append_sim_result(std::string& out, const SimResult& result);
 
 // --- event stream exports ---------------------------------------------
+// Both read the events themselves, so the recorder must keep its log
+// (EventLog::kKeep); a folding recorder throws std::logic_error.
 
 /// Chrome trace-event JSON: {"traceEvents": [...]}. Rounds map 1:1 to
 /// microsecond timestamps. Deliveries/drops render as complete ("X")

@@ -2,7 +2,8 @@
 // Named metrics registry + protocol phase attribution.
 //
 // A MetricsRegistry holds named monotonic counters and log2-bucket
-// histograms, plus per-phase simulation accounting. Protocols tag their
+// histograms (Histogram, in obs/recorder.h, whose recorder folds two of
+// them), plus per-phase simulation accounting. Protocols tag their
 // phases with a PhaseScope RAII guard:
 //
 //   PhaseScope phase(obs, "eid/local_broadcast");
@@ -25,10 +26,10 @@
 // spanner / broadcast phases, and per-phase payload_bits mirrors the
 // small-message budgets of Dufoulon et al. (see PAPERS.md).
 
-#include <bit>
 #include <cstddef>
 #include <cstdint>
 #include <map>
+#include <optional>
 #include <string>
 #include <string_view>
 
@@ -46,43 +47,6 @@ class Counter {
 
  private:
   std::uint64_t value_ = 0;
-};
-
-/// Log2-bucket histogram for nonnegative integer samples. Bucket 0
-/// counts exact zeros; bucket b >= 1 counts values in [2^(b-1), 2^b).
-class Histogram {
- public:
-  static constexpr std::size_t kBuckets = 65;
-
-  void observe(std::uint64_t v) noexcept {
-    ++buckets_[bucket_of(v)];
-    ++count_;
-    sum_ += v;
-    if (v > max_) max_ = v;
-  }
-
-  static std::size_t bucket_of(std::uint64_t v) noexcept {
-    return v == 0 ? 0 : static_cast<std::size_t>(64 - std::countl_zero(v));
-  }
-  /// Inclusive lower bound of bucket b.
-  static std::uint64_t bucket_lo(std::size_t b) noexcept {
-    return b == 0 ? 0 : std::uint64_t{1} << (b - 1);
-  }
-
-  std::uint64_t bucket(std::size_t b) const noexcept { return buckets_[b]; }
-  std::uint64_t count() const noexcept { return count_; }
-  std::uint64_t sum() const noexcept { return sum_; }
-  std::uint64_t max() const noexcept { return max_; }
-  double mean() const noexcept {
-    return count_ == 0 ? 0.0
-                       : static_cast<double>(sum_) / static_cast<double>(count_);
-  }
-
- private:
-  std::uint64_t buckets_[kBuckets] = {};
-  std::uint64_t count_ = 0;
-  std::uint64_t sum_ = 0;
-  std::uint64_t max_ = 0;
 };
 
 /// Simulation cost attributed to one named protocol phase.
@@ -222,36 +186,15 @@ inline void record_freshness(MetricsRegistry& metrics,
       .inc(static_cast<std::uint64_t>(stats.mean_age * 1000.0));
 }
 
-/// Derive the event-level histograms from a recorder: per-delivery
-/// latency (completion - initiation) and, when the stream is
-/// round-monotone, the in-flight exchange depth sampled each round a
-/// delivery interval covers.
+/// Copy a recorder's event-level histograms into the registry: the
+/// per-delivery latency (completion - initiation) and, when the stream
+/// is round-monotone, the in-flight exchange depth sampled each round a
+/// delivery interval covers (EventRecorder::inflight_depth).
 inline void record_event_histograms(MetricsRegistry& metrics,
                                     const EventRecorder& rec) {
-  Histogram& lat = metrics.histogram("delivery_latency");
-  for (const Event& e : rec.events())
-    if (e.kind() == EventKind::kDelivery)
-      lat.observe(static_cast<std::uint64_t>(e.round() - e.start()));
-  if (!rec.round_monotone() || rec.events().empty()) return;
-  // Sweep: +1 at initiation, -1 at completion, over [0, max_round].
-  const auto horizon = static_cast<std::size_t>(rec.max_round()) + 2;
-  std::vector<std::int64_t> delta(horizon, 0);
-  bool any = false;
-  for (const Event& e : rec.events()) {
-    if (e.kind() != EventKind::kDelivery && e.kind() != EventKind::kDrop &&
-        e.kind() != EventKind::kCrashDrop)
-      continue;
-    ++delta[static_cast<std::size_t>(e.start())];
-    --delta[static_cast<std::size_t>(e.round())];
-    any = true;
-  }
-  if (!any) return;
-  Histogram& depth = metrics.histogram("inflight_depth");
-  std::int64_t inflight = 0;
-  for (std::size_t r = 0; r + 1 < horizon; ++r) {
-    inflight += delta[r];
-    depth.observe(static_cast<std::uint64_t>(inflight));
-  }
+  metrics.histogram("delivery_latency").merge(rec.delivery_latency());
+  if (const std::optional<Histogram> depth = rec.inflight_depth())
+    metrics.histogram("inflight_depth").merge(*depth);
 }
 
 }  // namespace latgossip

@@ -1,37 +1,42 @@
 #pragma once
 // Low-overhead structured event recorder for simulation runs.
 //
-// A flat append-only binary event log covering every observable engine
-// event: activations, deliveries, drops (link loss or crash-induced),
-// and protocol phase boundaries. The engine writes events directly
-// through a raw pointer in SimOptions, and a recorder-free run still
-// takes the compile-time NoHooks fast path — installing a recorder (or
-// a scenario plan) is what moves a run onto the hooked path.
+// The engine reports every observable event through a raw pointer in
+// SimOptions: activations, deliveries, drops (link loss or
+// crash-induced), and protocol phase boundaries. A recorder-free run
+// still takes the compile-time NoHooks fast path; installing a recorder
+// (or a scenario plan) is what moves a run onto the hooked path.
 //
-// The record path is a bare push_back: per-kind counts, max_round, the
-// monotone flag, and the fingerprint are derived lazily by a tight
-// catch-up pass over the not-yet-scanned suffix the first time a query
-// needs them, and the (round, offset) boundary index by a second
-// on-demand pass (amortized one scan each, however queries and appends
-// interleave). Appends grow capacity with a large floor and a 4x
-// factor — geometric 2x-from-tiny reallocation is what dominated the
-// hot path otherwise (each doubling re-copies and re-faults the log).
+// A recorder folds each event into the state its queries return: the
+// per-kind counts, max_round, the monotone flag, the fingerprint, the
+// delivery-latency histogram and the per-round in-flight deltas. That
+// state costs O(rounds run), not O(events): by default events land in
+// one fixed block of kBlock packed events, which the fold empties each
+// time it fills. The fold is a tight pass that accumulates in locals,
+// so independent per-event hash chains pipeline; each event is folded
+// once however appends and queries interleave.
 //
-// Queries are indexed: events append in nondecreasing round order
-// within one run_gossip() execution, and the recorder maintains a
-// (round, offset) boundary list, so activations_in_round() is a binary
-// search plus a scan of that round's events and per_edge_counts() is
-// one linear pass. Multi-phase protocols (EID, T(k)) restart rounds at
-// 0 per phase; the recorder detects the non-monotone round and falls
-// back to full scans for round-indexed queries (counts and the
-// fingerprint are unaffected).
+// A recorder built with EventLog::kKeep also keeps every event, for the
+// consumers that read the stream itself: the trace exports
+// (obs/export.h), the checker's invariants and relabel harness, and the
+// Lemma 3 reduction's replay. Its log grows with a large floor and a 4x
+// factor (geometric 2x-from-tiny reallocation re-copies and re-faults
+// the log). events() on a folding recorder throws.
+//
+// Multi-phase protocols (EID, T(k)) restart rounds at 0 per phase; the
+// recorder detects the non-monotone stream and drops the in-flight
+// deltas (counts and the fingerprint are unaffected).
 //
 // Thread safety: none. Use one recorder per trial; run_trials callbacks
 // must not share a recorder across trials.
 
+#include <algorithm>
 #include <array>
+#include <bit>
 #include <cstddef>
 #include <cstdint>
+#include <optional>
+#include <stdexcept>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -88,6 +93,17 @@ struct Event {
     return static_cast<EventKind>(edge_kind_ >> 29);
   }
 
+  /// The event's contribution to the run fingerprint. The packing is
+  /// part of every pinned digest: the round shares a word with the kind,
+  /// the two endpoints share one, and the edge shares one with the
+  /// initiation round. Phase events hash their interned name id.
+  std::uint64_t hash() const noexcept {
+    return fp_hash3((static_cast<std::uint64_t>(round()) << 3) |
+                        static_cast<std::uint64_t>(kind()),
+                    (static_cast<std::uint64_t>(a()) << 32) | b(),
+                    (static_cast<std::uint64_t>(edge()) << 32) | start_);
+  }
+
   bool operator==(const Event&) const = default;
 
   std::uint32_t round_ = 0;  ///< round the event happened (delivery:
@@ -99,8 +115,67 @@ struct Event {
 };
 static_assert(sizeof(Event) == 20);
 
+/// Log2-bucket histogram for nonnegative integer samples. Bucket 0
+/// counts exact zeros; bucket b >= 1 counts values in [2^(b-1), 2^b).
+class Histogram {
+ public:
+  static constexpr std::size_t kBuckets = 65;
+
+  void observe(std::uint64_t v) noexcept {
+    ++buckets_[bucket_of(v)];
+    ++count_;
+    sum_ += v;
+    if (v > max_) max_ = v;
+  }
+
+  /// Add every sample of `other`, as if each had been observed here.
+  void merge(const Histogram& other) noexcept {
+    for (std::size_t b = 0; b < kBuckets; ++b) buckets_[b] += other.buckets_[b];
+    count_ += other.count_;
+    sum_ += other.sum_;
+    if (other.max_ > max_) max_ = other.max_;
+  }
+
+  static std::size_t bucket_of(std::uint64_t v) noexcept {
+    return v == 0 ? 0 : static_cast<std::size_t>(64 - std::countl_zero(v));
+  }
+  /// Inclusive lower bound of bucket b.
+  static std::uint64_t bucket_lo(std::size_t b) noexcept {
+    return b == 0 ? 0 : std::uint64_t{1} << (b - 1);
+  }
+
+  std::uint64_t bucket(std::size_t b) const noexcept { return buckets_[b]; }
+  std::uint64_t count() const noexcept { return count_; }
+  std::uint64_t sum() const noexcept { return sum_; }
+  std::uint64_t max() const noexcept { return max_; }
+  double mean() const noexcept {
+    return count_ == 0 ? 0.0
+                       : static_cast<double>(sum_) / static_cast<double>(count_);
+  }
+
+ private:
+  std::uint64_t buckets_[kBuckets] = {};
+  std::uint64_t count_ = 0;
+  std::uint64_t sum_ = 0;
+  std::uint64_t max_ = 0;
+};
+
+/// What a recorder keeps besides its folded state.
+enum class EventLog : std::uint8_t {
+  kFold,  ///< nothing: events are folded a block at a time
+  kKeep,  ///< every event, in record order, for events()
+};
+
 class EventRecorder {
  public:
+  /// Events a folding recorder holds before it folds them: 80 KiB, small
+  /// enough to stay in cache and to fill (and so be reused) within one
+  /// short trial.
+  static constexpr std::size_t kBlock = std::size_t{1} << 12;
+
+  explicit EventRecorder(EventLog log = EventLog::kFold) noexcept
+      : keep_log_(log == EventLog::kKeep) {}
+
   // --- recording (called from the engine's hooked event loop) ---------
 
   void record_activation(NodeId u, NodeId v, EdgeId e, Round r) {
@@ -130,12 +205,22 @@ class EventRecorder {
 
   // --- queries --------------------------------------------------------
 
-  const std::vector<Event>& events() const { return events_; }
-  std::size_t size() const { return events_.size(); }
-  bool empty() const { return events_.empty(); }
+  /// Every event since construction or clear(), in record order. Only an
+  /// EventLog::kKeep recorder has them; a folding one throws
+  /// std::logic_error.
+  const std::vector<Event>& events() const {
+    if (!keep_log_)
+      throw std::logic_error(
+          "EventRecorder::events(): this recorder folds its events; "
+          "construct it with EventLog::kKeep to read them");
+    return events_;
+  }
+  /// Events recorded, folded ones included.
+  std::size_t size() const noexcept { return folded_ + events_.size(); }
+  bool empty() const noexcept { return size() == 0; }
 
   std::size_t count(EventKind kind) const {
-    refresh_stats();
+    refresh();
     return kind_counts_[static_cast<std::size_t>(kind)];
   }
   std::size_t activations() const { return count(EventKind::kActivation); }
@@ -154,43 +239,48 @@ class EventRecorder {
                                     : std::string_view("?");
   }
 
-  /// Number of activations in round r: O(log R + events in round r)
-  /// while the event stream is round-monotone, full scan otherwise.
-  std::size_t activations_in_round(Round r) const {
-    refresh_stats();
-    std::size_t c = 0;
-    if (monotone_) {
-      refresh_index();
-      const auto [lo, hi] = round_range(r);
-      for (std::size_t i = lo; i < hi; ++i)
-        if (events_[i].kind() == EventKind::kActivation) ++c;
-    } else {
-      for (const Event& e : events_)
-        if (e.kind() == EventKind::kActivation && e.round() == r) ++c;
-    }
-    return c;
-  }
-
-  /// Activation counts per edge, indexable by EdgeId. One linear pass.
-  std::vector<std::size_t> per_edge_counts(std::size_t num_edges) const {
-    std::vector<std::size_t> counts(num_edges, 0);
-    for (const Event& e : events_)
-      if (e.kind() == EventKind::kActivation && e.edge() < num_edges)
-        ++counts[e.edge()];
-    return counts;
-  }
-
   /// True while events have appended in nondecreasing round order (one
-  /// run_gossip execution); round-indexed queries are then indexed.
+  /// run_gossip execution).
   bool round_monotone() const {
-    refresh_stats();
+    refresh();
     return monotone_;
   }
 
   /// Largest round seen across all events (0 when empty).
   Round max_round() const {
-    refresh_stats();
+    refresh();
     return max_round_;
+  }
+
+  /// Delivery latencies (completion - initiation), one sample per
+  /// delivery.
+  const Histogram& delivery_latency() const {
+    refresh();
+    return latency_;
+  }
+
+  /// In-flight exchange depth, one sample per round in [0, max_round()]:
+  /// deliveries and drops each count from their initiation round up to,
+  /// not including, their completion round. Empty when the stream is not
+  /// round-monotone or holds no delivery or drop.
+  std::optional<Histogram> inflight_depth() const {
+    refresh();
+    if (!monotone_ || count(EventKind::kDelivery) + drops() == 0)
+      return std::nullopt;
+    Histogram depth;
+    std::int64_t inflight = 0;
+    for (std::size_t r = 0; r <= static_cast<std::size_t>(max_round_); ++r) {
+      if (r < inflight_delta_.size()) inflight += inflight_delta_[r];
+      depth.observe(static_cast<std::uint64_t>(inflight));
+    }
+    return depth;
+  }
+
+  /// Bytes held for events (the block or the log) and in-flight deltas:
+  /// capacity, not use.
+  std::size_t reserved_bytes() const noexcept {
+    return events_.capacity() * sizeof(Event) +
+           inflight_delta_.capacity() * sizeof(std::int64_t);
   }
 
   // --- fingerprint ----------------------------------------------------
@@ -199,108 +289,121 @@ class EventRecorder {
   /// obs/fingerprint.h). Phase events hash their interned name id, so
   /// two streams differing only in phase labels differ in digest.
   std::uint64_t fingerprint() const {
-    refresh_stats();
+    refresh();
     return fingerprint_.digest();
   }
   const Fingerprint& fingerprint_state() const {
-    refresh_stats();
+    refresh();
     return fingerprint_;
   }
 
+  /// Forget every event. The event block (or log) keeps its storage, so
+  /// a recorder reused across trials allocates nothing. In-flight deltas
+  /// beyond kDeltasKept rounds are released, as the engine's workspace
+  /// gives up a ring far larger than it needs: a pool worker must not
+  /// hold one very long run's deltas (a serve query with a large
+  /// latency) for its lifetime, and the next run's length is unknown.
   void clear() {
     events_.clear();
-    round_starts_.clear();
+    folded_ = 0;
+    cursor_ = 0;
     kind_counts_.fill(0);
     phase_names_.clear();
     fingerprint_.reset();
+    latency_ = Histogram{};
+    if (inflight_delta_.capacity() > kDeltasKept)
+      inflight_delta_ = std::vector<std::int64_t>();
+    else
+      inflight_delta_.clear();
     monotone_ = true;
     max_round_ = 0;
     last_round_ = 0;
-    stats_cursor_ = 0;
-    index_cursor_ = 0;
   }
 
  private:
-  /// First reservation covers most runs outright; afterwards grow 4x.
+  /// A logging recorder's first reservation; afterwards it grows 4x.
   static constexpr std::size_t kReserveFloor = std::size_t{1} << 16;
+  /// In-flight delta rounds that clear() keeps (the engine ring's 2^16).
+  static constexpr std::size_t kDeltasKept = std::size_t{1} << 16;
 
   void append(const Event& e) {
-    if (events_.size() == events_.capacity())
-      events_.reserve(events_.capacity() < kReserveFloor
-                          ? kReserveFloor
-                          : events_.capacity() * 4);
+    if (events_.size() == events_.capacity()) make_room();
     events_.push_back(e);
   }
 
-  /// Catch counts, max_round, the monotone flag, and the fingerprint up
-  /// to the end of the log. Deliberately branch-light so independent
-  /// per-event hash chains pipeline; each event is processed once no
-  /// matter how appends and queries interleave. Logically const — every
-  /// derived member is mutable.
-  void refresh_stats() const {
+  /// A full log grows; a full block is folded and emptied.
+  void make_room() {
+    if (keep_log_) {
+      events_.reserve(events_.capacity() < kReserveFloor
+                          ? kReserveFloor
+                          : events_.capacity() * 4);
+    } else if (events_.capacity() == 0) {
+      events_.reserve(kBlock);
+    } else {
+      refresh();
+      folded_ += events_.size();
+      events_.clear();
+      cursor_ = 0;
+    }
+  }
+
+  /// Fold the events not yet folded, a block at a time, so the in-flight
+  /// pass re-reads events still in cache. Logically const: every folded
+  /// member is mutable.
+  void refresh() const {
     const std::size_t n = events_.size();
-    if (stats_cursor_ >= n) return;
+    for (; cursor_ < n; cursor_ = std::min(n, cursor_ + kBlock))
+      fold(events_.data() + cursor_,
+           events_.data() + std::min(n, cursor_ + kBlock));
+  }
+
+  void fold(const Event* first, const Event* last) const {
     // Accumulate in locals: folding straight into the mutable members
     // would chain every iteration through the same memory slots and
-    // serialize the loop on store-to-load forwarding.
+    // serialize the loop on store-to-load forwarding. The pass over
+    // every event is branch-free, so independent hash chains pipeline.
     std::array<std::size_t, kNumEventKinds> counts{};
     Fingerprint fp;
     bool mono = monotone_;
     Round maxr = max_round_;
-    Round last = last_round_;
-    for (std::size_t i = stats_cursor_; i < n; ++i) {
-      const Event& e = events_[i];
-      const Round r = e.round();
-      ++counts[static_cast<std::size_t>(e.kind())];
-      mono = mono && r >= last;
-      last = r;
+    Round prev = last_round_;
+    for (const Event* e = first; e != last; ++e) {
+      const Round r = e->round();
+      ++counts[static_cast<std::size_t>(e->kind())];
+      mono = mono && r >= prev;
+      prev = r;
       maxr = r > maxr ? r : maxr;
-      fp.add(fp_hash3(
-          (static_cast<std::uint64_t>(r) << 3) |
-              static_cast<std::uint64_t>(e.kind()),
-          (static_cast<std::uint64_t>(e.a()) << 32) | e.b(),
-          (static_cast<std::uint64_t>(e.edge()) << 32) |
-              static_cast<std::uint64_t>(
-                  static_cast<std::uint32_t>(e.start()))));
+      fp.add(e->hash());
     }
     for (std::size_t k = 0; k < kNumEventKinds; ++k)
       kind_counts_[k] += counts[k];
     fingerprint_.merge(fp);
     monotone_ = mono;
     max_round_ = maxr;
-    last_round_ = last;
-    stats_cursor_ = n;
-  }
+    last_round_ = prev;
 
-  /// Catch the (round, offset) boundary index up. Only meaningful while
-  /// the stream is monotone; requires refresh_stats() to have run.
-  void refresh_index() const {
-    if (!monotone_) return;
-    for (; index_cursor_ < events_.size(); ++index_cursor_) {
-      const Round r = events_[index_cursor_].round();
-      if (round_starts_.empty() || round_starts_.back().round != r)
-        round_starts_.push_back({r, index_cursor_});
+    // Deliveries and drops: the latency of each delivery and, while the
+    // stream is monotone, per-round deltas (+1 at initiation, -1 at
+    // completion; every completion round is then at most maxr).
+    if (!mono)
+      inflight_delta_.clear();
+    else if (inflight_delta_.size() <= static_cast<std::size_t>(maxr))
+      inflight_delta_.resize(static_cast<std::size_t>(maxr) + 1, 0);
+    Histogram latency;
+    for (const Event* e = first; e != last; ++e) {
+      const EventKind kind = e->kind();
+      if (kind == EventKind::kActivation || kind > EventKind::kCrashDrop)
+        continue;
+      if (kind == EventKind::kDelivery)
+        latency.observe(static_cast<std::uint64_t>(e->round() - e->start()));
+      if (!mono) continue;
+      const auto start = static_cast<std::size_t>(e->start());
+      if (start >= inflight_delta_.size()) [[unlikely]]
+        inflight_delta_.resize(start + 1, 0);
+      ++inflight_delta_[start];
+      --inflight_delta_[static_cast<std::size_t>(e->round())];
     }
-  }
-
-  /// [first, last) event offsets for round r (monotone streams only).
-  std::pair<std::size_t, std::size_t> round_range(Round r) const {
-    // Binary search the boundary list for the first entry with round >= r.
-    std::size_t lo = 0, hi = round_starts_.size();
-    while (lo < hi) {
-      const std::size_t mid = (lo + hi) / 2;
-      if (round_starts_[mid].round < r)
-        lo = mid + 1;
-      else
-        hi = mid;
-    }
-    if (lo == round_starts_.size() || round_starts_[lo].round != r)
-      return {0, 0};
-    const std::size_t first = round_starts_[lo].offset;
-    const std::size_t last = lo + 1 < round_starts_.size()
-                                 ? round_starts_[lo + 1].offset
-                                 : events_.size();
-    return {first, last};
+    latency_.merge(latency);
   }
 
   NodeId intern_phase(std::string_view name) {
@@ -310,22 +413,22 @@ class EventRecorder {
     return static_cast<NodeId>(phase_names_.size() - 1);
   }
 
-  struct RoundStart {
-    Round round;
-    std::size_t offset;
-  };
-
+  bool keep_log_;
+  /// The log (kKeep), or the current block (kFold); events_[cursor_, end)
+  /// are not folded yet.
   std::vector<Event> events_;
+  std::size_t folded_ = 0;  ///< events folded and dropped from events_
   std::vector<std::string> phase_names_;
-  // Derived state, maintained lazily by refresh() (see above).
-  mutable std::vector<RoundStart> round_starts_;
+  // Folded state, caught up by refresh() (see above).
+  mutable std::size_t cursor_ = 0;
   mutable std::array<std::size_t, kNumEventKinds> kind_counts_{};
   mutable Fingerprint fingerprint_;
+  mutable Histogram latency_;
+  /// Index r: initiations minus completions in round r (monotone only).
+  mutable std::vector<std::int64_t> inflight_delta_;
   mutable bool monotone_ = true;
   mutable Round max_round_ = 0;
   mutable Round last_round_ = 0;
-  mutable std::size_t stats_cursor_ = 0;
-  mutable std::size_t index_cursor_ = 0;
 };
 
 }  // namespace latgossip

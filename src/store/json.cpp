@@ -3,6 +3,7 @@
 #include <array>
 #include <charconv>
 #include <cstdio>
+#include <stdexcept>
 #include <system_error>
 #include <utility>
 
@@ -15,32 +16,50 @@ const JsonValue* JsonValue::get(std::string_view key) const noexcept {
   return nullptr;
 }
 
-std::int64_t JsonValue::get_i64(std::string_view key,
-                                std::int64_t def) const noexcept {
+namespace {
+
+[[noreturn]] void wrong_type(std::string_view key, const char* want) {
+  throw std::invalid_argument(std::string(key) + " must be " + want);
+}
+
+}  // namespace
+
+std::int64_t JsonValue::get_i64(std::string_view key, std::int64_t def) const {
   const JsonValue* v = get(key);
-  return v != nullptr && v->is_integer() ? v->as_i64() : def;
+  if (v == nullptr) return def;
+  if (!v->is_integer()) wrong_type(key, "an integer");
+  return v->as_i64();
 }
 
 std::uint64_t JsonValue::get_u64(std::string_view key,
-                                 std::uint64_t def) const noexcept {
+                                 std::uint64_t def) const {
   const JsonValue* v = get(key);
-  return v != nullptr && v->is_integer() ? v->as_u64() : def;
+  if (v == nullptr) return def;
+  if (!v->is_integer() || v->as_i64() < 0)
+    wrong_type(key, "a nonnegative integer");
+  return v->as_u64();
 }
 
-double JsonValue::get_double(std::string_view key, double def) const noexcept {
+double JsonValue::get_double(std::string_view key, double def) const {
   const JsonValue* v = get(key);
-  return v != nullptr && v->is_number() ? v->as_double() : def;
+  if (v == nullptr) return def;
+  if (!v->is_number()) wrong_type(key, "a number");
+  return v->as_double();
 }
 
-bool JsonValue::get_bool(std::string_view key, bool def) const noexcept {
+bool JsonValue::get_bool(std::string_view key, bool def) const {
   const JsonValue* v = get(key);
-  return v != nullptr && v->is_bool() ? v->as_bool() : def;
+  if (v == nullptr) return def;
+  if (!v->is_bool()) wrong_type(key, "true or false");
+  return v->as_bool();
 }
 
 std::string JsonValue::get_string(std::string_view key,
                                   std::string_view def) const {
   const JsonValue* v = get(key);
-  return v != nullptr && v->is_string() ? v->as_string() : std::string(def);
+  if (v == nullptr) return std::string(def);
+  if (!v->is_string()) wrong_type(key, "a string");
+  return v->as_string();
 }
 
 JsonValue JsonValue::make_bool(bool b) {

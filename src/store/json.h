@@ -72,12 +72,16 @@ class JsonValue {
   /// scan; store records and requests have < 20 fields.
   const JsonValue* get(std::string_view key) const noexcept;
 
-  // Typed member accessors with defaults — the shape every store/server
-  // read site wants ("field if present and of this type, else default").
-  std::int64_t get_i64(std::string_view key, std::int64_t def) const noexcept;
-  std::uint64_t get_u64(std::string_view key, std::uint64_t def) const noexcept;
-  double get_double(std::string_view key, double def) const noexcept;
-  bool get_bool(std::string_view key, bool def) const noexcept;
+  // Typed member accessors with defaults, the shape serve's request
+  // fields want: an absent member reads as `def`, and a member of the
+  // wrong type throws std::invalid_argument naming it ("trials must be
+  // an integer"), so a mistyped field is a bad request, never a default.
+  // get_i64 wants an integer literal that fits in int64, get_u64 one
+  // that is also nonnegative, get_double any number.
+  std::int64_t get_i64(std::string_view key, std::int64_t def) const;
+  std::uint64_t get_u64(std::string_view key, std::uint64_t def) const;
+  double get_double(std::string_view key, double def) const;
+  bool get_bool(std::string_view key, bool def) const;
   std::string get_string(std::string_view key, std::string_view def) const;
 
   // Construction (JsonReader::read_value + tests).

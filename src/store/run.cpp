@@ -142,8 +142,11 @@ RunOutcome execute(const RunSpec& spec, const WeightedGraph& g,
   const TrialWsFn trial = [&](std::size_t t, Rng rng,
                               TrialWorkspace& ws) -> SimResult {
     // One recorder per worker thread: clear() keeps its storage, as the
-    // workspace keeps the engine queue and the push-pull protocol.
-    thread_local EventRecorder recorder;
+    // workspace keeps the engine queue and the push-pull protocol. Only
+    // the trace export reads the events themselves.
+    thread_local EventRecorder folding;
+    thread_local EventRecorder logging(EventLog::kKeep);
+    EventRecorder& recorder = tracing ? logging : folding;
     recorder.clear();
     // Composite protocols stamp phase boundaries with the registry's
     // clock, so recording always carries a registry.
@@ -202,7 +205,7 @@ RunOutcome execute(const RunSpec& spec, const WeightedGraph& g,
       metrics_snapshots[t] = metrics_json(metrics);
     }
     if (tracing) {
-      out.trace_events[t] = recorder.events().size();
+      out.trace_events[t] = recorder.size();
       write_text_file(trial_trace_path(trace_path, t, trials),
                       trace_json ? to_chrome_trace_json(recorder)
                                  : activations_to_csv(recorder));
@@ -233,7 +236,8 @@ RunOutcome execute(const RunSpec& spec, const WeightedGraph& g,
   binding.store = sinks.store;
   binding.verify = sinks.store_verify || tracing;
   binding.cell.protocol = protocol_label(spec);
-  binding.cell.graph = graph_digest(g);
+  binding.cell.graph =
+      sinks.graph_digest ? *sinks.graph_digest : graph_digest(g);
   binding.cell.source = source;
   binding.cell.max_rounds = spec.max_rounds;
   binding.cell.faults = canonical_dynamics(spec.dynamics);

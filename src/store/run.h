@@ -10,6 +10,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -86,6 +87,9 @@ std::string protocol_label(const RunSpec& spec);
 
 struct RunSinks {
   ExperimentStore* store = nullptr;  ///< hits skip the trial body
+  /// graph_digest() of the run's graph, for a caller that keeps it next
+  /// to a cached graph; execute() hashes the graph when it is unset.
+  std::optional<std::uint64_t> graph_digest;
   bool store_verify = false;         ///< recompute every hit and compare
   /// One event-stream file per trial (Chrome trace JSON for ".json",
   /// else activation CSV). A hit has no event stream, so with a store

@@ -15,6 +15,7 @@
 
 #include "obs/export.h"
 #include "store/json.h"
+#include "store/key.h"
 #include "store/run.h"
 #include "store/store.h"
 #include "store/wire.h"
@@ -28,19 +29,28 @@ std::string error_response(const std::string& what) {
   return "{\"ok\":false,\"error\":" + json_serialize(msg) + "}";
 }
 
-/// The daemon rebuilds at most one graph per distinct spec in a row —
-/// warm traffic repeats one spec, so a single-entry cache removes graph
-/// generation from the hit path entirely. Thread-local because
-/// handle_request may run on several threads at once.
-const WeightedGraph& cached_graph(const JsonValue& spec_json) {
-  thread_local std::string raw_spec;
-  thread_local WeightedGraph graph;
+/// A generated graph and its graph_digest(), the store key's graph
+/// field.
+struct CachedGraph {
+  std::string raw_spec;  ///< json_serialize of the spec that built it
+  WeightedGraph graph;
+  std::uint64_t digest = 0;
+};
+
+/// The daemon rebuilds and rehashes at most one graph per distinct spec
+/// in a row — warm traffic repeats one spec, so a single-entry cache
+/// removes graph generation and hashing from the hit path entirely.
+/// Thread-local because handle_request may run on several threads at
+/// once.
+const CachedGraph& cached_graph(const JsonValue& spec_json) {
+  thread_local CachedGraph cached;
   std::string raw = json_serialize(spec_json);
-  if (raw != raw_spec) {
-    graph = generate_graph(parse_graph_spec(spec_json));
-    raw_spec = std::move(raw);
+  if (raw != cached.raw_spec) {
+    cached.graph = generate_graph(parse_graph_spec(spec_json));
+    cached.digest = graph_digest(cached.graph);
+    cached.raw_spec = std::move(raw);
   }
-  return graph;
+  return cached;
 }
 
 void append_completion_result(std::string& out, const TrialAggregate& agg) {
@@ -102,7 +112,7 @@ RunOutcome run_cell(ExperimentStore& store, const JsonValue& req,
   const JsonValue* graph_spec = req.get("graph");
   if (graph_spec == nullptr || !graph_spec->is_object())
     throw std::invalid_argument("missing \"graph\" object");
-  const WeightedGraph& g = cached_graph(*graph_spec);
+  const CachedGraph& graph = cached_graph(*graph_spec);
 
   RunSpec spec;
   spec.protocol = req.get_string("proto", "pushpull");
@@ -119,8 +129,9 @@ RunOutcome run_cell(ExperimentStore& store, const JsonValue& req,
 
   RunSinks sinks;
   sinks.store = &store;
+  sinks.graph_digest = graph.digest;
   sinks.curves = want_curve;
-  return execute(spec, g, sinks);
+  return execute(spec, graph.graph, sinks);
 }
 
 }  // namespace
@@ -163,8 +174,9 @@ std::string handle_request(ExperimentStore& store, const std::string& request,
   if (!req || !req->is_object())
     return error_response("bad request: " +
                           (parse_error.empty() ? "not an object" : parse_error));
-  const std::string op = req->get_string("op", "");
+  std::string op;
   try {
+    op = req->get_string("op", "");
     if (op == "ping") return "{\"ok\":true,\"op\":\"ping\"}";
     if (op == "shutdown") {
       if (shutdown != nullptr) *shutdown = true;
@@ -281,8 +293,10 @@ int run_server(const ServeOptions& opts) {
       if (!opts.quiet) {
         // One provenance line per request: op + outcome, greppable.
         const std::optional<JsonValue> req = json_parse(*request);
+        const JsonValue* op = req ? req->get("op") : nullptr;
         std::printf("req %zu %s -> %s\n", requests,
-                    req ? req->get_string("op", "?").c_str() : "?",
+                    op != nullptr && op->is_string() ? op->as_string().c_str()
+                                                     : "?",
                     response.compare(0, 11, "{\"ok\":true,") == 0 ? "ok"
                                                                  : "error");
         std::fflush(stdout);

@@ -312,7 +312,7 @@ TEST(DynamicsEngineTest, ChurnRunSatisfiesAbsenceInvariants) {
   const DynamicSpec spec = churn_spec(0.5, 12, 6, 1, /*spare=*/0, 33);
   DynamicPlan plan(g.num_nodes(), g.num_edges(), spec);
 
-  EventRecorder rec;
+  EventRecorder rec(EventLog::kKeep);
   SimOptions opts;
   opts.max_rounds = 5000;
   opts.recorder = &rec;

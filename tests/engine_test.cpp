@@ -222,7 +222,7 @@ TEST(Engine, ActivationObserverSeesEveryInitiation) {
   ScriptedProtocol proto(3);
   proto.schedule(0, 0, slot(g, 0, 1));
   proto.schedule(1, 1, slot(g, 1, 2));
-  EventRecorder rec;
+  EventRecorder rec(EventLog::kKeep);
   SimOptions opts;
   opts.recorder = &rec;
   run_gossip(g, proto, opts);

@@ -1,5 +1,5 @@
 // Tests for the observability subsystem (src/obs/): packed event
-// layout, recorder queries and lazy derived state, the metrics registry
+// layout, recorder queries and folded state, the metrics registry
 // and phase scopes, trace/manifest exports, and pinned golden
 // fingerprints for seeded runs of push-pull, rumor gossip, the
 // baselines and rumor subroutines, EID, and Path Discovery — the
@@ -61,8 +61,26 @@ TEST(Event, SaturatesOversizedFields) {
 
 // --- recorder ----------------------------------------------------------
 
+/// Activations in round r, counted from a log-keeping recorder's events.
+std::size_t activations_in_round(const EventRecorder& rec, Round r) {
+  std::size_t c = 0;
+  for (const Event& e : rec.events())
+    if (e.kind() == EventKind::kActivation && e.round() == r) ++c;
+  return c;
+}
+
+/// Activations per edge, counted from a log-keeping recorder's events.
+std::vector<std::size_t> per_edge_counts(const EventRecorder& rec,
+                                         std::size_t num_edges) {
+  std::vector<std::size_t> counts(num_edges, 0);
+  for (const Event& e : rec.events())
+    if (e.kind() == EventKind::kActivation && e.edge() < num_edges)
+      ++counts[e.edge()];
+  return counts;
+}
+
 TEST(Recorder, CountsAndRoundIndex) {
-  EventRecorder rec;
+  EventRecorder rec(EventLog::kKeep);
   rec.record_activation(0, 1, 0, 0);
   rec.record_delivery(1, 0, 0, 0, 2);
   rec.record_activation(2, 3, 1, 2);
@@ -76,40 +94,45 @@ TEST(Recorder, CountsAndRoundIndex) {
   EXPECT_EQ(rec.drops(), 2u);  // link loss + crash loss together
   EXPECT_TRUE(rec.round_monotone());
   EXPECT_EQ(rec.max_round(), 3);
-  EXPECT_EQ(rec.activations_in_round(0), 1u);
-  EXPECT_EQ(rec.activations_in_round(1), 0u);
-  EXPECT_EQ(rec.activations_in_round(2), 2u);
-  const auto per_edge = rec.per_edge_counts(3);
+  EXPECT_EQ(activations_in_round(rec, 0), 1u);
+  EXPECT_EQ(activations_in_round(rec, 1), 0u);
+  EXPECT_EQ(activations_in_round(rec, 2), 2u);
+  const auto per_edge = per_edge_counts(rec, 3);
   EXPECT_EQ(per_edge[0], 1u);
   EXPECT_EQ(per_edge[1], 1u);
   EXPECT_EQ(per_edge[2], 1u);
 }
 
 TEST(Recorder, QueriesInterleaveWithAppends) {
-  // Derived state is lazy; querying mid-stream then appending more must
-  // still give correct answers (the catch-up pass is incremental).
-  EventRecorder rec;
+  // Derived state is folded on demand; querying mid-stream then
+  // appending more must still give correct answers (the fold is
+  // incremental).
+  EventRecorder rec(EventLog::kKeep);
   rec.record_activation(0, 1, 0, 0);
   EXPECT_EQ(rec.activations(), 1u);
-  EXPECT_EQ(rec.activations_in_round(0), 1u);
+  EXPECT_EQ(activations_in_round(rec, 0), 1u);
   rec.record_activation(1, 2, 1, 1);
   rec.record_activation(2, 3, 2, 1);
   EXPECT_EQ(rec.activations(), 3u);
-  EXPECT_EQ(rec.activations_in_round(1), 2u);
+  EXPECT_EQ(activations_in_round(rec, 1), 2u);
   EXPECT_EQ(rec.max_round(), 1);
 }
 
 TEST(Recorder, NonMonotoneStreamFallsBackToScans) {
-  // Multi-phase protocols restart rounds at 0; round-indexed queries
-  // must survive losing the boundary index.
-  EventRecorder rec;
+  // Multi-phase protocols restart rounds at 0: the log still answers
+  // round-indexed questions by scanning, and the recorder drops its
+  // in-flight deltas, which only a monotone stream defines.
+  EventRecorder rec(EventLog::kKeep);
   rec.record_activation(0, 1, 0, 5);
   rec.record_activation(1, 2, 1, 0);  // round went backwards
   rec.record_activation(2, 3, 2, 5);
+  rec.record_delivery(2, 3, 2, 5, 6);
   EXPECT_FALSE(rec.round_monotone());
-  EXPECT_EQ(rec.activations_in_round(5), 2u);
-  EXPECT_EQ(rec.activations_in_round(0), 1u);
-  EXPECT_EQ(rec.max_round(), 5);
+  EXPECT_EQ(activations_in_round(rec, 5), 2u);
+  EXPECT_EQ(activations_in_round(rec, 0), 1u);
+  EXPECT_EQ(rec.max_round(), 6);
+  EXPECT_FALSE(rec.inflight_depth().has_value());
+  EXPECT_EQ(rec.delivery_latency().count(), 1u);
 }
 
 TEST(Recorder, ClearResetsEverythingAndIsReusable) {
@@ -207,7 +230,7 @@ TEST(Metrics, HistogramBuckets) {
 }
 
 TEST(Metrics, PhaseScopeStampsClockAndRecorder) {
-  EventRecorder rec;
+  EventRecorder rec(EventLog::kKeep);
   MetricsRegistry metrics;
   ObsContext obs{&rec, &metrics};
   SimResult fake;
@@ -531,16 +554,16 @@ TEST(Trace, PerRoundAndPerEdgeCounts) {
     bool done(Round) const { return false; }
   } proto{e01, e12};
 
-  EventRecorder rec;
+  EventRecorder rec(EventLog::kKeep);
   SimOptions opts;
   opts.recorder = &rec;
   opts.max_rounds = 10;
   opts.stop_when_idle = false;  // round 1 is silent by design
   run_gossip(g, proto, opts);
-  EXPECT_EQ(rec.activations_in_round(0), 1u);
-  EXPECT_EQ(rec.activations_in_round(1), 0u);
-  EXPECT_EQ(rec.activations_in_round(2), 1u);
-  const auto counts = rec.per_edge_counts(g.num_edges());
+  EXPECT_EQ(activations_in_round(rec, 0), 1u);
+  EXPECT_EQ(activations_in_round(rec, 1), 0u);
+  EXPECT_EQ(activations_in_round(rec, 2), 1u);
+  const auto counts = per_edge_counts(rec, g.num_edges());
   EXPECT_EQ(counts[e01], 1u);
   EXPECT_EQ(counts[e12], 1u);
 }
@@ -559,7 +582,7 @@ TEST(Trace, CsvFormat) {
     void deliver(NodeId, NodeId, Payload, EdgeId, Round, Round, Leg) {}
     bool done(Round) const { return false; }
   } proto;
-  EventRecorder rec;
+  EventRecorder rec(EventLog::kKeep);
   SimOptions opts;
   opts.recorder = &rec;
   opts.max_rounds = 5;
@@ -577,7 +600,7 @@ TEST(Export, CsvByteCompatibleWithSimTrace) {
   const WeightedGraph g = golden_graph();
   NetworkView view(g, false);
   PushPullBroadcast proto(view, 0, Rng(3));
-  EventRecorder rec;
+  EventRecorder rec(EventLog::kKeep);
   SimOptions opts;
   opts.recorder = &rec;
   opts.max_rounds = 1'000'000;
@@ -603,7 +626,7 @@ TEST(Export, CsvByteCompatibleWithSimTrace) {
 }
 
 TEST(Export, ChromeTraceStructure) {
-  EventRecorder rec;
+  EventRecorder rec(EventLog::kKeep);
   MetricsRegistry metrics;
   ObsContext obs{&rec, &metrics};
   {

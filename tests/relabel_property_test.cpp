@@ -51,7 +51,7 @@ TEST(Relabel, SymmetricPushPullIsNodeRelabelInvariant) {
 
     // In the relabeled run node perm[u] carries u's original label, so
     // every node makes exactly the choice its pre-image made.
-    EventRecorder rel_rec;
+    EventRecorder rel_rec(EventLog::kKeep);
     SimOptions rel_opts;
     rel_opts.recorder = &rel_rec;
     NetworkView rel_view(relabeled, false);
@@ -89,7 +89,7 @@ TEST(Relabel, ProductionPushPullIsEdgeIdPermutationInvariant) {
     PushPullBroadcast base(base_view, source, Rng(seed));
     const SimResult base_result = run_gossip(g, base, base_opts);
 
-    EventRecorder perm_rec;
+    EventRecorder perm_rec(EventLog::kKeep);
     SimOptions perm_opts;
     perm_opts.recorder = &perm_rec;
     NetworkView perm_view(permuted, false);
@@ -122,7 +122,7 @@ TEST(Relabel, GeneralEidIsEdgeIdPermutationInvariant) {
     const GeneralEidOutcome base =
         run_general_eid(g, 0, base_rng, 1, &base_obs);
 
-    EventRecorder perm_rec;
+    EventRecorder perm_rec(EventLog::kKeep);
     ObsContext perm_obs{&perm_rec, nullptr};
     Rng perm_rng(seed);
     const GeneralEidOutcome shuffled =

@@ -169,6 +169,32 @@ TEST(StoreServer, RejectsBadRequests) {
     EXPECT_FALSE(r.get_bool("ok", true)) << req;
     EXPECT_FALSE(r.get_string("error", "").empty()) << req;
   }
+  // A present member of the wrong type is an error naming the field, not
+  // its default (which every one of these would otherwise run).
+  const struct {
+    const char* req;
+    const char* error;
+  } mistyped[] = {
+      {R"({"op":"completion_time","graph":{"family":"cycle","n":8},"trials":"5"})",
+       "trials must be an integer"},
+      {R"({"op":"completion_time","graph":{"family":"cycle","n":8},"trials":5.5})",
+       "trials must be an integer"},
+      {R"({"op":"completion_time","graph":{"family":"cycle","n":"8"}})",
+       "n must be an integer"},
+      {R"({"op":"completion_time","graph":{"family":"cycle","n":8},"seed":"3"})",
+       "seed must be a nonnegative integer"},
+      {R"({"op":"completion_time","graph":{"family":"cycle","n":8},"proto":7})",
+       "proto must be a string"},
+      {R"({"op":"completion_time","graph":{"family":"cycle","n":8,)"
+       R"("lat":"uniform","l":"4"}})",
+       "l must be an integer"},
+      {R"({"op":7})", "op must be a string"},
+  };
+  for (const auto& [req, error] : mistyped) {
+    const JsonValue r = parsed(handle_request(store, req, 1, nullptr));
+    EXPECT_FALSE(r.get_bool("ok", true)) << req;
+    EXPECT_EQ(r.get_string("error", ""), error) << req;
+  }
   // Errors must not poison the store or the connection: a good request
   // still works afterwards.
   EXPECT_TRUE(parsed(handle_request(store, R"({"op":"ping"})", 1, nullptr))
@@ -192,6 +218,50 @@ TEST(StoreServer, RejectsNegativeSizesByName) {
         << req;
   }
   EXPECT_EQ(store.size(), 0u);
+  std::filesystem::remove_all(dir);
+}
+
+// The daemon keeps one generated graph and its digest per thread; a
+// daemon that alternates two graph specs must answer each cell exactly
+// as a fresh daemon (a fresh thread, so a fresh cache) does.
+TEST(StoreServer, AlternatingGraphSpecsMatchAFreshDaemon) {
+  const std::string requests[] = {
+      R"({"op":"completion_time","graph":{"family":"er","n":48,"p":0.2,)"
+      R"("seed":3,"lat":"range","lat_lo":1,"lat_hi":5},"seed":2,"trials":3})",
+      R"({"op":"completion_time","graph":{"family":"regular","n":40,"d":4,)"
+      R"("seed":9},"seed":2,"trials":3})",
+  };
+  const auto answer_fresh = [](const std::string& dir, const std::string& req) {
+    std::string response;
+    std::thread([&] {
+      ExperimentStore store(dir);
+      response = handle_request(store, req, 1, nullptr);
+    }).join();
+    return response;
+  };
+  std::string fresh[2];
+  for (int i = 0; i < 2; ++i) {
+    const std::string dir = scratch_dir("alternate_fresh" + std::to_string(i));
+    fresh[i] = answer_fresh(dir, requests[i]);
+    ASSERT_TRUE(parsed(fresh[i]).get_bool("ok", false)) << fresh[i];
+    std::filesystem::remove_all(dir);
+  }
+  const std::string dir = scratch_dir("alternate");
+  std::thread([&] {
+    ExperimentStore store(dir);
+    for (int round = 0; round < 3; ++round)
+      for (int i = 0; i < 2; ++i) {
+        const JsonValue r =
+            parsed(handle_request(store, requests[i], 1, nullptr));
+        const JsonValue want = parsed(fresh[i]);
+        // Misses in the first round, hits after; the result is the same.
+        EXPECT_EQ(json_serialize(*r.get("result")),
+                  json_serialize(*want.get("result")))
+            << "round " << round << " spec " << i;
+        EXPECT_EQ(r.get("store")->get_i64(round == 0 ? "misses" : "hits", -1),
+                  3);
+      }
+  }).join();
   std::filesystem::remove_all(dir);
 }
 

@@ -72,6 +72,25 @@ TEST(StoreJson, ParsesScalarsAndStructure) {
   EXPECT_EQ(e->get_i64("f", -1), 42);
   EXPECT_EQ(doc->get("missing"), nullptr);
   EXPECT_EQ(doc->get_i64("missing", -7), -7);
+  // A present member of another type is an error naming it, not the
+  // default.
+  const auto message = [](auto read) {
+    try {
+      read();
+    } catch (const std::invalid_argument& e) {
+      return std::string(e.what());
+    }
+    return std::string("no error");
+  };
+  EXPECT_EQ(message([&] { doc->get_i64("b", 0); }), "b must be an integer");
+  EXPECT_EQ(message([&] { doc->get_u64("c", 0); }),
+            "c must be a nonnegative integer");
+  EXPECT_EQ(message([&] { doc->get_double("d", 0); }), "d must be a number");
+  EXPECT_EQ(message([&] { doc->get_bool("a", false); }),
+            "a must be true or false");
+  EXPECT_EQ(message([&] { doc->get_string("e", ""); }), "e must be a string");
+  EXPECT_EQ(message([&] { json_parse(R"({"s":-3})")->get_u64("s", 0); }),
+            "s must be a nonnegative integer");
 }
 
 TEST(StoreJson, ExactInt64RoundTrip) {
@@ -482,18 +501,46 @@ TEST(Store, RecordLineParseRejectsDamage) {
 // Differential check of the record reader against the tree walk it
 // replaced
 
+/// The typed member reads the reference was written against, which give
+/// the default for a member of the wrong type. (JsonValue's own getters
+/// now throw for one, as serve's request fields need.)
+std::int64_t lenient_i64(const JsonValue& o, std::string_view key,
+                         std::int64_t def) {
+  const JsonValue* v = o.get(key);
+  return v != nullptr && v->is_integer() ? v->as_i64() : def;
+}
+std::uint64_t lenient_u64(const JsonValue& o, std::string_view key,
+                          std::uint64_t def) {
+  const JsonValue* v = o.get(key);
+  return v != nullptr && v->is_integer() ? v->as_u64() : def;
+}
+double lenient_double(const JsonValue& o, std::string_view key, double def) {
+  const JsonValue* v = o.get(key);
+  return v != nullptr && v->is_number() ? v->as_double() : def;
+}
+bool lenient_bool(const JsonValue& o, std::string_view key, bool def) {
+  const JsonValue* v = o.get(key);
+  return v != nullptr && v->is_bool() ? v->as_bool() : def;
+}
+std::string lenient_string(const JsonValue& o, std::string_view key,
+                           std::string_view def) {
+  const JsonValue* v = o.get(key);
+  return v != nullptr && v->is_string() ? v->as_string() : std::string(def);
+}
+
 /// The tree-walking record parser the store used before its streaming
-/// reader, kept verbatim as the reference. It runs on today's
+/// reader, kept verbatim as the reference (its typed reads spelled as
+/// the lenient helpers above). It runs on today's
 /// json_parse, so both sides share one JSON grammar and differ only in
 /// how they read a record out of it.
 std::optional<std::pair<StoreKey, StoreRecord>> reference_parse_store_record(
     std::string_view line) {
   const std::optional<JsonValue> doc = json_parse(line);
   if (!doc || !doc->is_object()) return std::nullopt;
-  if (doc->get_string("schema", "") != ExperimentStore::kSchema)
+  if (lenient_string(*doc, "schema", "") != ExperimentStore::kSchema)
     return std::nullopt;
   const std::optional<StoreKey> key =
-      StoreKey::from_hex(doc->get_string("key", ""));
+      StoreKey::from_hex(lenient_string(*doc, "key", ""));
   if (!key) return std::nullopt;
   const JsonValue* result = doc->get("result");
   if (result == nullptr || !result->is_object()) return std::nullopt;
@@ -506,21 +553,21 @@ std::optional<std::pair<StoreKey, StoreRecord>> reference_parse_store_record(
     if (result->get(field) == nullptr) return std::nullopt;
   }
   StoreRecord rec;
-  rec.result.rounds = result->get_i64("rounds", 0);
-  rec.result.completed = result->get_bool("completed", false);
+  rec.result.rounds = lenient_i64(*result, "rounds", 0);
+  rec.result.completed = lenient_bool(*result, "completed", false);
   rec.result.activations =
-      static_cast<std::size_t>(result->get_u64("activations", 0));
+      static_cast<std::size_t>(lenient_u64(*result, "activations", 0));
   rec.result.messages_delivered =
-      static_cast<std::size_t>(result->get_u64("messages_delivered", 0));
+      static_cast<std::size_t>(lenient_u64(*result, "messages_delivered", 0));
   rec.result.messages_dropped =
-      static_cast<std::size_t>(result->get_u64("messages_dropped", 0));
+      static_cast<std::size_t>(lenient_u64(*result, "messages_dropped", 0));
   rec.result.exchanges_rejected =
-      static_cast<std::size_t>(result->get_u64("exchanges_rejected", 0));
+      static_cast<std::size_t>(lenient_u64(*result, "exchanges_rejected", 0));
   rec.result.payload_bits =
-      static_cast<std::size_t>(result->get_u64("payload_bits", 0));
+      static_cast<std::size_t>(lenient_u64(*result, "payload_bits", 0));
   rec.result.max_inflight =
-      static_cast<std::size_t>(result->get_u64("max_inflight", 0));
-  const std::string fp = result->get_string("fingerprint", "");
+      static_cast<std::size_t>(lenient_u64(*result, "max_inflight", 0));
+  const std::string fp = lenient_string(*result, "fingerprint", "");
   if (fp.size() != 18 || fp.compare(0, 2, "0x") != 0) return std::nullopt;
   std::uint64_t fp_value = 0;
   for (std::size_t i = 2; i < fp.size(); ++i) {
@@ -534,7 +581,7 @@ std::optional<std::pair<StoreKey, StoreRecord>> reference_parse_store_record(
     fp_value = (fp_value << 4) | digit;
   }
   rec.result.fingerprint = fp_value;
-  rec.wall_ms = doc->get_double("wall_ms", 0.0);
+  rec.wall_ms = lenient_double(*doc, "wall_ms", 0.0);
   if (const JsonValue* meta = doc->get("meta");
       meta != nullptr && meta->is_object())
     rec.meta = json_serialize(*meta);
