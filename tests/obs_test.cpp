@@ -2,8 +2,9 @@
 // layout, recorder queries and folded state, the metrics registry
 // and phase scopes, trace/manifest exports, and pinned golden
 // fingerprints for seeded runs of push-pull, rumor gossip, the
-// baselines and rumor subroutines, EID, and Path Discovery — the
-// semantic-regression net promised in obs/fingerprint.h.
+// baselines and rumor subroutines, EID, Path Discovery and the
+// unknown-latency EID branch — the semantic-regression net promised
+// in obs/fingerprint.h.
 
 #include <gtest/gtest.h>
 
@@ -517,6 +518,19 @@ TEST(GoldenFingerprint, SeededPathDiscovery) {
   for (const auto& [name, stats] : metrics.phases())
     any_dtg |= name.rfind("tk/dtg_ell_", 0) == 0;
   EXPECT_TRUE(any_dtg);
+}
+
+TEST(GoldenFingerprint, SeededUnknownLatencyEid) {
+  // The unknown-latency branch takes no recorder, so its totals over
+  // every probe phase, EID attempt and check are the pin.
+  Rng rng(5);
+  const auto out = run_unknown_latency_eid(golden_graph(), 0, rng);
+  EXPECT_EQ(out.sim.rounds, 3787);
+  EXPECT_EQ(out.sim.activations, 114358u);
+  EXPECT_EQ(out.sim.payload_bits, 449721200u);
+  EXPECT_EQ(out.final_estimate, 8);
+  EXPECT_EQ(out.attempts, 4u);
+  EXPECT_TRUE(out.success);
 }
 
 // --- exports -----------------------------------------------------------
