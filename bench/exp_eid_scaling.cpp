@@ -15,7 +15,6 @@
 
 #include "analysis/distance.h"
 #include "core/eid.h"
-#include "core/rr_broadcast.h"
 #include "graph/generators.h"
 #include "graph/latency_models.h"
 #include "sim/parallel.h"
@@ -49,11 +48,7 @@ EidSample sample_eid(const WeightedGraph& g, Latency diameter_estimate,
         EidOptions opts;
         opts.diameter_estimate = diameter_estimate;
         opts.workspace = &ws;
-        const EidOutcome out =
-            run_eid(g, opts, own_id_rumors(g.num_nodes()), rng);
-        SimResult sim = out.sim;
-        sim.completed = out.all_to_all;
-        return sim;
+        return run_eid(g, opts, own_id_rumors(g.num_nodes()), rng).sim;
       });
   return EidSample{agg.mean_rounds(), agg.all_completed()};
 }
@@ -127,13 +122,11 @@ int main(int argc, char** argv) {
     const TrialAggregate general = run_trials(
         g_trials, g_threads, seed + 78,
         [&](std::size_t trial, Rng rng, TrialWorkspace& ws) {
-          const GeneralEidOutcome out =
+          const DoublingOutcome out =
               run_general_eid(c.g, 0, rng, 1, nullptr, &ws);
           final_k[trial] = out.final_estimate;
           attempts[trial] = out.attempts;
-          SimResult sim = out.sim;
-          sim.completed = out.success && all_sets_full(out.rumors);
-          return sim;
+          return out.sim;
         });
     general_ok = general.all_completed();
 

@@ -78,8 +78,7 @@ int main(int argc, char** argv) {
             "faster"});
   for (Cfg& c : cfgs) {
     Rng rng(seed * 3 + 1);
-    const UnknownLatencyEidOutcome eid =
-        run_unknown_latency_eid(c.g, 0, rng);
+    const DoublingOutcome eid = run_unknown_latency_eid(c.g, 0, rng);
     NetworkView view(c.g, false);
     PushPullGossip pp(view, GossipGoal::kAllToAll, 0,
                       own_id_rumors(c.g.num_nodes()),

@@ -49,7 +49,7 @@ int main(int argc, char** argv) {
     t1.add(static_cast<long long>(bridge), static_cast<long long>(d),
            out.sim.rounds, yard,
            static_cast<double>(out.sim.rounds) / yard,
-           out.all_to_all ? "yes" : "NO");
+           out.sim.completed ? "yes" : "NO");
   }
   t1.print("Part 1: rounds vs D log^2(n) log(D) as D grows (n = 30)");
 
@@ -65,7 +65,7 @@ int main(int argc, char** argv) {
         tk_yardstick(static_cast<double>(d), static_cast<double>(n));
     t2.add(n, static_cast<long long>(d), out.sim.rounds, yard,
            static_cast<double>(out.sim.rounds) / yard,
-           out.all_to_all ? "yes" : "NO");
+           out.sim.completed ? "yes" : "NO");
   }
   t2.print("Part 2: rounds vs the yardstick as n grows");
 
@@ -91,11 +91,11 @@ int main(int argc, char** argv) {
     EidOptions opts;
     opts.diameter_estimate = d;
     const EidOutcome eid = run_eid(c.g, opts, own_id_rumors(n), rng);
-    const PathDiscoveryOutcome pd = run_path_discovery(c.g);
+    const DoublingOutcome pd = run_path_discovery(c.g);
     t3.add(c.name, static_cast<long long>(d), tk.sim.rounds,
            eid.sim.rounds, pd.sim.rounds,
            static_cast<long long>(pd.final_estimate));
-    if (!tk.all_to_all || !eid.all_to_all || !pd.success)
+    if (!tk.sim.completed || !eid.sim.completed || !pd.sim.completed)
       std::printf("  [warn] incomplete run on %s\n", c.name);
   }
   t3.print("Part 3: T(D) vs EID(D) vs Path Discovery (unknown D, no "

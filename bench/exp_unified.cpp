@@ -57,10 +57,10 @@ int main(int argc, char** argv) {
                                     : std::string("timeout"),
             out.spanner_completed ? std::to_string(out.spanner_rounds)
                                   : std::string("fail"),
-            out.unified_rounds,
+            out.sim.rounds,
             out.winner == UnifiedWinner::kPushPull ? "push-pull"
                                                    : "spanner");
-      if (!out.completed)
+      if (!out.sim.completed)
         std::printf("  [warn] neither branch completed on %s\n", c.name);
     }
     t.print(known ? "known latencies: min(D log^3 n, (ell*/phi*) log n)"

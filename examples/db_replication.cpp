@@ -27,7 +27,6 @@
 #include "app/anti_entropy.h"
 #include "core/latency_discovery.h"
 #include "core/push_pull.h"
-#include "core/rr_broadcast.h"
 #include "graph/builder.h"
 #include "graph/graph.h"
 #include "sim/engine.h"
@@ -103,10 +102,9 @@ int main(int argc, char** argv) {
   // --- measure RTTs, then the spanner route ---------------------------
   {
     Rng branch = rng.fork(2);
-    const UnknownLatencyEidOutcome out = run_unknown_latency_eid(g, 0,
-                                                                 branch);
+    const DoublingOutcome out = run_unknown_latency_eid(g, 0, branch);
     table.add("probe + spanner (EID)", out.sim.rounds, out.sim.activations,
-              out.success && all_sets_full(out.rumors) ? "yes" : "NO");
+              out.sim.completed ? "yes" : "NO");
   }
 
   // --- real data: LWW anti-entropy with conflicting writes -----------

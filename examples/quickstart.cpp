@@ -15,7 +15,6 @@
 #include "analysis/distance.h"
 #include "core/eid.h"
 #include "core/push_pull.h"
-#include "core/rr_broadcast.h"
 #include "graph/generators.h"
 #include "graph/latency_models.h"
 #include "sim/engine.h"
@@ -72,11 +71,10 @@ int main(int argc, char** argv) {
   //    RR broadcast (Theorem 19).
   {
     Rng eid_rng = rng.fork(2);
-    const GeneralEidOutcome out = run_general_eid(g, /*n_hat=*/0, eid_rng);
+    const DoublingOutcome out = run_general_eid(g, /*n_hat=*/0, eid_rng);
     std::printf("general EID all-to-all: %s in %lld rounds "
                 "(final estimate k = %lld, %zu attempts)\n",
-                out.success && all_sets_full(out.rumors) ? "completed"
-                                                          : "FAILED",
+                out.sim.completed ? "completed" : "FAILED",
                 static_cast<long long>(out.sim.rounds),
                 static_cast<long long>(out.final_estimate), out.attempts);
     const double bound = static_cast<double>(d) *

@@ -5,7 +5,6 @@
 
 #include "core/dtg.h"
 #include "core/rr_broadcast.h"
-#include "core/termination.h"
 #include "obs/metrics.h"
 #include "sim/dispatch.h"
 #include "sim/workspace.h"
@@ -97,67 +96,45 @@ EidOutcome run_eid(const WeightedGraph& g, const EidOptions& options,
     out.rumors = rr.take_rumors();
   }
 
-  out.all_to_all = all_sets_full(out.rumors);
+  out.sim.completed = all_sets_full(out.rumors);
   return out;
 }
 
-GeneralEidOutcome run_general_eid(const WeightedGraph& g, std::size_t n_hat,
-                                  Rng& rng, Latency initial_guess,
-                                  ObsContext* obs, TrialWorkspace* workspace) {
-  const std::size_t n = g.num_nodes();
-  if (initial_guess < 1)
-    throw std::invalid_argument("General EID: initial guess must be >= 1");
-  GeneralEidOutcome out;
-  out.rumors = own_id_rumors(n);
-  if (n <= 1) {
-    out.success = true;
-    out.final_estimate = initial_guess;
-    return out;
-  }
+HeardSetsFn run_eid_attempt(const WeightedGraph& g, const EidOptions& options,
+                            std::vector<Bitset>& rumors, SimResult& sim,
+                            Rng& rng) {
+  EidOutcome attempt = run_eid(g, options, std::move(rumors), rng);
+  sim.accumulate(attempt.sim);
+  rumors = std::move(attempt.rumors);
+  const Latency k = options.diameter_estimate;
+  EventRecorder* recorder = options.obs ? options.obs->recorder : nullptr;
+  TrialWorkspace* workspace = options.workspace;
+  return [&g, spanner = std::move(attempt.spanner), k, recorder, workspace] {
+    RRBroadcast rr(NetworkView(g, /*latencies_known=*/true), spanner, k,
+                   own_id_rumors(g.num_nodes()));
+    SimOptions opts;
+    opts.max_rounds = rr.budget() + k + 2;
+    opts.recorder = recorder;
+    opts.workspace = workspace;
+    SimResult sim = dispatch_gossip(g, rr, opts);
+    return std::make_pair(rr.take_rumors(), sim);
+  };
+}
 
-  // Safety bound: k never needs to exceed the weighted diameter, which
-  // is at most (n-1) * max latency.
-  const Latency k_limit =
-      2 * static_cast<Latency>(n) * std::max<Latency>(g.max_latency(), 1);
-  NetworkView view(g, /*latencies_known=*/true);
-
-  for (Latency k = initial_guess; k <= k_limit; k *= 2) {
-    ++out.attempts;
-    EidOptions options;
+DoublingOutcome run_general_eid(const WeightedGraph& g, std::size_t n_hat,
+                                Rng& rng, Latency initial_guess,
+                                ObsContext* obs, TrialWorkspace* workspace) {
+  EidOptions options;
+  options.n_hat = n_hat;
+  options.obs = obs;
+  options.workspace = workspace;
+  const AttemptFn attempt = [&](Latency k, std::vector<Bitset>& rumors,
+                                SimResult& sim) {
     options.diameter_estimate = k;
-    options.n_hat = n_hat;
-    options.obs = obs;
-    options.workspace = workspace;
-    EidOutcome attempt = run_eid(g, options, std::move(out.rumors), rng);
-    out.sim.accumulate(attempt.sim);
-    out.rumors = std::move(attempt.rumors);
-
-    // Termination Check broadcast primitive: RR Broadcast with fresh
-    // own-id rumors on this attempt's spanner (Section 5.3).
-    PhaseScope check_phase(obs, "eid/termination_check");
-    const DirectedGraph& spanner = attempt.spanner;
-    auto broadcast = [&]() {
-      RRBroadcast rr(view, spanner, k, own_id_rumors(n));
-      SimOptions opts;
-      opts.max_rounds = rr.budget() + k + 2;
-      opts.workspace = workspace;
-      if (obs) opts.recorder = obs->recorder;
-      SimResult sim = dispatch_gossip(g, rr, opts);
-      return std::make_pair(rr.take_rumors(), sim);
-    };
-    const CheckOutcome check = run_termination_check(g, out.rumors, broadcast);
-    check_phase.add(check.sim);
-    out.sim.accumulate(check.sim);
-    if (!check.unanimous) out.checks_unanimous = false;
-    if (!check.failed) {
-      out.success = true;
-      out.final_estimate = k;
-      return out;
-    }
-  }
-  out.success = false;
-  out.final_estimate = k_limit;
-  return out;
+    return run_eid_attempt(g, options, rumors, sim, rng);
+  };
+  return run_guess_and_double(g, initial_guess, attempt, obs,
+                              "eid/termination_check");
 }
 
 }  // namespace latgossip

@@ -15,11 +15,13 @@
 //
 // General EID doubles the estimate k = 1, 2, 4, ... and runs EID(k)
 // followed by the Termination Check; rumor sets persist across attempts.
+// The doubling loop is core/termination.h's run_guess_and_double().
 
 #include <cstddef>
 #include <vector>
 
 #include "core/spanner.h"
+#include "core/termination.h"
 #include "graph/digraph.h"
 #include "graph/graph.h"
 #include "sim/metrics.h"
@@ -54,10 +56,11 @@ struct EidOptions {
 };
 
 struct EidOutcome {
-  SimResult sim;               ///< accumulated over all phases
+  /// Accumulated over all phases; `completed` = every node heard every
+  /// rumor.
+  SimResult sim;
   std::vector<Bitset> rumors;  ///< final rumor sets
   DirectedGraph spanner{0};
-  bool all_to_all = false;     ///< every node heard every rumor
 };
 
 /// One EID execution with estimate `options.diameter_estimate`, starting
@@ -65,22 +68,22 @@ struct EidOutcome {
 EidOutcome run_eid(const WeightedGraph& g, const EidOptions& options,
                    std::vector<Bitset> initial_rumors, Rng& rng);
 
-struct GeneralEidOutcome {
-  SimResult sim;
-  std::vector<Bitset> rumors;
-  Latency final_estimate = 0;   ///< k at successful termination
-  std::size_t attempts = 0;     ///< EID executions (doublings + 1)
-  bool success = false;
-  bool checks_unanimous = true; ///< Lemma 18 held in every check
-};
+/// One attempt of General EID: EID(k) with k =
+/// `options.diameter_estimate` on `rumors` (in place), its cost added
+/// to `sim`. Returns the Termination Check's broadcast primitive, RR
+/// Broadcast from fresh own-id rumors on this attempt's spanner
+/// (Section 5.3), run with the options' recorder and workspace.
+HeardSetsFn run_eid_attempt(const WeightedGraph& g, const EidOptions& options,
+                            std::vector<Bitset>& rumors, SimResult& sim,
+                            Rng& rng);
 
 /// Guess-and-double EID with the Termination Check (Algorithm 4).
 /// `obs` (optional) threads through every EID attempt and additionally
 /// tags "eid/termination_check". `workspace` (optional) is forwarded
 /// into every internal simulation as EidOptions::workspace.
-GeneralEidOutcome run_general_eid(const WeightedGraph& g, std::size_t n_hat,
-                                  Rng& rng, Latency initial_guess = 1,
-                                  ObsContext* obs = nullptr,
-                                  TrialWorkspace* workspace = nullptr);
+DoublingOutcome run_general_eid(const WeightedGraph& g, std::size_t n_hat,
+                                Rng& rng, Latency initial_guess = 1,
+                                ObsContext* obs = nullptr,
+                                TrialWorkspace* workspace = nullptr);
 
 }  // namespace latgossip

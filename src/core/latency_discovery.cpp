@@ -1,12 +1,9 @@
 #include "core/latency_discovery.h"
 
-#include "sim/dispatch.h"
-
 #include <stdexcept>
 
 #include "core/eid.h"
-#include "core/rr_broadcast.h"
-#include "core/termination.h"
+#include "sim/dispatch.h"
 
 namespace latgossip {
 
@@ -51,54 +48,20 @@ DiscoveryOutcome discover_latencies(const WeightedGraph& g,
   return out;
 }
 
-UnknownLatencyEidOutcome run_unknown_latency_eid(const WeightedGraph& g,
-                                                 std::size_t n_hat,
-                                                 Rng& rng) {
-  const std::size_t n = g.num_nodes();
-  UnknownLatencyEidOutcome out;
-  out.rumors = own_id_rumors(n);
-  if (n <= 1) {
-    out.success = true;
-    out.final_estimate = 1;
-    return out;
-  }
-  const Latency k_limit =
-      2 * static_cast<Latency>(n) * std::max<Latency>(g.max_latency(), 1);
-  NetworkView known(g, /*latencies_known=*/true);
-
-  for (Latency k = 1; k <= k_limit; k *= 2) {
-    ++out.attempts;
+DoublingOutcome run_unknown_latency_eid(const WeightedGraph& g,
+                                        std::size_t n_hat, Rng& rng) {
+  EidOptions options;
+  options.n_hat = n_hat;
+  const AttemptFn attempt = [&](Latency k, std::vector<Bitset>& rumors,
+                                SimResult& sim) {
     // Probe phase with budget k: Δ + k rounds; afterwards every latency
     // <= k is known, which is all EID(k) ever reads.
-    DiscoveryOutcome probes = discover_latencies(g, k);
-    out.sim.accumulate(probes.sim);
-
-    EidOptions options;
+    sim.accumulate(discover_latencies(g, k).sim);
     options.diameter_estimate = k;
-    options.n_hat = n_hat;
-    EidOutcome attempt = run_eid(g, options, std::move(out.rumors), rng);
-    out.sim.accumulate(attempt.sim);
-    out.rumors = std::move(attempt.rumors);
-
-    const DirectedGraph& spanner = attempt.spanner;
-    auto broadcast = [&]() {
-      RRBroadcast rr(known, spanner, k, own_id_rumors(n));
-      SimOptions opts;
-      opts.max_rounds = rr.budget() + k + 2;
-      SimResult sim = dispatch_gossip(g, rr, opts);
-      return std::make_pair(rr.take_rumors(), sim);
-    };
-    const CheckOutcome check = run_termination_check(g, out.rumors, broadcast);
-    out.sim.accumulate(check.sim);
-    if (!check.failed) {
-      out.success = true;
-      out.final_estimate = k;
-      return out;
-    }
-  }
-  out.success = false;
-  out.final_estimate = k_limit;
-  return out;
+    return run_eid_attempt(g, options, rumors, sim, rng);
+  };
+  return run_guess_and_double(g, 1, attempt, /*obs=*/nullptr,
+                              "eid/termination_check");
 }
 
 }  // namespace latgossip

@@ -15,6 +15,7 @@
 #include <optional>
 #include <vector>
 
+#include "core/termination.h"
 #include "graph/graph.h"
 #include "sim/engine.h"
 #include "sim/metrics.h"
@@ -57,19 +58,12 @@ struct DiscoveryOutcome {
 DiscoveryOutcome discover_latencies(const WeightedGraph& g,
                                     Latency wait_budget);
 
-struct UnknownLatencyEidOutcome {
-  SimResult sim;  ///< probes + EID attempts + checks, all attempts
-  std::vector<Bitset> rumors;
-  Latency final_estimate = 0;
-  std::size_t attempts = 0;
-  bool success = false;
-};
-
 /// The (D+Δ)-branch of Theorem 20: guess-and-double k; per attempt, probe
 /// with budget k (Δ + k rounds), then EID(k) — valid because the probes
 /// revealed every latency <= k and EID(k) touches no slower edge — then
-/// the Termination Check.
-UnknownLatencyEidOutcome run_unknown_latency_eid(const WeightedGraph& g,
-                                                 std::size_t n_hat, Rng& rng);
+/// the Termination Check. `sim` covers probes, EID attempts and checks.
+/// The run is not recorded.
+DoublingOutcome run_unknown_latency_eid(const WeightedGraph& g,
+                                        std::size_t n_hat, Rng& rng);
 
 }  // namespace latgossip

@@ -1,6 +1,10 @@
 #include "core/termination.h"
 
+#include <algorithm>
 #include <stdexcept>
+
+#include "core/rr_broadcast.h"
+#include "obs/metrics.h"
 
 namespace latgossip {
 
@@ -62,6 +66,47 @@ CheckOutcome run_termination_check(const WeightedGraph& g,
     if (failed[v]) out.failed = true;
     if (failed[v] != failed[0]) out.unanimous = false;
   }
+  return out;
+}
+
+DoublingOutcome run_guess_and_double(const WeightedGraph& g,
+                                     Latency initial_guess,
+                                     const AttemptFn& attempt,
+                                     ObsContext* obs,
+                                     std::string_view check_phase) {
+  if (initial_guess < 1)
+    throw std::invalid_argument("guess and double: initial guess must be >= 1");
+  const std::size_t n = g.num_nodes();
+  MetricsRegistry* metrics = obs ? obs->metrics : nullptr;
+  DoublingOutcome out;
+  out.rumors = own_id_rumors(n);
+  if (n <= 1) {
+    out.success = true;
+    out.final_estimate = initial_guess;
+  }
+
+  // Safety bound: k never needs to exceed the weighted diameter, which
+  // is at most (n-1) * max latency.
+  const Latency k_limit =
+      2 * static_cast<Latency>(n) * std::max<Latency>(g.max_latency(), 1);
+  for (Latency k = initial_guess; !out.success && k <= k_limit; k *= 2) {
+    ++out.attempts;
+    const HeardSetsFn broadcast = attempt(k, out.rumors, out.sim);
+    PhaseScope phase(obs, check_phase);
+    const Round clock = metrics ? metrics->clock() : 0;
+    const CheckOutcome check = run_termination_check(g, out.rumors, broadcast);
+    // A primitive that tags its own phases (T(k)'s DTG passes) has
+    // charged the rounds already; the scope then only marks the trace.
+    if (metrics && metrics->clock() == clock) phase.add(check.sim);
+    out.sim.accumulate(check.sim);
+    if (!check.unanimous) out.checks_unanimous = false;
+    if (!check.failed) {
+      out.success = true;
+      out.final_estimate = k;
+    }
+  }
+  if (!out.success) out.final_estimate = k_limit;
+  out.sim.completed = out.success && all_sets_full(out.rumors);
   return out;
 }
 

@@ -21,8 +21,17 @@
 // Path Discovery passes the T(k) DTG sequence. A primitive run reports
 // which node ids reached each node; the check's comparison data flows
 // along exactly those delivery paths.
+//
+// The check closes one guess-and-double loop, shared by General EID
+// (Algorithm 4), Path Discovery (Algorithm 6) and the unknown-latency
+// branch of Section 4.2: run_guess_and_double() owns the estimates
+// k = k0, 2k0, 4k0, ..., the check after every attempt and the verdict;
+// each algorithm supplies only its attempt at k and that attempt's
+// broadcast primitive.
 
+#include <cstddef>
 #include <functional>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -31,6 +40,8 @@
 #include "util/bitset.h"
 
 namespace latgossip {
+
+struct ObsContext;  // obs/metrics.h
 
 /// One fresh broadcast pass: returns per-node heard-from sets (own id
 /// included) and the rounds it consumed.
@@ -46,5 +57,35 @@ struct CheckOutcome {
 CheckOutcome run_termination_check(const WeightedGraph& g,
                                    const std::vector<Bitset>& rumors,
                                    const HeardSetsFn& broadcast);
+
+/// What a guess-and-double run returns.
+struct DoublingOutcome {
+  /// Every attempt and check. `completed` holds when a check passed and
+  /// every rumor set is full; a check can pass on a disconnected graph,
+  /// whose sets never fill.
+  SimResult sim;
+  std::vector<Bitset> rumors;    ///< final rumor sets
+  Latency final_estimate = 0;    ///< k at successful termination
+  std::size_t attempts = 0;      ///< attempts run (doublings + 1)
+  bool success = false;          ///< some check passed
+  bool checks_unanimous = true;  ///< Lemma 18 held in every check
+};
+
+/// One attempt at estimate k: advance `rumors` in place, add its cost
+/// to `sim`, and return the broadcast primitive of k's check.
+using AttemptFn = std::function<HeardSetsFn(
+    Latency k, std::vector<Bitset>& rumors, SimResult& sim)>;
+
+/// Guess and double from own-id rumors: for k = initial_guess, twice
+/// that, ... up to 2·n·ℓmax, run the attempt at k and then the check
+/// with its primitive, and stop at the first check that passes. A graph
+/// of at most one node succeeds at once. `obs` (optional) tags each
+/// check as phase `check_phase`, charged with the check's rounds unless
+/// the primitive advanced the metrics clock itself.
+DoublingOutcome run_guess_and_double(const WeightedGraph& g,
+                                     Latency initial_guess,
+                                     const AttemptFn& attempt,
+                                     ObsContext* obs,
+                                     std::string_view check_phase);
 
 }  // namespace latgossip

@@ -6,7 +6,6 @@
 
 #include "core/dtg.h"
 #include "core/rr_broadcast.h"
-#include "core/termination.h"
 #include "obs/metrics.h"
 #include "sim/dispatch.h"
 
@@ -75,49 +74,24 @@ TkOutcome run_tk_schedule(const WeightedGraph& g, Latency k,
   out.rumors = std::move(initial_rumors);
   for (Latency ell : tk_pattern(next_power_of_two(k)))
     out.sim.accumulate(dtg_pass(g, ell, out.rumors, obs));
-  out.all_to_all = all_sets_full(out.rumors);
+  out.sim.completed = all_sets_full(out.rumors);
   return out;
 }
 
-PathDiscoveryOutcome run_path_discovery(const WeightedGraph& g,
-                                        ObsContext* obs) {
-  const std::size_t n = g.num_nodes();
-  PathDiscoveryOutcome out;
-  out.rumors = own_id_rumors(n);
-  if (n <= 1) {
-    out.success = true;
-    out.final_estimate = 1;
-    return out;
-  }
-  const Latency k_limit =
-      2 * static_cast<Latency>(n) * std::max<Latency>(g.max_latency(), 1);
-
-  for (Latency k = 1; k <= k_limit; k *= 2) {
-    ++out.attempts;
-    TkOutcome attempt = run_tk_schedule(g, k, std::move(out.rumors), obs);
-    out.sim.accumulate(attempt.sim);
-    out.rumors = std::move(attempt.rumors);
-
-    // Termination Check with T(k) as the broadcast primitive. The check
-    // phase brackets the whole broadcast pass; the pass's own dtg_ell
-    // phases still account the rounds (the scope is a trace marker).
-    PhaseScope check_phase(obs, "tk/termination_check");
-    auto broadcast = [&]() {
-      TkOutcome pass = run_tk_schedule(g, k, own_id_rumors(n), obs);
+DoublingOutcome run_path_discovery(const WeightedGraph& g,
+                                   ObsContext* obs) {
+  const AttemptFn attempt = [&](Latency k, std::vector<Bitset>& rumors,
+                                SimResult& sim) -> HeardSetsFn {
+    TkOutcome tk = run_tk_schedule(g, k, std::move(rumors), obs);
+    sim.accumulate(tk.sim);
+    rumors = std::move(tk.rumors);
+    // The check's primitive: another T(k) pass from own-id rumors.
+    return [&g, k, obs] {
+      TkOutcome pass = run_tk_schedule(g, k, own_id_rumors(g.num_nodes()), obs);
       return std::make_pair(std::move(pass.rumors), pass.sim);
     };
-    const CheckOutcome check = run_termination_check(g, out.rumors, broadcast);
-    out.sim.accumulate(check.sim);
-    if (!check.unanimous) out.checks_unanimous = false;
-    if (!check.failed) {
-      out.success = true;
-      out.final_estimate = k;
-      return out;
-    }
-  }
-  out.success = false;
-  out.final_estimate = k_limit;
-  return out;
+  };
+  return run_guess_and_double(g, 1, attempt, obs, "tk/termination_check");
 }
 
 }  // namespace latgossip

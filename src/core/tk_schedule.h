@@ -13,6 +13,7 @@
 
 #include <vector>
 
+#include "core/termination.h"
 #include "graph/graph.h"
 #include "sim/metrics.h"
 #include "util/bitset.h"
@@ -28,9 +29,8 @@ std::vector<Latency> tk_pattern(Latency k);
 Latency next_power_of_two(Latency k);
 
 struct TkOutcome {
-  SimResult sim;
+  SimResult sim;  ///< every pass; `completed` = every rumor set full
   std::vector<Bitset> rumors;
-  bool all_to_all = false;
 };
 
 /// Execute the schedule T(k) (k rounded up to a power of two) starting
@@ -43,19 +43,11 @@ TkOutcome run_tk_schedule(const WeightedGraph& g, Latency k,
                           std::vector<Bitset> initial_rumors,
                           ObsContext* obs = nullptr);
 
-struct PathDiscoveryOutcome {
-  SimResult sim;
-  std::vector<Bitset> rumors;
-  Latency final_estimate = 0;
-  std::size_t attempts = 0;
-  bool success = false;
-  bool checks_unanimous = true;
-};
-
 /// Path Discovery (Algorithm 6): guess-and-double over T(k) with the
 /// Termination Check, broadcast primitive = another T(k) pass. `obs`
-/// additionally tags "tk/termination_check".
-PathDiscoveryOutcome run_path_discovery(const WeightedGraph& g,
-                                        ObsContext* obs = nullptr);
+/// additionally tags "tk/termination_check", a trace marker: the
+/// check's passes charge their own "tk/dtg_ell_<ℓ>" phases.
+DoublingOutcome run_path_discovery(const WeightedGraph& g,
+                                   ObsContext* obs = nullptr);
 
 }  // namespace latgossip

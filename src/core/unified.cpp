@@ -3,7 +3,6 @@
 #include "core/eid.h"
 #include "core/latency_discovery.h"
 #include "core/push_pull.h"
-#include "core/rr_broadcast.h"
 #include "obs/metrics.h"
 #include "sim/dispatch.h"
 
@@ -26,6 +25,7 @@ UnifiedOutcome run_unified(const WeightedGraph& g,
     if (options.obs) opts.recorder = options.obs->recorder;
     const SimResult sim = dispatch_gossip(g, pp, opts);
     phase.add(sim);
+    out.sim.accumulate(sim);
     out.push_pull_rounds = sim.rounds;
     out.push_pull_completed = sim.completed;
   }
@@ -36,30 +36,28 @@ UnifiedOutcome run_unified(const WeightedGraph& g,
   // internal tagging) is absorbed whole.
   {
     PhaseScope phase(options.obs, "unified/spanner");
+    DoublingOutcome eid;
     if (options.latencies_known) {
       Rng branch = rng.fork(2);
-      const GeneralEidOutcome eid =
-          run_general_eid(g, n_hat, branch, 1, options.obs);
-      out.spanner_rounds = eid.sim.rounds;
-      out.spanner_completed = eid.success && all_sets_full(eid.rumors);
+      eid = run_general_eid(g, n_hat, branch, 1, options.obs);
     } else {
       Rng branch = rng.fork(3);
-      const UnknownLatencyEidOutcome eid =
-          run_unknown_latency_eid(g, n_hat, branch);
+      eid = run_unknown_latency_eid(g, n_hat, branch);
       phase.add(eid.sim);
-      out.spanner_rounds = eid.sim.rounds;
-      out.spanner_completed = eid.success && all_sets_full(eid.rumors);
     }
+    out.sim.accumulate(eid.sim);
+    out.spanner_rounds = eid.sim.rounds;
+    out.spanner_completed = eid.sim.completed;
   }
 
-  out.completed = out.push_pull_completed || out.spanner_completed;
+  out.sim.completed = out.push_pull_completed || out.spanner_completed;
   if (out.push_pull_completed &&
       (!out.spanner_completed || out.push_pull_rounds <= out.spanner_rounds)) {
     out.winner = UnifiedWinner::kPushPull;
-    out.unified_rounds = out.push_pull_rounds;
+    out.sim.rounds = out.push_pull_rounds;
   } else {
     out.winner = UnifiedWinner::kSpanner;
-    out.unified_rounds = out.spanner_rounds;
+    out.sim.rounds = out.spanner_rounds;
   }
   return out;
 }

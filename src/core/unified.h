@@ -19,13 +19,15 @@ struct ObsContext;  // obs/metrics.h
 enum class UnifiedWinner { kPushPull, kSpanner };
 
 struct UnifiedOutcome {
+  /// Both branches' counters summed, the winner's rounds (the minimum
+  /// over completed branches), and `completed` when either branch
+  /// completed.
+  SimResult sim;
   Round push_pull_rounds = 0;
   bool push_pull_completed = false;
   Round spanner_rounds = 0;
   bool spanner_completed = false;
-  Round unified_rounds = 0;  ///< min over completed branches
   UnifiedWinner winner = UnifiedWinner::kPushPull;
-  bool completed = false;
 };
 
 struct UnifiedOptions {

@@ -35,9 +35,7 @@ std::size_t peak_rss_bytes() {
   return kib * 1024;
 }
 
-std::string json_escape(std::string_view s) {
-  std::string out;
-  out.reserve(s.size());
+void json_append_escaped(std::string& out, std::string_view s) {
   for (const char c : s) {
     switch (c) {
       case '"': out += "\\\""; break;
@@ -55,19 +53,25 @@ std::string json_escape(std::string_view s) {
         }
     }
   }
+}
+
+std::string json_escape(std::string_view s) {
+  std::string out;
+  out.reserve(s.size());
+  json_append_escaped(out, s);
   return out;
 }
 
 std::string build_info_json() {
   const BuildInfo b = build_info();
   std::string out = "{\"git\":\"";
-  out += json_escape(b.git_hash);
+  json_append_escaped(out, b.git_hash);
   out += "\",\"compiler\":\"";
-  out += json_escape(b.compiler);
+  json_append_escaped(out, b.compiler);
   out += "\",\"build_type\":\"";
-  out += json_escape(b.build_type);
+  json_append_escaped(out, b.build_type);
   out += "\",\"flags\":\"";
-  out += json_escape(b.flags);
+  json_append_escaped(out, b.flags);
   out += "\"}";
   return out;
 }
@@ -170,7 +174,7 @@ std::string to_chrome_trace_json(const EventRecorder& rec) {
       case EventKind::kPhaseEnd:
         sep();
         out += "{\"name\":\"";
-        out += json_escape(rec.phase_name(e.a()));
+        json_append_escaped(out, rec.phase_name(e.a()));
         out += e.kind() == EventKind::kPhaseBegin ? "\",\"ph\":\"B\""
                                                 : "\",\"ph\":\"E\"";
         out += ",\"pid\":0,\"tid\":0,\"ts\":";
@@ -212,7 +216,7 @@ std::string metrics_json(const MetricsRegistry& metrics) {
     if (!first) out += ',';
     first = false;
     out += '"';
-    out += json_escape(name);
+    json_append_escaped(out, name);
     out += "\":";
     json_append_u64(out, c.value());
   }
@@ -222,7 +226,7 @@ std::string metrics_json(const MetricsRegistry& metrics) {
     if (!first) out += ',';
     first = false;
     out += '"';
-    out += json_escape(name);
+    json_append_escaped(out, name);
     out += "\":{\"count\":";
     json_append_u64(out, h.count());
     out += ",\"sum\":";
@@ -248,7 +252,7 @@ std::string metrics_json(const MetricsRegistry& metrics) {
     if (!first) out += ',';
     first = false;
     out += '"';
-    out += json_escape(name);
+    json_append_escaped(out, name);
     out += "\":{\"rounds\":";
     json_append_i64(out, p.rounds);
     out += ",\"activations\":";
@@ -276,13 +280,13 @@ std::string manifest_record(const RunInfo& info, std::size_t trial,
   std::string out = "{\"schema\":\"latgossip.run.v1\",\"build\":";
   out += build_info_json();
   out += ",\"tool\":\"";
-  out += json_escape(info.tool);
+  json_append_escaped(out, info.tool);
   out += "\",\"protocol\":\"";
-  out += json_escape(info.protocol);
+  json_append_escaped(out, info.protocol);
   out += "\",\"graph\":{\"source\":\"";
-  out += json_escape(info.graph_source);
+  json_append_escaped(out, info.graph_source);
   out += "\",\"params\":\"";
-  out += json_escape(info.graph_params);
+  json_append_escaped(out, info.graph_params);
   out += "\",\"nodes\":";
   json_append_u64(out, info.nodes);
   out += ",\"edges\":";
@@ -295,7 +299,7 @@ std::string manifest_record(const RunInfo& info, std::size_t trial,
   json_append_u64(out, info.threads_effective);
   if (!info.threads_env.empty()) {
     out += ",\"threads_env\":\"";
-    out += json_escape(info.threads_env);
+    json_append_escaped(out, info.threads_env);
     out += '"';
   }
   out += ",\"trial\":";

@@ -43,6 +43,8 @@ std::size_t peak_rss_bytes();
 
 /// Escape a string for embedding in a JSON string literal.
 std::string json_escape(std::string_view s);
+/// The same escape, appended to `out` in place (no quotes added).
+void json_append_escaped(std::string& out, std::string_view s);
 
 // --- JSON fragments shared by manifests, store records and serve ------
 // responses; appended in place (no JSON tree) since they run per trial.

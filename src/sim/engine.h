@@ -205,12 +205,12 @@ std::size_t payload_bits_of(const typename P::Payload& pay) {
 struct SimOptions {
   Round max_rounds = 1'000'000;
   /// Stop once no exchange is in flight and no node selected a contact
-  /// this round. The run then reports `completed = done(r)` for that
-  /// round, so an idle stop is complete exactly when the goal already
-  /// holds. Protocols that rest between initiations turn it off: DTG
-  /// between superrounds, and probes, which run their whole window. RR
-  /// broadcast keeps it, though its done() is a timer that an idle stop
-  /// reaches only by chance (ROADMAP.md item 12).
+  /// this round. An idle stop is final: nothing can change any more, so
+  /// the run reports `completed = done(max_rounds)`, the goal judged on
+  /// the frozen state. A timer goal such as RR broadcast's therefore
+  /// counts as reached once its legs have drained. Protocols that rest
+  /// between initiations turn idle stop off: DTG between superrounds,
+  /// and probes, which run their whole window.
   bool stop_when_idle = true;
   /// Blocking communication: a node may not initiate while one of its
   /// own initiations is still outstanding (Appendix E's stricter model).
@@ -565,8 +565,10 @@ SimResult run_gossip_impl(const WeightedGraph& g, P& proto,
     }
 
     if (opts.stop_when_idle && !any_selected && inflight == 0) {
+      // Nothing can change any more, so the goal is judged on the
+      // frozen state as of the last round the run was allowed.
       result.rounds = r;
-      result.completed = proto.done(r);
+      result.completed = proto.done(opts.max_rounds);
       return result;
     }
     if (++cursor == capacity) cursor = 0;

@@ -10,7 +10,10 @@ namespace latgossip {
 
 struct SimResult {
   Round rounds = 0;                   ///< round at which the run ended
-  bool completed = false;             ///< done() became true
+  /// The protocol's goal held when the run ended: done() became true,
+  /// or held on the frozen state at an idle stop. Composites set it to
+  /// their own goal (every rumor set full, for the all-to-all ones).
+  bool completed = false;
   std::size_t activations = 0;        ///< exchanges initiated
   std::size_t messages_delivered = 0; ///< payload deliveries (2/exchange)
   std::size_t messages_dropped = 0;   ///< deliveries lost to faults

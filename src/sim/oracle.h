@@ -324,8 +324,9 @@ SimResult run_gossip_oracle(const WeightedGraph& g, P& proto,
     }
 
     if (opts.stop_when_idle && !any_selected && in_flight.empty()) {
+      // An idle stop is final (SimOptions::stop_when_idle).
       result.rounds = r;
-      result.completed = proto.done(r);
+      result.completed = proto.done(opts.max_rounds);
       return result;
     }
   }

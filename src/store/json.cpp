@@ -7,6 +7,8 @@
 #include <system_error>
 #include <utility>
 
+#include "obs/export.h"
+
 namespace latgossip {
 
 const JsonValue* JsonValue::get(std::string_view key) const noexcept {
@@ -453,23 +455,7 @@ namespace {
 
 void serialize_string(std::string& out, const std::string& s) {
   out += '"';
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
+  json_append_escaped(out, s);
   out += '"';
 }
 

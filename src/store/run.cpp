@@ -179,20 +179,15 @@ RunOutcome execute(const RunSpec& spec, const WeightedGraph& g,
       result = run_gossip(g, proto, opts);
       if (want_freshness) freshness = freshness_of(proto, n, result.rounds);
     } else if (spec.protocol == "eid") {
-      const GeneralEidOutcome eid = run_general_eid(g, 0, rng, 1, obs_ptr, &ws);
-      result = eid.sim;
-      result.completed = eid.success;
+      result = run_general_eid(g, 0, rng, 1, obs_ptr, &ws).sim;
     } else if (spec.protocol == "tk") {
-      const PathDiscoveryOutcome tk = run_path_discovery(g, obs_ptr);
-      result = tk.sim;
-      result.completed = tk.success;
+      result = run_path_discovery(g, obs_ptr).sim;
     } else {
       UnifiedOptions uopts;
       uopts.latencies_known = spec.known_latencies;
       uopts.obs = obs_ptr;
       const UnifiedOutcome unified = run_unified(g, uopts, rng);
-      result.rounds = unified.unified_rounds;
-      result.completed = unified.completed;
+      result = unified.sim;
       out.winners[t] =
           unified.winner == UnifiedWinner::kPushPull ? "push-pull" : "spanner";
     }

@@ -25,8 +25,10 @@ namespace latgossip {
 namespace {
 
 std::string error_response(const std::string& what) {
-  JsonValue msg = JsonValue::make_string(what);
-  return "{\"ok\":false,\"error\":" + json_serialize(msg) + "}";
+  std::string out = "{\"ok\":false,\"error\":\"";
+  json_append_escaped(out, what);
+  out += "\"}";
+  return out;
 }
 
 /// A generated graph and its graph_digest(), the store key's graph

@@ -77,12 +77,12 @@ TEST(Eid, SingleNodeAndTwoNodeGraphs) {
   Rng rng(3);
   {
     const WeightedGraph g(1);
-    const GeneralEidOutcome out = run_general_eid(g, 0, rng);
+    const DoublingOutcome out = run_general_eid(g, 0, rng);
     EXPECT_TRUE(out.success);
   }
   {
     const auto g = build_graph(2, {{0, 1, 4}});
-    const GeneralEidOutcome out = run_general_eid(g, 0, rng);
+    const DoublingOutcome out = run_general_eid(g, 0, rng);
     EXPECT_TRUE(out.success);
     EXPECT_TRUE(all_sets_full(out.rumors));
     EXPECT_GE(out.final_estimate, 4);  // must grow to the edge latency
@@ -95,8 +95,8 @@ TEST(Unified, TwoNodeGraph) {
   UnifiedOptions opts;
   opts.latencies_known = true;
   const UnifiedOutcome out = run_unified(g, opts, rng);
-  EXPECT_TRUE(out.completed);
-  EXPECT_GE(out.unified_rounds, 3);
+  EXPECT_TRUE(out.sim.completed);
+  EXPECT_GE(out.sim.rounds, 3);
 }
 
 TEST(Spanner, SingleEdgeGraph) {
@@ -125,7 +125,7 @@ TEST(Discovery, BudgetOneStillLearnsUnitEdges) {
 TEST(TkSchedule, SingleNodeGraph) {
   const WeightedGraph g(1);
   const TkOutcome out = run_tk_schedule(g, 1, own_id_rumors(1));
-  EXPECT_TRUE(out.all_to_all);
+  EXPECT_TRUE(out.sim.completed);
 }
 
 TEST(Game, SingleElementUniverse) {

@@ -20,7 +20,7 @@ TEST(Eid, AllToAllOnUnitClique) {
   EidOptions opts;
   opts.diameter_estimate = weighted_diameter(g);
   const EidOutcome out = run_eid(g, opts, own_id_rumors(12), rng);
-  EXPECT_TRUE(out.all_to_all);
+  EXPECT_TRUE(out.sim.completed);
   EXPECT_GT(out.sim.rounds, 0);
 }
 
@@ -32,7 +32,7 @@ TEST(Eid, AllToAllOnWeightedGrid) {
   EidOptions opts;
   opts.diameter_estimate = weighted_diameter(g);
   const EidOutcome out = run_eid(g, opts, own_id_rumors(16), rng);
-  EXPECT_TRUE(out.all_to_all);
+  EXPECT_TRUE(out.sim.completed);
 }
 
 TEST(Eid, UnderestimatedDiameterFailsGracefully) {
@@ -42,7 +42,7 @@ TEST(Eid, UnderestimatedDiameterFailsGracefully) {
   EidOptions opts;
   opts.diameter_estimate = 1;
   const EidOutcome out = run_eid(g, opts, own_id_rumors(4), rng);
-  EXPECT_FALSE(out.all_to_all);
+  EXPECT_FALSE(out.sim.completed);
   EXPECT_TRUE(out.rumors[0].test(1));
   EXPECT_FALSE(out.rumors[0].test(3));
 }
@@ -75,7 +75,7 @@ TEST(Eid, ValidatesInput) {
 TEST(GeneralEid, ConvergesOnUnitPath) {
   const auto g = make_path(8);
   Rng rng(11);
-  const GeneralEidOutcome out = run_general_eid(g, 0, rng);
+  const DoublingOutcome out = run_general_eid(g, 0, rng);
   EXPECT_TRUE(out.success);
   EXPECT_TRUE(all_sets_full(out.rumors));
   EXPECT_TRUE(out.checks_unanimous);
@@ -90,7 +90,7 @@ TEST(GeneralEid, HeavyBridgeForcesDoubling) {
   // must reach at least 32.
   const auto g = build_graph(4, {{0, 1, 1}, {1, 2, 20}, {2, 3, 1}});
   Rng rng(12);
-  const GeneralEidOutcome out = run_general_eid(g, 0, rng);
+  const DoublingOutcome out = run_general_eid(g, 0, rng);
   ASSERT_TRUE(out.success);
   EXPECT_TRUE(all_sets_full(out.rumors));
   EXPECT_GE(out.final_estimate, 20);
@@ -100,7 +100,7 @@ TEST(GeneralEid, HeavyBridgeForcesDoubling) {
 TEST(GeneralEid, ConvergesOnWeightedRingOfCliques) {
   const auto g = make_ring_of_cliques(4, 4, 6);
   Rng rng(13);
-  const GeneralEidOutcome out = run_general_eid(g, 0, rng);
+  const DoublingOutcome out = run_general_eid(g, 0, rng);
   EXPECT_TRUE(out.success);
   EXPECT_TRUE(all_sets_full(out.rumors));
   EXPECT_TRUE(out.checks_unanimous);
@@ -113,7 +113,7 @@ TEST(GeneralEid, Lemma18NoEarlyTermination) {
   auto g = make_erdos_renyi(14, 0.3, gen);
   assign_random_uniform_latency(g, 1, 8, gen);
   Rng rng(19);
-  const GeneralEidOutcome out = run_general_eid(g, 0, rng);
+  const DoublingOutcome out = run_general_eid(g, 0, rng);
   ASSERT_TRUE(out.success);
   EXPECT_TRUE(all_sets_full(out.rumors));  // part 1 of Lemma 18
   EXPECT_TRUE(out.checks_unanimous);       // part 2 of Lemma 18
@@ -122,8 +122,23 @@ TEST(GeneralEid, Lemma18NoEarlyTermination) {
 TEST(GeneralEid, SingleNodeTrivial) {
   const WeightedGraph g(1);
   Rng rng(23);
-  const GeneralEidOutcome out = run_general_eid(g, 0, rng);
+  const DoublingOutcome out = run_general_eid(g, 0, rng);
   EXPECT_TRUE(out.success);
+  EXPECT_TRUE(out.sim.completed);
+}
+
+TEST(GeneralEid, CompletedMatchesSuccessOnRandomGraphs) {
+  // On a connected graph a passing check means every set is full
+  // (Lemma 18), so the run's one completion flag is its success.
+  for (std::uint64_t seed = 0; seed < 20; ++seed) {
+    Rng gen(seed);
+    auto g = make_erdos_renyi(24, 0.2, gen);
+    assign_random_uniform_latency(g, 1, 6, gen);
+    Rng rng(seed + 100);
+    const DoublingOutcome out = run_general_eid(g, 0, rng);
+    EXPECT_TRUE(out.success) << "seed " << seed;
+    EXPECT_EQ(out.sim.completed, out.success) << "seed " << seed;
+  }
 }
 
 TEST(TerminationCheck, PassesWhenSetsCompleteAndEqual) {

@@ -14,6 +14,7 @@
 #include "core/rr_broadcast.h"
 #include "core/tk_schedule.h"
 #include "core/unified.h"
+#include "graph/builder.h"
 #include "graph/gadgets.h"
 #include "graph/generators.h"
 #include "graph/latency_models.h"
@@ -21,6 +22,25 @@
 
 namespace latgossip {
 namespace {
+
+TEST(Integration, DisconnectedGraphNeverCompletes) {
+  // Two components: each is neighbor-closed, so the Termination Check
+  // passes, yet no rumor set can fill. Every composite reports the run
+  // incomplete.
+  const auto g =
+      build_graph(6, {{0, 1, 1}, {1, 2, 1}, {3, 4, 1}, {4, 5, 1}});
+  Rng rng(3);
+  const DoublingOutcome eid = run_general_eid(g, 0, rng);
+  EXPECT_TRUE(eid.success);
+  EXPECT_FALSE(eid.sim.completed);
+  const DoublingOutcome tk = run_path_discovery(g);
+  EXPECT_TRUE(tk.success);
+  EXPECT_FALSE(tk.sim.completed);
+  UnifiedOptions opts;
+  opts.push_pull_cap = 64;
+  const UnifiedOutcome unified = run_unified(g, opts, rng);
+  EXPECT_FALSE(unified.sim.completed);
+}
 
 TEST(Integration, PushPullWithinTheorem12Bound) {
   // Theorem 12: broadcast in O((ℓ*/φ*) log n). Check the measured time
@@ -57,8 +77,8 @@ TEST(Integration, EidMatchesTkScheduleResults) {
   opts.diameter_estimate = d;
   const EidOutcome eid = run_eid(g, opts, own_id_rumors(15), rng);
   const TkOutcome tk = run_tk_schedule(g, d, own_id_rumors(15));
-  ASSERT_TRUE(eid.all_to_all);
-  ASSERT_TRUE(tk.all_to_all);
+  ASSERT_TRUE(eid.sim.completed);
+  ASSERT_TRUE(tk.sim.completed);
   for (NodeId v = 0; v < 15; ++v) EXPECT_TRUE(eid.rumors[v] == tk.rumors[v]);
 }
 
@@ -112,8 +132,8 @@ TEST(Integration, UnifiedAgreesWithBranchRuns) {
   UnifiedOptions opts;
   opts.latencies_known = true;
   const UnifiedOutcome out = run_unified(g, opts, rng);
-  ASSERT_TRUE(out.completed);
-  EXPECT_EQ(out.unified_rounds,
+  ASSERT_TRUE(out.sim.completed);
+  EXPECT_EQ(out.sim.rounds,
             std::min(out.push_pull_completed ? out.push_pull_rounds
                                              : out.spanner_rounds,
                      out.spanner_completed ? out.spanner_rounds
@@ -151,12 +171,12 @@ TEST(Integration, AllAlgorithmsAgreeOnFinalRumors) {
   }
   {
     Rng rng(37);
-    const GeneralEidOutcome eid = run_general_eid(g, 0, rng);
+    const DoublingOutcome eid = run_general_eid(g, 0, rng);
     ASSERT_TRUE(eid.success);
     EXPECT_TRUE(all_sets_full(eid.rumors));
   }
   {
-    const PathDiscoveryOutcome pd = run_path_discovery(g);
+    const DoublingOutcome pd = run_path_discovery(g);
     ASSERT_TRUE(pd.success);
     EXPECT_TRUE(all_sets_full(pd.rumors));
   }

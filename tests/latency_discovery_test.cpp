@@ -55,7 +55,7 @@ TEST(UnknownLatencyEid, ConvergesOnUnitGraphs) {
   Rng gen(3);
   auto g = make_erdos_renyi(12, 0.35, gen);
   Rng rng(5);
-  const UnknownLatencyEidOutcome out = run_unknown_latency_eid(g, 0, rng);
+  const DoublingOutcome out = run_unknown_latency_eid(g, 0, rng);
   EXPECT_TRUE(out.success);
   EXPECT_TRUE(all_sets_full(out.rumors));
 }
@@ -63,7 +63,7 @@ TEST(UnknownLatencyEid, ConvergesOnUnitGraphs) {
 TEST(UnknownLatencyEid, ConvergesOnWeightedGraphs) {
   auto g = make_ring_of_cliques(3, 4, 6);
   Rng rng(7);
-  const UnknownLatencyEidOutcome out = run_unknown_latency_eid(g, 0, rng);
+  const DoublingOutcome out = run_unknown_latency_eid(g, 0, rng);
   EXPECT_TRUE(out.success);
   EXPECT_TRUE(all_sets_full(out.rumors));
   EXPECT_GE(out.final_estimate, weighted_diameter(g) / 2);
@@ -73,7 +73,7 @@ TEST(UnknownLatencyEid, ChargesProbeRounds) {
   // Total rounds must exceed the final probe phase alone (Δ + k).
   const auto g = make_clique(8);
   Rng rng(9);
-  const UnknownLatencyEidOutcome out = run_unknown_latency_eid(g, 0, rng);
+  const DoublingOutcome out = run_unknown_latency_eid(g, 0, rng);
   ASSERT_TRUE(out.success);
   EXPECT_GT(out.sim.rounds,
             static_cast<Round>(g.max_degree()) + out.final_estimate);

@@ -131,7 +131,7 @@ TEST_P(DisseminationSweep, GeneralEidTerminatesCorrectly) {
   const auto [family, model, seed] = GetParam();
   const auto g = build(family, model, seed);
   Rng rng(seed * 17 + 3);
-  const GeneralEidOutcome out = run_general_eid(g, 0, rng);
+  const DoublingOutcome out = run_general_eid(g, 0, rng);
   ASSERT_TRUE(out.success);
   // Lemma 18 part 1: termination only with complete exchange.
   EXPECT_TRUE(all_sets_full(out.rumors));
@@ -144,7 +144,7 @@ TEST_P(DisseminationSweep, TkScheduleAtDiameterSolvesAllToAll) {
   const auto g = build(family, model, seed);
   const Latency d = weighted_diameter(g);
   const TkOutcome out = run_tk_schedule(g, d, own_id_rumors(g.num_nodes()));
-  EXPECT_TRUE(out.all_to_all);
+  EXPECT_TRUE(out.sim.completed);
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -99,7 +99,7 @@ TEST(EidAblation, RandomizedDiscoveryAlsoSolvesAllToAll) {
   opts.diameter_estimate = d;
   opts.randomized_local_broadcast = true;
   const EidOutcome out = run_eid(g, opts, own_id_rumors(16), rng);
-  EXPECT_TRUE(out.all_to_all);
+  EXPECT_TRUE(out.sim.completed);
 }
 
 TEST(EidAblation, BothVariantsProduceFullSets) {
@@ -112,7 +112,7 @@ TEST(EidAblation, BothVariantsProduceFullSets) {
     opts.diameter_estimate = d;
     opts.randomized_local_broadcast = randomized;
     const EidOutcome out = run_eid(g, opts, own_id_rumors(n), rng);
-    EXPECT_TRUE(out.all_to_all) << "randomized=" << randomized;
+    EXPECT_TRUE(out.sim.completed) << "randomized=" << randomized;
   }
 }
 

@@ -119,13 +119,13 @@ TEST(Relabel, GeneralEidIsEdgeIdPermutationInvariant) {
     EventRecorder base_rec;
     ObsContext base_obs{&base_rec, nullptr};
     Rng base_rng(seed);
-    const GeneralEidOutcome base =
+    const DoublingOutcome base =
         run_general_eid(g, 0, base_rng, 1, &base_obs);
 
     EventRecorder perm_rec(EventLog::kKeep);
     ObsContext perm_obs{&perm_rec, nullptr};
     Rng perm_rng(seed);
-    const GeneralEidOutcome shuffled =
+    const DoublingOutcome shuffled =
         run_general_eid(permuted, 0, perm_rng, 1, &perm_obs);
 
     EXPECT_EQ(base.sim, shuffled.sim) << "trial " << trial;

@@ -9,6 +9,7 @@
 #include "graph/generators.h"
 #include "graph/latency_models.h"
 #include "sim/engine.h"
+#include "sim/oracle.h"
 
 namespace latgossip {
 namespace {
@@ -58,6 +59,26 @@ TEST(RRBroadcast, Lemma15DistanceKPairsExchange) {
       EXPECT_TRUE(run.rumors[u].test(v)) << u << " <- " << v;
       EXPECT_TRUE(run.rumors[v].test(u)) << v << " <- " << u;
     }
+  }
+}
+
+TEST(RRBroadcast, IdleStopReportsCompleted) {
+  // Under default options the run stops idle once its last legs land,
+  // before the budget + k timer. An idle stop is final, so the engine
+  // and the oracle both report the goal as reached.
+  Rng rng(7);
+  auto g = make_erdos_renyi(64, 0.15, rng);
+  assign_random_uniform_latency(g, 1, 6, rng);
+  const Latency k = 6;
+  const DirectedGraph overlay = full_overlay(g);
+  const NetworkView view(g, true);
+  for (const bool on_oracle : {false, true}) {
+    RRBroadcast proto(view, overlay, k, own_id_rumors(g.num_nodes()));
+    const SimResult r =
+        on_oracle ? run_gossip_oracle(g, proto) : run_gossip(g, proto);
+    EXPECT_LT(r.rounds, proto.budget() + k) << "oracle=" << on_oracle;
+    EXPECT_TRUE(r.completed) << "oracle=" << on_oracle;
+    EXPECT_TRUE(all_sets_full(proto.rumors())) << "oracle=" << on_oracle;
   }
 }
 

@@ -287,7 +287,7 @@ TEST(StoreKeySuite, GoldenDigests) {
   cell.source = 3;
   cell.max_rounds = 1000;
   const StoreKey ck = cell_key(cell, 0xabcdef0123456789ULL);
-  EXPECT_EQ(ck.hex(), "574ce4ad8edcea2761ef6906e682a4ce");
+  EXPECT_EQ(ck.hex(), "fe5d5c26922beba71e6c2f5cfbce977d");
 }
 
 TEST(StoreKeySuite, GraphDigestSensitivity) {
@@ -332,7 +332,7 @@ TEST(StoreKeySuite, CellKeyCoversEveryField) {
   c.faults = "{\"drop\":0.1}";
   expect_new(c, 7);
   c = base;
-  c.model = "latgossip.model.v2";
+  c.model = std::string(kStoreModelVersion) + "+next";
   expect_new(c, 7);
   expect_new(base, 8);  // trial seed
 }

@@ -60,14 +60,14 @@ TEST(TkSchedule, SolvesAllToAllWithKAtLeastDiameter) {
   auto g = make_ring_of_cliques(4, 3, 4);
   const Latency d = weighted_diameter(g);
   const TkOutcome out = run_tk_schedule(g, d, own_id_rumors(g.num_nodes()));
-  EXPECT_TRUE(out.all_to_all);
+  EXPECT_TRUE(out.sim.completed);
 }
 
 TEST(TkSchedule, HeavyMiddleEdgePath) {
   // Case 2a/2b of Lemma 24: a single edge of latency in (k/2, k].
   const auto g = build_graph(4, {{0, 1, 1}, {1, 2, 7}, {2, 3, 1}});
   const TkOutcome out = run_tk_schedule(g, 16, own_id_rumors(4));
-  EXPECT_TRUE(out.all_to_all);
+  EXPECT_TRUE(out.sim.completed);
 }
 
 TEST(TkSchedule, SmallKStoppedByHeavyBridge) {
@@ -76,7 +76,7 @@ TEST(TkSchedule, SmallKStoppedByHeavyBridge) {
   // a small k is an edge slower than k.
   const auto g = build_graph(4, {{0, 1, 1}, {1, 2, 9}, {2, 3, 1}});
   const TkOutcome out = run_tk_schedule(g, 4, own_id_rumors(4));
-  EXPECT_FALSE(out.all_to_all);
+  EXPECT_FALSE(out.sim.completed);
   EXPECT_FALSE(out.rumors[0].test(2));  // behind the bridge
   EXPECT_TRUE(out.rumors[0].test(1));   // distance 1 pair exchanged
 }
@@ -91,7 +91,7 @@ TEST(TkSchedule, RoundsGrowWithK) {
 TEST(PathDiscovery, ConvergesOnUnitGraphs) {
   Rng gen(7);
   auto g = make_erdos_renyi(12, 0.35, gen);
-  const PathDiscoveryOutcome out = run_path_discovery(g);
+  const DoublingOutcome out = run_path_discovery(g);
   EXPECT_TRUE(out.success);
   EXPECT_TRUE(all_sets_full(out.rumors));
   EXPECT_TRUE(out.checks_unanimous);
@@ -99,7 +99,7 @@ TEST(PathDiscovery, ConvergesOnUnitGraphs) {
 
 TEST(PathDiscovery, ConvergesOnWeightedGraphs) {
   auto g = make_ring_of_cliques(3, 3, 5);
-  const PathDiscoveryOutcome out = run_path_discovery(g);
+  const DoublingOutcome out = run_path_discovery(g);
   EXPECT_TRUE(out.success);
   EXPECT_TRUE(all_sets_full(out.rumors));
   // Needs k >= D; D here is >= 5 (a bridge), so at least 3 doublings.
@@ -110,7 +110,7 @@ TEST(PathDiscovery, HeavyBridgeForcesEstimateUpToLatency) {
   // Transitive DTG relays can finish unit graphs at tiny estimates, but
   // an edge of latency 12 is a hard barrier until k >= 12.
   const auto g = build_graph(4, {{0, 1, 1}, {1, 2, 12}, {2, 3, 1}});
-  const PathDiscoveryOutcome out = run_path_discovery(g);
+  const DoublingOutcome out = run_path_discovery(g);
   ASSERT_TRUE(out.success);
   EXPECT_TRUE(all_sets_full(out.rumors));
   EXPECT_GE(out.final_estimate, 12);

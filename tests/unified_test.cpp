@@ -5,6 +5,7 @@
 #include "core/unified.h"
 #include "graph/generators.h"
 #include "graph/latency_models.h"
+#include "obs/metrics.h"
 
 namespace latgossip {
 namespace {
@@ -15,10 +16,10 @@ TEST(Unified, CompletesKnownLatencies) {
   UnifiedOptions opts;
   opts.latencies_known = true;
   const UnifiedOutcome out = run_unified(g, opts, rng);
-  EXPECT_TRUE(out.completed);
+  EXPECT_TRUE(out.sim.completed);
   EXPECT_TRUE(out.push_pull_completed);
   EXPECT_TRUE(out.spanner_completed);
-  EXPECT_EQ(out.unified_rounds,
+  EXPECT_EQ(out.sim.rounds,
             std::min(out.push_pull_rounds, out.spanner_rounds));
 }
 
@@ -30,7 +31,7 @@ TEST(Unified, CompletesUnknownLatencies) {
   UnifiedOptions opts;
   opts.latencies_known = false;
   const UnifiedOutcome out = run_unified(g, opts, rng);
-  EXPECT_TRUE(out.completed);
+  EXPECT_TRUE(out.sim.completed);
   EXPECT_TRUE(out.spanner_completed);
 }
 
@@ -42,7 +43,7 @@ TEST(Unified, PushPullWinsOnWellConnectedGraph) {
   UnifiedOptions opts;
   opts.latencies_known = true;
   const UnifiedOutcome out = run_unified(g, opts, rng);
-  ASSERT_TRUE(out.completed);
+  ASSERT_TRUE(out.sim.completed);
   EXPECT_EQ(out.winner, UnifiedWinner::kPushPull);
 }
 
@@ -52,14 +53,14 @@ TEST(Unified, WinnerHasMinimumRounds) {
   UnifiedOptions opts;
   opts.latencies_known = true;
   const UnifiedOutcome out = run_unified(g, opts, rng);
-  ASSERT_TRUE(out.completed);
+  ASSERT_TRUE(out.sim.completed);
   if (out.winner == UnifiedWinner::kPushPull) {
-    EXPECT_EQ(out.unified_rounds, out.push_pull_rounds);
+    EXPECT_EQ(out.sim.rounds, out.push_pull_rounds);
     if (out.spanner_completed) {
       EXPECT_LE(out.push_pull_rounds, out.spanner_rounds);
     }
   } else {
-    EXPECT_EQ(out.unified_rounds, out.spanner_rounds);
+    EXPECT_EQ(out.sim.rounds, out.spanner_rounds);
   }
 }
 
@@ -73,7 +74,35 @@ TEST(Unified, PushPullCapGivesUpButSpannerStillFinishes) {
   EXPECT_FALSE(out.push_pull_completed);
   EXPECT_TRUE(out.spanner_completed);
   EXPECT_EQ(out.winner, UnifiedWinner::kSpanner);
-  EXPECT_TRUE(out.completed);
+  EXPECT_TRUE(out.sim.completed);
+}
+
+TEST(Unified, SimCountsBothBranches) {
+  // The phases split each branch's cost (the known-latency spanner
+  // branch through EID's own phases), so together they are the
+  // outcome's counters.
+  const auto g = make_ring_of_cliques(3, 4, 3);
+  for (const bool known : {false, true}) {
+    MetricsRegistry metrics;
+    ObsContext obs{nullptr, &metrics};
+    UnifiedOptions opts;
+    opts.latencies_known = known;
+    opts.obs = &obs;
+    Rng rng(1);
+    const UnifiedOutcome out = run_unified(g, opts, rng);
+    std::size_t activations = 0;
+    std::size_t payload_bits = 0;
+    for (const auto& [name, phase] : metrics.phases()) {
+      activations += phase.activations;
+      payload_bits += phase.payload_bits;
+    }
+    const std::size_t push_pull =
+        metrics.phases().at("unified/push_pull").activations;
+    EXPECT_GT(push_pull, 0u);
+    EXPECT_GT(activations, push_pull);
+    EXPECT_EQ(out.sim.activations, activations) << "known=" << known;
+    EXPECT_EQ(out.sim.payload_bits, payload_bits) << "known=" << known;
+  }
 }
 
 TEST(Unified, DeterministicGivenSeed) {
