@@ -1,7 +1,7 @@
 // M3 — engineering micro-benchmarks: simulator throughput under the
-// main protocols, the hook-policy fast path vs the dynamic path, and
-// the parallel trial runner. The end-to-end record across changes is
-// perfbench (BENCHMARK.json).
+// main protocols, the hook-policy fast path vs the dynamic path, the
+// cost of recording, and the parallel trial runner. The end-to-end
+// record across changes is perfbench (BENCHMARK.json).
 
 #include <benchmark/benchmark.h>
 
@@ -51,6 +51,28 @@ static void BM_PushPullBroadcastHooked(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_PushPullBroadcastHooked)->Range(64, 4096);
+
+// Same workload recorded by a folding recorder, fingerprint included:
+// the gap to BM_PushPullBroadcast is what recording costs a run.
+static void BM_PushPullBroadcastRecorded(benchmark::State& state) {
+  const auto n = static_cast<std::size_t>(state.range(0));
+  Rng grng(1);
+  auto g = make_erdos_renyi(n, 8.0 / static_cast<double>(n), grng);
+  assign_random_uniform_latency(g, 1, 8, grng);
+  EventRecorder recorder;
+  std::uint64_t seed = 0;
+  for (auto _ : state) {
+    recorder.clear();
+    NetworkView view(g, false);
+    PushPullBroadcast proto(view, 0, Rng(++seed));
+    SimOptions opts;
+    opts.max_rounds = 1'000'000;
+    opts.recorder = &recorder;
+    benchmark::DoNotOptimize(run_gossip(g, proto, opts).rounds);
+    benchmark::DoNotOptimize(recorder.fingerprint());
+  }
+}
+BENCHMARK(BM_PushPullBroadcastRecorded)->Range(64, 4096);
 
 // Trial-runner overhead and scaling: a fixed batch of broadcasts
 // dispatched through run_trials at various thread counts.

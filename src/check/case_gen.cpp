@@ -183,6 +183,9 @@ TestCase random_case(Rng& rng, const CaseProfile& profile) {
     constexpr double kRhos[] = {0.0, 0.5, 2.0};
     tc.rho = kRhos[rng.uniform(3)];
   }
+  // Unified runs either branch; the draw comes last among the fields a
+  // unified case reads, so the case's other fields are as before.
+  if (tc.proto == CheckProto::kUnified) tc.latencies_known = rng.bernoulli(0.5);
 
   if (dyn_scenario >= 0) {
     DynamicSpec& d = tc.dynamics;
@@ -287,6 +290,8 @@ std::string describe(const TestCase& tc) {
       tc.proto == CheckProto::kLocalRandom)
     out << " k=" << tc.tk_estimate;
   if (tc.proto == CheckProto::kBiased) out << " rho=" << tc.rho;
+  if (tc.proto == CheckProto::kUnified)
+    out << " latencies=" << (tc.latencies_known ? "known" : "unknown");
   if (tc.blocking) out << " blocking";
   if (tc.max_incoming_per_round > 0)
     out << " max_in=" << tc.max_incoming_per_round;
@@ -301,6 +306,7 @@ void write_case(std::ostream& out, const TestCase& tc) {
       << "# proto=" << check_proto_name(tc.proto) << " seed=" << tc.seed
       << " source=" << tc.source << " tk=" << tc.tk_estimate
       << " rho=" << tc.rho
+      << " latencies_known=" << (tc.latencies_known ? 1 : 0)
       << " blocking=" << (tc.blocking ? 1 : 0)
       << " max_incoming=" << tc.max_incoming_per_round
       << " max_rounds=" << tc.max_rounds << "\n";

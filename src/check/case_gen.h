@@ -57,6 +57,9 @@ struct TestCase {
   NodeId source = 0;        ///< broadcast source (simple protocols)
   Latency tk_estimate = 1;  ///< T(k)'s k; the local broadcasts' ell
   double rho = 0.0;         ///< latency bias exponent (kBiased only)
+  /// kUnified only: run the known-latency branch (Section 5) instead of
+  /// the unknown-latency one.
+  bool latencies_known = false;
 
   // Engine-model knobs (check_proto_takes_knobs protocols only).
   bool blocking = false;

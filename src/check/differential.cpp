@@ -11,6 +11,7 @@
 #include "core/rr_broadcast.h"
 #include "core/tk_schedule.h"
 #include "core/unified.h"
+#include "obs/export.h"
 #include "obs/metrics.h"
 #include "sim/dynamics.h"
 #include "sim/engine.h"
@@ -22,7 +23,9 @@ namespace {
 /// the invariant checks need afterwards.
 struct RunArtifacts {
   SimResult result;
-  EventRecorder recorder{EventLog::kKeep};  ///< the invariants read it
+  /// Log-keeping for the invariants, which read the events; folding for
+  /// the folded-state comparison.
+  EventRecorder recorder;
   std::vector<Round> inform_round;  ///< boolean broadcasts only
   bool has_inform = false;
 };
@@ -32,8 +35,10 @@ struct RunArtifacts {
 /// both sides (the oracle reads only the plan's spec()).
 RunArtifacts run_simple_once(const TestCase& tc, const WeightedGraph& g,
                              bool use_oracle,
-                             const oracle_detail::ModelBug& bug) {
+                             const oracle_detail::ModelBug& bug,
+                             EventLog log = EventLog::kKeep) {
   RunArtifacts a;
+  a.recorder = EventRecorder(log);
   SimOptions opts;
   opts.max_rounds = tc.max_rounds;
   opts.blocking = tc.blocking;
@@ -119,7 +124,7 @@ RunArtifacts run_simple_once(const TestCase& tc, const WeightedGraph& g,
 }
 
 template <typename T>
-void compare_field(DiffReport& rep, const char* name, const T& engine,
+void compare_field(DiffReport& rep, std::string_view name, const T& engine,
                    const T& oracle) {
   if (engine == oracle) return;
   std::ostringstream os;
@@ -143,6 +148,34 @@ void compare_sim_results(DiffReport& rep, const SimResult& e,
   compare_field(rep, "fingerprint", e.fingerprint, o.fingerprint);
 }
 
+/// An engine run's folding recorder against the oracle's recorder: the
+/// per-kind counts, size, max round, monotone flag, fingerprint and
+/// event histograms. The engine folds whole buckets where the oracle
+/// records event by event, so this is what checks the bucket fold.
+void compare_folded(DiffReport& rep, const EventRecorder& fold,
+                    const EventRecorder& oracle) {
+  static constexpr const char* kKindNames[kNumEventKinds] = {
+      "activation", "delivery", "drop", "crash_drop", "phase_begin",
+      "phase_end"};
+  for (std::size_t k = 0; k < kNumEventKinds; ++k) {
+    const auto kind = static_cast<EventKind>(k);
+    compare_field(rep, std::string("folded count(") + kKindNames[k] + ")",
+                  fold.count(kind), oracle.count(kind));
+  }
+  compare_field(rep, "folded size", fold.size(), oracle.size());
+  compare_field(rep, "folded max_round", fold.max_round(),
+                oracle.max_round());
+  compare_field(rep, "folded round_monotone", fold.round_monotone(),
+                oracle.round_monotone());
+  compare_field(rep, "folded fingerprint", fold.fingerprint(),
+                oracle.fingerprint());
+  MetricsRegistry folded, reference;
+  record_event_histograms(folded, fold);
+  record_event_histograms(reference, oracle);
+  compare_field(rep, "folded event histograms", metrics_json(folded),
+                metrics_json(reference));
+}
+
 void apply_invariants(DiffReport& rep, const InvariantInput& in,
                       const std::string& label) {
   for (std::string& f : check_invariants(in, label))
@@ -154,11 +187,14 @@ DiffReport diff_simple(const TestCase& tc, const WeightedGraph& g,
   DiffReport rep;
   const RunArtifacts engine = run_simple_once(tc, g, /*use_oracle=*/false, {});
   const RunArtifacts oracle = run_simple_once(tc, g, /*use_oracle=*/true, bug);
+  const RunArtifacts folding =
+      run_simple_once(tc, g, /*use_oracle=*/false, {}, EventLog::kFold);
   rep.engine_result = engine.result;
   rep.oracle_result = oracle.result;
   rep.engine_fingerprint = engine.result.fingerprint;
   rep.oracle_fingerprint = oracle.result.fingerprint;
   compare_sim_results(rep, engine.result, oracle.result);
+  compare_folded(rep, folding.recorder, oracle.recorder);
 
   for (const RunArtifacts* side : {&engine, &oracle}) {
     InvariantInput in;
@@ -207,17 +243,24 @@ DiffReport diff_composite(const TestCase& tc, const WeightedGraph& g) {
   DiffReport rep;
   EventRecorder engine_rec(EventLog::kKeep);
   EventRecorder oracle_rec(EventLog::kKeep);
+  EventRecorder fold_rec;
+  // The engine once more, into a folding recorder, for compare_folded.
+  const auto fold = [&](auto& body) {
+    run_composite_once(false, fold_rec, body);
+  };
 
   switch (tc.proto) {
     case CheckProto::kUnified: {
       auto body = [&](ObsContext* obs) {
         Rng rng(tc.seed);
         UnifiedOptions uo;
+        uo.latencies_known = tc.latencies_known;
         uo.obs = obs;
         return run_unified(g, uo, rng);
       };
       const UnifiedOutcome e = run_composite_once(false, engine_rec, body);
       const UnifiedOutcome o = run_composite_once(true, oracle_rec, body);
+      fold(body);
       rep.engine_result = e.sim;
       rep.oracle_result = o.sim;
       compare_sim_results(rep, e.sim, o.sim);
@@ -232,6 +275,7 @@ DiffReport diff_composite(const TestCase& tc, const WeightedGraph& g) {
       };
       const DoublingOutcome e = run_composite_once(false, engine_rec, body);
       const DoublingOutcome o = run_composite_once(true, oracle_rec, body);
+      fold(body);
       rep.engine_result = e.sim;
       rep.oracle_result = o.sim;
       compare_sim_results(rep, e.sim, o.sim);
@@ -251,6 +295,7 @@ DiffReport diff_composite(const TestCase& tc, const WeightedGraph& g) {
       };
       const TkOutcome e = run_composite_once(false, engine_rec, body);
       const TkOutcome o = run_composite_once(true, oracle_rec, body);
+      fold(body);
       rep.engine_result = e.sim;
       rep.oracle_result = o.sim;
       compare_sim_results(rep, e.sim, o.sim);
@@ -266,6 +311,7 @@ DiffReport diff_composite(const TestCase& tc, const WeightedGraph& g) {
   rep.oracle_fingerprint = oracle_rec.fingerprint();
   compare_field(rep, "event fingerprint", rep.engine_fingerprint,
                 rep.oracle_fingerprint);
+  compare_folded(rep, fold_rec, oracle_rec);
   composite_invariants(rep, g, engine_rec, "engine");
   composite_invariants(rep, g, oracle_rec, "oracle");
   rep.ok = rep.failures.empty();

@@ -7,25 +7,37 @@
 // still takes the compile-time NoHooks fast path; installing a recorder
 // (or a scenario plan) is what moves a run onto the hooked path.
 //
-// A recorder folds each event into the state its queries return: the
-// per-kind counts, max_round, the monotone flag, the fingerprint, the
-// delivery-latency histogram and the per-round in-flight deltas. That
-// state costs O(rounds run), not O(events): by default events land in
-// one fixed block of kBlock packed events, which the fold empties each
-// time it fills. The fold is a tight pass that accumulates in locals,
-// so independent per-event hash chains pipeline; each event is folded
-// once however appends and queries interleave.
+// Every recording call folds its events on arrival into the state the
+// queries return: the per-kind counts, max_round, the monotone flag,
+// the fingerprint, the delivery-latency histogram and the per-round
+// in-flight deltas. That state costs O(rounds run), not O(events).
+// Events arrive two ways:
+//  * one per call (record_activation, record_delivery, record_drop and
+//    the phase calls): the oracle, PhaseScope and tests;
+//  * one call per drained calendar bucket (record_drained): the
+//    engine. A folding recorder hashes each exchange record's
+//    activation and both legs in one tight loop over records the engine
+//    already holds, so no event is ever written out; the activations of
+//    exchanges still in flight when a run ends arrive through
+//    record_unfinished, and an initiation the in-degree cap rejects
+//    arrives on its own.
 //
 // A recorder built with EventLog::kKeep also keeps every event, for the
 // consumers that read the stream itself: the trace exports
 // (obs/export.h), the checker's invariants and relabel harness, and the
-// Lemma 3 reduction's replay. Its log grows with a large floor and a 4x
-// factor (geometric 2x-from-tiny reallocation re-copies and re-faults
-// the log). events() on a folding recorder throws.
+// Lemma 3 reduction's replay. The engine sends it each activation at
+// selection and the legs of each drained bucket, so its log holds the
+// events in the order they happened. Its log grows with a large floor
+// and a 4x factor (geometric 2x-from-tiny reallocation re-copies and
+// re-faults the log). events() on a folding recorder throws.
 //
 // Multi-phase protocols (EID, T(k)) restart rounds at 0 per phase; the
 // recorder detects the non-monotone stream and drops the in-flight
-// deltas (counts and the fingerprint are unaffected).
+// deltas (counts and the fingerprint are unaffected). The engine
+// brackets each run with begin_run()/end_run(): within one run the
+// stream is monotone by construction, so a run keeps the stream
+// monotone iff none of its events precedes the round the stream had
+// reached before it, whatever order its buckets fold in.
 //
 // Thread safety: none. Use one recorder per trial; run_trials callbacks
 // must not share a recorder across trials.
@@ -36,6 +48,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <stdexcept>
 #include <string>
 #include <string_view>
@@ -56,14 +69,33 @@ enum class EventKind : std::uint8_t {
 };
 inline constexpr std::size_t kNumEventKinds = 6;
 
-/// One recorded event; 20 bytes packed, trivially copyable. Recording
-/// cost is dominated by raw memory traffic (the hot path is a bare
-/// append of this struct), so the layout is deliberately narrow:
-/// rounds are stored as u32 (saturating at 2^32-1 — far past any
-/// simulated run in this repo) and the kind shares a word with the
-/// edge id (edges above 2^29-2 saturate to the invalid sentinel; a
-/// graph that large would not fit in memory anyway). Use the accessors;
-/// the raw fields are an implementation detail of the packing.
+/// How one leg of an exchange ended, as the engine marks it in the
+/// exchange's record. Zero is a delivery, so a record nothing marked
+/// holds two delivered legs and scheduling writes a zero.
+enum class LegOutcome : std::uint8_t {
+  kDelivered = 0,  ///< EventKind::kDelivery
+  kDropped = 1,    ///< EventKind::kDrop
+  kCrashed = 2,    ///< EventKind::kCrashDrop
+};
+
+/// The event a leg's outcome records.
+constexpr EventKind leg_event_kind(LegOutcome o) noexcept {
+  static_assert(static_cast<int>(EventKind::kDrop) ==
+                    static_cast<int>(EventKind::kDelivery) + 1 &&
+                static_cast<int>(EventKind::kCrashDrop) ==
+                    static_cast<int>(EventKind::kDelivery) + 2);
+  return static_cast<EventKind>(static_cast<int>(EventKind::kDelivery) +
+                                static_cast<int>(o));
+}
+
+/// One recorded event; 20 bytes packed, trivially copyable. A
+/// log-keeping recorder stores one per event, so the layout is
+/// deliberately narrow: rounds are stored as u32 (saturating at
+/// 2^32-1 — far past any simulated run in this repo) and the kind
+/// shares a word with the edge id (edges above 2^29-2 saturate to the
+/// invalid sentinel; a graph that large would not fit in memory
+/// anyway). Use the accessors; the raw fields are an implementation
+/// detail of the packing.
 struct Event {
   static constexpr std::uint32_t kEdgeMask = (std::uint32_t{1} << 29) - 1;
 
@@ -127,6 +159,14 @@ class Histogram {
     sum_ += v;
     if (v > max_) max_ = v;
   }
+  /// Observe `v` `times` times (none when `times` is 0), without a
+  /// branch on either.
+  void observe(std::uint64_t v, std::uint64_t times) noexcept {
+    buckets_[bucket_of(v)] += times;
+    count_ += times;
+    sum_ += v * times;
+    max_ = times != 0 && v > max_ ? v : max_;
+  }
 
   /// Add every sample of `other`, as if each had been observed here.
   void merge(const Histogram& other) noexcept {
@@ -162,52 +202,152 @@ class Histogram {
 
 /// What a recorder keeps besides its folded state.
 enum class EventLog : std::uint8_t {
-  kFold,  ///< nothing: events are folded a block at a time
-  kKeep,  ///< every event, in record order, for events()
+  kFold,  ///< nothing: every event is folded as it arrives
+  kKeep,  ///< every event, in the order it happened, for events()
 };
 
 class EventRecorder {
  public:
-  /// Events a folding recorder holds before it folds them: 80 KiB, small
-  /// enough to stay in cache and to fill (and so be reused) within one
-  /// short trial.
-  static constexpr std::size_t kBlock = std::size_t{1} << 12;
-
   explicit EventRecorder(EventLog log = EventLog::kFold) noexcept
       : keep_log_(log == EventLog::kKeep) {}
 
-  // --- recording (called from the engine's hooked event loop) ---------
+  /// True for an EventLog::kKeep recorder.
+  bool keeps_log() const noexcept { return keep_log_; }
+
+  // --- recording, one event per call ----------------------------------
 
   void record_activation(NodeId u, NodeId v, EdgeId e, Round r) {
-    append(Event::make(r, r, u, v, e, EventKind::kActivation));
+    add(Event::make(r, r, u, v, e, EventKind::kActivation));
   }
   void record_delivery(NodeId to, NodeId from, EdgeId e, Round start,
                        Round now) {
-    append(Event::make(now, start, to, from, e, EventKind::kDelivery));
+    add(Event::make(now, start, to, from, e, EventKind::kDelivery));
   }
   void record_drop(NodeId to, NodeId from, EdgeId e, Round start, Round now,
                    bool crash) {
-    append(Event::make(now, start, to, from, e,
-                       crash ? EventKind::kCrashDrop : EventKind::kDrop));
+    add(Event::make(now, start, to, from, e,
+                    crash ? EventKind::kCrashDrop : EventKind::kDrop));
   }
 
   /// Intern `name` and open a phase at virtual time `clock` (phases use
   /// the MetricsRegistry's cumulative clock, not per-run rounds; see
   /// obs/metrics.h PhaseScope).
   void record_phase_begin(std::string_view name, Round clock) {
-    append(Event::make(clock, clock, intern_phase(name), kInvalidNode,
-                       kInvalidEdge, EventKind::kPhaseBegin));
+    add(Event::make(clock, clock, intern_phase(name), kInvalidNode,
+                    kInvalidEdge, EventKind::kPhaseBegin));
   }
   void record_phase_end(std::string_view name, Round clock) {
-    append(Event::make(clock, clock, intern_phase(name), kInvalidNode,
-                       kInvalidEdge, EventKind::kPhaseEnd));
+    add(Event::make(clock, clock, intern_phase(name), kInvalidNode,
+                    kInvalidEdge, EventKind::kPhaseEnd));
+  }
+
+  // --- recording, one call per drained bucket (the engine) ------------
+  //
+  // `Exchange` is the engine's calendar record: u (the initiator), peer
+  // (the responder), edge, start (the initiation round), and
+  // push_outcome and pull_outcome, how each leg ended.
+
+  /// A run starts. Until end_run(), events belong to one engine run,
+  /// whose stream is round-monotone by construction.
+  void begin_run() noexcept {
+    in_run_ = true;
+    run_last_ = -1;
+  }
+  /// The run has ended, on any exit path: the stream has reached the
+  /// latest round the run recorded.
+  void end_run() noexcept {
+    in_run_ = false;
+    if (run_last_ >= 0) last_round_ = run_last_;
+  }
+
+  /// Round `now`'s bucket has drained: each record landed as its push
+  /// leg (to peer) and then its response leg (to u). A log-keeping
+  /// recorder appends both legs, having taken the activation at
+  /// selection; a folding one folds each record's activation and both
+  /// legs in one pass, accumulating in locals so independent hash
+  /// chains pipeline. Called between begin_run() and end_run().
+  template <typename Exchange>
+  void record_drained(std::span<const Exchange> drained, Round now) {
+    if (drained.empty()) return;
+    if (keep_log_) {
+      for (const Exchange& x : drained) {
+        add(Event::make(now, x.start, x.peer, x.u, x.edge,
+                        leg_event_kind(x.push_outcome)));
+        add(Event::make(now, x.start, x.u, x.peer, x.edge,
+                        leg_event_kind(x.pull_outcome)));
+      }
+      return;
+    }
+    const auto last = static_cast<Round>(Event::sat_round(now));
+    // Size the deltas first, so a failed allocation folds nothing.
+    const bool deltas = monotone_;
+    if (deltas) reserve_deltas(last);
+    std::int64_t* const delta = inflight_delta_.data();
+    Fingerprint fp;
+    Histogram latency;
+    std::size_t delivered = 0;
+    std::size_t dropped = 0;
+    Round first = last;
+    for (const Exchange& x : drained) {
+      const Event act = activation_of(x);
+      fp.add(act.hash());
+      fp.add(Event::make(now, x.start, x.peer, x.u, x.edge,
+                         leg_event_kind(x.push_outcome))
+                 .hash());
+      fp.add(Event::make(now, x.start, x.u, x.peer, x.edge,
+                         leg_event_kind(x.pull_outcome))
+                 .hash());
+      const Round start = act.round();
+      first = start < first ? start : first;
+      const std::size_t landed =
+          static_cast<std::size_t>(x.push_outcome == LegOutcome::kDelivered) +
+          static_cast<std::size_t>(x.pull_outcome == LegOutcome::kDelivered);
+      delivered += landed;
+      dropped +=
+          static_cast<std::size_t>(x.push_outcome == LegOutcome::kDropped) +
+          static_cast<std::size_t>(x.pull_outcome == LegOutcome::kDropped);
+      latency.observe(static_cast<std::uint64_t>(last - start), landed);
+      if (deltas) delta[static_cast<std::size_t>(start)] += 2;
+    }
+    const std::size_t legs = 2 * drained.size();
+    kind_counts_[kind_index(EventKind::kActivation)] += drained.size();
+    kind_counts_[kind_index(EventKind::kDelivery)] += delivered;
+    kind_counts_[kind_index(EventKind::kDrop)] += dropped;
+    kind_counts_[kind_index(EventKind::kCrashDrop)] +=
+        legs - delivered - dropped;
+    fingerprint_.merge(fp);
+    latency_.merge(latency);
+    if (deltas)
+      delta[static_cast<std::size_t>(last)] -= static_cast<std::int64_t>(legs);
+    note_rounds(first, last);
+  }
+
+  /// Exchanges still in flight as a run ends never land. A folding
+  /// recorder folds their activations; a log-keeping one took them at
+  /// selection. Allocates nothing, so the engine calls it while
+  /// unwinding too.
+  template <typename Exchange>
+  void record_unfinished(std::span<const Exchange> pending) noexcept {
+    if (keep_log_ || pending.empty()) return;
+    Fingerprint fp;
+    Round first = activation_of(pending.front()).round();
+    Round last = first;
+    for (const Exchange& x : pending) {
+      const Event act = activation_of(x);
+      fp.add(act.hash());
+      first = act.round() < first ? act.round() : first;
+      last = act.round() > last ? act.round() : last;
+    }
+    kind_counts_[kind_index(EventKind::kActivation)] += pending.size();
+    fingerprint_.merge(fp);
+    note_rounds(first, last);
   }
 
   // --- queries --------------------------------------------------------
 
-  /// Every event since construction or clear(), in record order. Only an
-  /// EventLog::kKeep recorder has them; a folding one throws
-  /// std::logic_error.
+  /// Every event since construction or clear(), in the order it
+  /// happened. Only an EventLog::kKeep recorder has them; a folding one
+  /// throws std::logic_error.
   const std::vector<Event>& events() const {
     if (!keep_log_)
       throw std::logic_error(
@@ -215,19 +355,26 @@ class EventRecorder {
           "construct it with EventLog::kKeep to read them");
     return events_;
   }
-  /// Events recorded, folded ones included.
-  std::size_t size() const noexcept { return folded_ + events_.size(); }
+  /// Events recorded.
+  std::size_t size() const noexcept {
+    std::size_t total = 0;
+    for (const std::size_t c : kind_counts_) total += c;
+    return total;
+  }
   bool empty() const noexcept { return size() == 0; }
 
-  std::size_t count(EventKind kind) const {
-    refresh();
-    return kind_counts_[static_cast<std::size_t>(kind)];
+  std::size_t count(EventKind kind) const noexcept {
+    return kind_counts_[kind_index(kind)];
   }
-  std::size_t activations() const { return count(EventKind::kActivation); }
-  std::size_t deliveries() const { return count(EventKind::kDelivery); }
+  std::size_t activations() const noexcept {
+    return count(EventKind::kActivation);
+  }
+  std::size_t deliveries() const noexcept {
+    return count(EventKind::kDelivery);
+  }
   /// Drops of both flavors (link loss + crash loss) — matches
   /// SimResult::messages_dropped.
-  std::size_t drops() const {
+  std::size_t drops() const noexcept {
     return count(EventKind::kDrop) + count(EventKind::kCrashDrop);
   }
 
@@ -239,32 +386,22 @@ class EventRecorder {
                                     : std::string_view("?");
   }
 
-  /// True while events have appended in nondecreasing round order (one
-  /// run_gossip execution).
-  bool round_monotone() const {
-    refresh();
-    return monotone_;
-  }
+  /// True while the events, in the order they happened, have rounds in
+  /// nondecreasing order (one run_gossip execution).
+  bool round_monotone() const noexcept { return monotone_; }
 
   /// Largest round seen across all events (0 when empty).
-  Round max_round() const {
-    refresh();
-    return max_round_;
-  }
+  Round max_round() const noexcept { return max_round_; }
 
   /// Delivery latencies (completion - initiation), one sample per
   /// delivery.
-  const Histogram& delivery_latency() const {
-    refresh();
-    return latency_;
-  }
+  const Histogram& delivery_latency() const noexcept { return latency_; }
 
   /// In-flight exchange depth, one sample per round in [0, max_round()]:
   /// deliveries and drops each count from their initiation round up to,
   /// not including, their completion round. Empty when the stream is not
   /// round-monotone or holds no delivery or drop.
   std::optional<Histogram> inflight_depth() const {
-    refresh();
     if (!monotone_ || count(EventKind::kDelivery) + drops() == 0)
       return std::nullopt;
     Histogram depth;
@@ -276,8 +413,7 @@ class EventRecorder {
     return depth;
   }
 
-  /// Bytes held for events (the block or the log) and in-flight deltas:
-  /// capacity, not use.
+  /// Bytes held for the log and the in-flight deltas: capacity, not use.
   std::size_t reserved_bytes() const noexcept {
     return events_.capacity() * sizeof(Event) +
            inflight_delta_.capacity() * sizeof(std::int64_t);
@@ -288,25 +424,17 @@ class EventRecorder {
   /// Order-insensitive digest over every event recorded so far (see
   /// obs/fingerprint.h). Phase events hash their interned name id, so
   /// two streams differing only in phase labels differ in digest.
-  std::uint64_t fingerprint() const {
-    refresh();
-    return fingerprint_.digest();
-  }
-  const Fingerprint& fingerprint_state() const {
-    refresh();
-    return fingerprint_;
-  }
+  std::uint64_t fingerprint() const noexcept { return fingerprint_.digest(); }
+  const Fingerprint& fingerprint_state() const noexcept { return fingerprint_; }
 
-  /// Forget every event. The event block (or log) keeps its storage, so
-  /// a recorder reused across trials allocates nothing. In-flight deltas
-  /// beyond kDeltasKept rounds are released, as the engine's workspace
-  /// gives up a ring far larger than it needs: a pool worker must not
-  /// hold one very long run's deltas (a serve query with a large
-  /// latency) for its lifetime, and the next run's length is unknown.
+  /// Forget every event. The log keeps its storage, so a recorder reused
+  /// across trials allocates nothing. In-flight deltas beyond
+  /// kDeltasKept rounds are released, as the engine's workspace gives up
+  /// a ring far larger than it needs: a pool worker must not hold one
+  /// very long run's deltas (a serve query with a large latency) for its
+  /// lifetime, and the next run's length is unknown.
   void clear() {
     events_.clear();
-    folded_ = 0;
-    cursor_ = 0;
     kind_counts_.fill(0);
     phase_names_.clear();
     fingerprint_.reset();
@@ -318,6 +446,8 @@ class EventRecorder {
     monotone_ = true;
     max_round_ = 0;
     last_round_ = 0;
+    in_run_ = false;
+    run_last_ = -1;
   }
 
  private:
@@ -326,84 +456,62 @@ class EventRecorder {
   /// In-flight delta rounds that clear() keeps (the engine ring's 2^16).
   static constexpr std::size_t kDeltasKept = std::size_t{1} << 16;
 
-  void append(const Event& e) {
-    if (events_.size() == events_.capacity()) make_room();
-    events_.push_back(e);
+  static constexpr std::size_t kind_index(EventKind kind) noexcept {
+    return static_cast<std::size_t>(kind);
   }
 
-  /// A full log grows; a full block is folded and emptied.
-  void make_room() {
+  template <typename Exchange>
+  static Event activation_of(const Exchange& x) noexcept {
+    return Event::make(x.start, x.start, x.u, x.peer, x.edge,
+                       EventKind::kActivation);
+  }
+
+  /// Fold one event (and keep it, for a log-keeping recorder).
+  void add(const Event& e) {
     if (keep_log_) {
-      events_.reserve(events_.capacity() < kReserveFloor
-                          ? kReserveFloor
-                          : events_.capacity() * 4);
-    } else if (events_.capacity() == 0) {
-      events_.reserve(kBlock);
-    } else {
-      refresh();
-      folded_ += events_.size();
-      events_.clear();
-      cursor_ = 0;
+      if (events_.size() == events_.capacity())
+        events_.reserve(events_.capacity() < kReserveFloor
+                            ? kReserveFloor
+                            : events_.capacity() * 4);
+      events_.push_back(e);
     }
-  }
-
-  /// Fold the events not yet folded, a block at a time, so the in-flight
-  /// pass re-reads events still in cache. Logically const: every folded
-  /// member is mutable.
-  void refresh() const {
-    const std::size_t n = events_.size();
-    for (; cursor_ < n; cursor_ = std::min(n, cursor_ + kBlock))
-      fold(events_.data() + cursor_,
-           events_.data() + std::min(n, cursor_ + kBlock));
-  }
-
-  void fold(const Event* first, const Event* last) const {
-    // Accumulate in locals: folding straight into the mutable members
-    // would chain every iteration through the same memory slots and
-    // serialize the loop on store-to-load forwarding. The pass over
-    // every event is branch-free, so independent hash chains pipeline.
-    std::array<std::size_t, kNumEventKinds> counts{};
-    Fingerprint fp;
-    bool mono = monotone_;
-    Round maxr = max_round_;
-    Round prev = last_round_;
-    for (const Event* e = first; e != last; ++e) {
-      const Round r = e->round();
-      ++counts[static_cast<std::size_t>(e->kind())];
-      mono = mono && r >= prev;
-      prev = r;
-      maxr = r > maxr ? r : maxr;
-      fp.add(e->hash());
-    }
-    for (std::size_t k = 0; k < kNumEventKinds; ++k)
-      kind_counts_[k] += counts[k];
-    fingerprint_.merge(fp);
-    monotone_ = mono;
-    max_round_ = maxr;
-    last_round_ = prev;
-
+    const EventKind kind = e.kind();
+    const Round r = e.round();
+    ++kind_counts_[kind_index(kind)];
+    fingerprint_.add(e.hash());
+    note_rounds(r, r);
     // Deliveries and drops: the latency of each delivery and, while the
     // stream is monotone, per-round deltas (+1 at initiation, -1 at
-    // completion; every completion round is then at most maxr).
-    if (!mono)
+    // completion).
+    if (kind == EventKind::kActivation || kind > EventKind::kCrashDrop)
+      return;
+    if (kind == EventKind::kDelivery)
+      latency_.observe(static_cast<std::uint64_t>(r - e.start()));
+    if (!monotone_) return;
+    reserve_deltas(std::max(r, e.start()));
+    ++inflight_delta_[static_cast<std::size_t>(e.start())];
+    --inflight_delta_[static_cast<std::size_t>(r)];
+  }
+
+  /// Events with rounds in [first, last] arrived. They keep the stream
+  /// monotone iff none precedes the round it had reached (before the
+  /// current run, inside one); the stream then reaches `last`.
+  void note_rounds(Round first, Round last) noexcept {
+    if (last > max_round_) max_round_ = last;
+    if (monotone_ && first < last_round_) {
+      monotone_ = false;
       inflight_delta_.clear();
-    else if (inflight_delta_.size() <= static_cast<std::size_t>(maxr))
-      inflight_delta_.resize(static_cast<std::size_t>(maxr) + 1, 0);
-    Histogram latency;
-    for (const Event* e = first; e != last; ++e) {
-      const EventKind kind = e->kind();
-      if (kind == EventKind::kActivation || kind > EventKind::kCrashDrop)
-        continue;
-      if (kind == EventKind::kDelivery)
-        latency.observe(static_cast<std::uint64_t>(e->round() - e->start()));
-      if (!mono) continue;
-      const auto start = static_cast<std::size_t>(e->start());
-      if (start >= inflight_delta_.size()) [[unlikely]]
-        inflight_delta_.resize(start + 1, 0);
-      ++inflight_delta_[start];
-      --inflight_delta_[static_cast<std::size_t>(e->round())];
     }
-    latency_.merge(latency);
+    if (!in_run_)
+      last_round_ = last;
+    else if (last > run_last_)
+      run_last_ = last;
+  }
+
+  /// A delta slot for every round up to `r`.
+  void reserve_deltas(Round r) {
+    if (inflight_delta_.size() <= static_cast<std::size_t>(r))
+      inflight_delta_.resize(static_cast<std::size_t>(r) + 1, 0);
   }
 
   NodeId intern_phase(std::string_view name) {
@@ -414,21 +522,21 @@ class EventRecorder {
   }
 
   bool keep_log_;
-  /// The log (kKeep), or the current block (kFold); events_[cursor_, end)
-  /// are not folded yet.
-  std::vector<Event> events_;
-  std::size_t folded_ = 0;  ///< events folded and dropped from events_
+  std::vector<Event> events_;  ///< the log (kKeep only)
   std::vector<std::string> phase_names_;
-  // Folded state, caught up by refresh() (see above).
-  mutable std::size_t cursor_ = 0;
-  mutable std::array<std::size_t, kNumEventKinds> kind_counts_{};
-  mutable Fingerprint fingerprint_;
-  mutable Histogram latency_;
+  // Folded state.
+  std::array<std::size_t, kNumEventKinds> kind_counts_{};
+  Fingerprint fingerprint_;
+  Histogram latency_;
   /// Index r: initiations minus completions in round r (monotone only).
-  mutable std::vector<std::int64_t> inflight_delta_;
-  mutable bool monotone_ = true;
-  mutable Round max_round_ = 0;
-  mutable Round last_round_ = 0;
+  std::vector<std::int64_t> inflight_delta_;
+  bool monotone_ = true;
+  Round max_round_ = 0;
+  /// The round the stream has reached: of the last event outside a run,
+  /// and the stream's round before it inside one.
+  Round last_round_ = 0;
+  bool in_run_ = false;
+  Round run_last_ = -1;  ///< latest round of the current run; -1: none
 };
 
 }  // namespace latgossip

@@ -39,6 +39,14 @@
 //    dispatches to a NoHooks instantiation when neither is set and to
 //    the hooked path otherwise, so hook-free runs pay zero
 //    test-and-branch per event;
+//  * a recorder is called once per drained bucket, not once per event:
+//    a scenario marks each leg's outcome in the exchange record, and a
+//    folding recorder hashes every record's activation and both legs
+//    in one pass once the bucket drains. The activations of exchanges
+//    still in flight are folded where the run releases them, and an
+//    initiation the in-degree cap rejects as it happens. A log-keeping
+//    recorder takes each activation at selection instead, so its log
+//    keeps the order the events happened in;
 //  * every protocol returns the adjacency slot (HalfEdge{to, edge}) it
 //    picked, so the engine reads the exchange's edge straight from the
 //    slot — no per-activation find_edge() search — and checks it
@@ -218,9 +226,13 @@ struct SimOptions {
   /// Cap on accepted incoming initiations per node per round; excess
   /// exchanges fail entirely (neither side receives anything). 0 = off.
   std::size_t max_incoming_per_round = 0;
-  /// Structured event recorder (obs/recorder.h): activations,
-  /// deliveries, and drops are appended through this raw pointer. One
-  /// recorder per concurrent trial (the recorder is not thread-safe).
+  /// Structured event recorder (obs/recorder.h): the engine reports
+  /// activations, deliveries and drops through this raw pointer, one
+  /// call per drained bucket. One recorder per concurrent trial (the
+  /// recorder is not thread-safe). After a run that throws, the recorder
+  /// holds every activation the run made and the legs of every bucket
+  /// that drained in full; the legs of the bucket draining when the
+  /// exception left are not recorded.
   EventRecorder* recorder = nullptr;
   /// Reusable per-thread scratch (sim/workspace.h). When set, the engine
   /// keeps its calendar-queue state in a workspace slot instead of run-
@@ -249,16 +261,22 @@ namespace detail {
 /// type so EngineState below can persist buckets across runs. It lands
 /// as two legs, in this order: the push (`push` reaches `peer`) and the
 /// response (`pull` reaches `u`, which unblocks `u` in the blocking
-/// model).
+/// model). The two leg outcomes sit in padding the record has anyway;
+/// the recorder reads them when the bucket drains.
 template <typename PayloadT>
 struct EngineDelivery {
   NodeId u;     ///< the initiator
   NodeId peer;  ///< the responder
   EdgeId edge;
+  /// How each leg ended: delivered (zero) unless a scenario dropped it.
+  LegOutcome push_outcome;
+  LegOutcome pull_outcome;
   Round start;
   PayloadT push;  ///< u's snapshot at `start`
   PayloadT pull;  ///< peer's snapshot at `start`
 };
+static_assert(sizeof(EngineDelivery<bool>) == 32,
+              "the leg outcomes must fit the record's padding");
 
 /// The engine's per-run storage, extracted so a TrialWorkspace can keep
 /// it alive between runs: the calendar queue (a ring of exchange
@@ -364,6 +382,12 @@ SimResult run_gossip_impl(const WeightedGraph& g, P& proto,
   // every event (it cannot change mid-run; see the lifetime contract).
   [[maybe_unused]] EventRecorder* const recorder =
       kHooked ? opts.recorder : nullptr;
+  // A log-keeping recorder takes each activation at selection, so its
+  // log keeps the order events happen in; a folding one takes it with
+  // the exchange's legs.
+  [[maybe_unused]] bool log_activations = false;
+  if constexpr (kHooked)
+    log_activations = recorder != nullptr && recorder->keeps_log();
   [[maybe_unused]] DynamicPlan* const plan =
       kHooked ? opts.dynamics : nullptr;
   if constexpr (kHooked) {
@@ -403,11 +427,24 @@ SimResult run_gossip_impl(const WeightedGraph& g, P& proto,
   st.in_use = true;
   struct StateGuard {
     State& st;
+    EventRecorder* recorder;
     ~StateGuard() {
+      if constexpr (kHooked) {
+        // Exchanges still in flight never land; a folding recorder is
+        // still owed their activations.
+        if (recorder) {
+          for (const auto& slot : st.slots)
+            recorder->record_unfinished(std::span<const Delivery>(slot));
+          recorder->end_run();
+        }
+      }
       st.release_pending();
       st.in_use = false;
     }
-  } state_guard{st};
+  } state_guard{st, recorder};
+  if constexpr (kHooked) {
+    if (recorder) recorder->begin_run();
+  }
 
   auto& slots = st.slots;
   std::size_t capacity = slots.size();
@@ -422,9 +459,11 @@ SimResult run_gossip_impl(const WeightedGraph& g, P& proto,
   // Legs in flight, two per exchange.
   std::size_t inflight = 0;
 
-  // One leg of a drained exchange: `to` receives `from`'s snapshot.
+  // One leg of a drained exchange: `to` receives `from`'s snapshot. A
+  // dropped leg marks its `outcome` for the recorder.
   auto land = [&](NodeId to, NodeId from, typename P::Payload& payload,
-                  const Delivery& d, Leg leg, Round now) {
+                  const Delivery& d, [[maybe_unused]] LegOutcome& outcome,
+                  Leg leg, Round now) {
     if constexpr (kHooked) {
       // A leg touching a crashed or churned-away endpoint is a crash
       // drop; only the other legs draw from the loss stream.
@@ -432,8 +471,7 @@ SimResult run_gossip_impl(const WeightedGraph& g, P& proto,
         const bool crashed = plan->down(to, now) || plan->down(from, now);
         if (crashed || plan->drop_leg()) {
           ++result.messages_dropped;
-          if (recorder)
-            recorder->record_drop(to, from, d.edge, d.start, now, crashed);
+          outcome = crashed ? LegOutcome::kCrashed : LegOutcome::kDropped;
           return;
         }
       }
@@ -441,7 +479,6 @@ SimResult run_gossip_impl(const WeightedGraph& g, P& proto,
     proto.deliver(to, from, std::move(payload), d.edge, d.start, now, leg);
     ++result.messages_delivered;
     if constexpr (kHooked) {
-      if (recorder) recorder->record_delivery(to, from, d.edge, d.start, now);
       if (plan) plan->note_delivery(to);
     }
   };
@@ -471,7 +508,7 @@ SimResult run_gossip_impl(const WeightedGraph& g, P& proto,
         auto& d = due[i];
         detail::prefetch_payload<P>(d.pull);
         detail::prefetch_receiver(proto, d.u);
-        land(d.peer, d.u, d.push, d, Leg::kPush, r);
+        land(d.peer, d.u, d.push, d, d.push_outcome, Leg::kPush, r);
         if (i + 1 < due.size()) {
           detail::prefetch_payload<P>(due[i + 1].push);
           detail::prefetch_receiver(proto, due[i + 1].peer);
@@ -479,7 +516,11 @@ SimResult run_gossip_impl(const WeightedGraph& g, P& proto,
         // The response leg completes the initiator's round trip even if
         // its content is lost.
         if (opts.blocking && outstanding[d.u] > 0) --outstanding[d.u];
-        land(d.u, d.peer, d.pull, d, Leg::kResponse, r);
+        land(d.u, d.peer, d.pull, d, d.pull_outcome, Leg::kResponse, r);
+      }
+      if constexpr (kHooked) {
+        if (recorder)
+          recorder->record_drained(std::span<const Delivery>(due), r);
       }
       inflight -= 2 * due.size();
       due.clear();  // storage retained for bucket reuse
@@ -513,7 +554,7 @@ SimResult run_gossip_impl(const WeightedGraph& g, P& proto,
       any_selected = true;
       ++result.activations;
       if constexpr (kHooked) {
-        if (recorder) recorder->record_activation(u, peer, edge, r);
+        if (log_activations) recorder->record_activation(u, peer, edge, r);
       }
 
       // Bounded in-degree: the responder may reject the initiation.
@@ -524,6 +565,10 @@ SimResult run_gossip_impl(const WeightedGraph& g, P& proto,
         }
         if (++incoming_count[peer] > opts.max_incoming_per_round) {
           ++result.exchanges_rejected;
+          if constexpr (kHooked) {
+            if (recorder && !log_activations)
+              recorder->record_activation(u, peer, edge, r);
+          }
           continue;
         }
       }
@@ -557,7 +602,8 @@ SimResult run_gossip_impl(const WeightedGraph& g, P& proto,
       auto pull = PayloadTraits<P>::capture(proto, peer, r);
       result.payload_bits += detail::payload_bits_of<P>(push);
       result.payload_bits += detail::payload_bits_of<P>(pull);
-      bucket.push_back(Delivery{u, peer, edge, r, std::move(push),
+      bucket.push_back(Delivery{u, peer, edge, LegOutcome::kDelivered,
+                                LegOutcome::kDelivered, r, std::move(push),
                                 std::move(pull)});
       inflight += 2;
       if (opts.blocking) ++outstanding[u];

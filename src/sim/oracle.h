@@ -19,6 +19,9 @@
 //                                    slice
 //   compile-time NoHooks fast path   every hook tested dynamically on
 //   + hoisted recorder pointer       every event, always
+//   recorder called once per         recorder called once per event
+//   drained bucket; leg outcomes
+//   marked in the record
 //   blocking via outstanding-        blocking via a linear scan of the
 //   exchange counters                in-flight list per initiation
 //   deliver's leg from the drain     deliver's leg named after the

@@ -35,6 +35,8 @@ struct Coverage {
   int drifting = 0;
   int churning = 0;
   int adversarial = 0;
+  int unified_known = 0;    ///< unified's known-latency branch
+  int unified_unknown = 0;  ///< and its unknown-latency one
 };
 
 void sweep(Rng& rng, const CaseProfile& profile, int cases,
@@ -53,6 +55,8 @@ void sweep(Rng& rng, const CaseProfile& profile, int cases,
     if (tc.dynamics.drift_active()) ++cov->drifting;
     if (tc.dynamics.churn_active()) ++cov->churning;
     if (tc.dynamics.adv_active()) ++cov->adversarial;
+    if (tc.proto == CheckProto::kUnified)
+      ++(tc.latencies_known ? cov->unified_known : cov->unified_unknown);
   }
 }
 
@@ -76,6 +80,8 @@ TEST(Differential, QuickProfileSweep) {
   EXPECT_GT(cov.drifting, 10);
   EXPECT_GT(cov.churning, 10);
   EXPECT_GT(cov.adversarial, 10);
+  EXPECT_GT(cov.unified_known, 10);
+  EXPECT_GT(cov.unified_unknown, 10);
 }
 
 // Model-variant stress: every case runs blocking or in-degree-capped or

@@ -15,6 +15,9 @@
 
 #include "core/eid.h"
 #include "core/push_pull.h"
+#include "core/rr_broadcast.h"
+#include "core/tk_schedule.h"
+#include "graph/digraph.h"
 #include "graph/generators.h"
 #include "graph/latency_models.h"
 #include "obs/export.h"
@@ -26,6 +29,10 @@
 
 namespace latgossip {
 namespace {
+
+/// A run or stream at least this long folds many thousand events
+/// between queries.
+constexpr std::size_t kManyEvents = std::size_t{1} << 12;
 
 constexpr std::array<EventKind, kNumEventKinds> kKinds = {
     EventKind::kActivation, EventKind::kDelivery,   EventKind::kDrop,
@@ -138,19 +145,40 @@ SimResult broadcast(const WeightedGraph& g, EventRecorder& rec,
   return run_gossip(g, proto, opts);
 }
 
+/// `run(rec)` into `fold` and into a log-keeping recorder: both runs
+/// return the same result, and the two recorders answer alike.
+template <typename Run>
+SimResult expect_fold_matches_log(EventRecorder& fold, Run run) {
+  EventRecorder log(EventLog::kKeep);
+  const SimResult folded = run(fold);
+  EXPECT_EQ(folded, run(log));
+  expect_same(fold, log);
+  return folded;
+}
+
+/// A seeded push-pull broadcast of `g` under `opts`, as a run for
+/// expect_fold_matches_log.
+auto broadcast_under(const WeightedGraph& g, SimOptions opts) {
+  return [&g, opts](EventRecorder& rec) mutable {
+    const NetworkView view(g, false);
+    PushPullBroadcast proto(view, 0, Rng(11));
+    opts.recorder = &rec;
+    return run_gossip(g, proto, opts);
+  };
+}
+
 TEST(RecorderFold, PushPullRunOfManyBlocks) {
   const WeightedGraph g = regular_graph(1024, 3);
   EventRecorder fold;
   EventRecorder log(EventLog::kKeep);
   EXPECT_EQ(broadcast(g, fold), broadcast(g, log));
-  ASSERT_GT(fold.size(), 3 * EventRecorder::kBlock);
+  ASSERT_GT(fold.size(), 3 * kManyEvents);
   EXPECT_TRUE(fold.round_monotone());
   expect_same(fold, log);
-  // The fold's own storage is the one block plus a delta per round.
+  // The fold's own storage is a delta per round.
   EXPECT_LE(fold.reserved_bytes(),
-            EventRecorder::kBlock * sizeof(Event) +
-                2 * (static_cast<std::size_t>(fold.max_round()) + 1) *
-                    sizeof(std::int64_t));
+            2 * (static_cast<std::size_t>(fold.max_round()) + 1) *
+                sizeof(std::int64_t));
 }
 
 TEST(RecorderFold, LossyRunWithCrashesRecordsBothDropKinds) {
@@ -167,7 +195,7 @@ TEST(RecorderFold, LossyRunWithCrashesRecordsBothDropKinds) {
   EXPECT_EQ(broadcast(g, fold, &plan, 200), broadcast(g, log, &plan, 200));
   EXPECT_GT(fold.count(EventKind::kDrop), 0u);
   EXPECT_GT(fold.count(EventKind::kCrashDrop), 0u);
-  ASSERT_GT(fold.size(), 3 * EventRecorder::kBlock);
+  ASSERT_GT(fold.size(), 3 * kManyEvents);
   expect_same(fold, log);
 }
 
@@ -186,19 +214,20 @@ TEST(RecorderFold, EidRunWithPhasesIsNonMonotone) {
   EXPECT_EQ(run(fold), run(log));
   EXPECT_FALSE(fold.round_monotone());
   EXPECT_GT(fold.count(EventKind::kPhaseBegin), 0u);
-  EXPECT_GT(fold.size(), EventRecorder::kBlock);
+  EXPECT_GT(fold.size(), kManyEvents);
   EXPECT_FALSE(fold.inflight_depth().has_value());
   expect_same(fold, log);
 }
 
 TEST(RecorderFold, QueriesInterleaveWithAppendsAcrossBlocks) {
-  // A synthetic stream queried at and around every block boundary, and
-  // at random points between them; it turns non-monotone two-thirds of
-  // the way through, after which the in-flight histogram is gone.
-  constexpr std::size_t kBlock = EventRecorder::kBlock;
-  const std::size_t total = 5 * kBlock + 123;
-  std::vector<std::size_t> checkpoints = {1, kBlock - 1, kBlock, kBlock + 1,
-                                          2 * kBlock, 3 * kBlock + 7, total};
+  // A synthetic stream queried at fixed points thousands of events
+  // apart, and at random points between them; it turns non-monotone
+  // two-thirds of the way through, after which the in-flight histogram
+  // is gone.
+  constexpr std::size_t kSpan = kManyEvents;
+  const std::size_t total = 5 * kSpan + 123;
+  std::vector<std::size_t> checkpoints = {1, kSpan - 1, kSpan, kSpan + 1,
+                                          2 * kSpan, 3 * kSpan + 7, total};
   Rng pick(21);
   for (int i = 0; i < 12; ++i) checkpoints.push_back(1 + pick.uniform(total));
   std::sort(checkpoints.begin(), checkpoints.end());
@@ -257,8 +286,8 @@ TEST(RecorderFold, ClearThenReuse) {
   const WeightedGraph small = regular_graph(64, 8);
   EventRecorder fold;
   broadcast(big, fold);
-  ASSERT_GT(fold.size(), 3 * EventRecorder::kBlock);
-  const std::size_t block_bytes = fold.reserved_bytes();
+  ASSERT_GT(fold.size(), 3 * kManyEvents);
+  const std::size_t delta_bytes = fold.reserved_bytes();
   fold.clear();
   const EventRecorder fresh;
   EXPECT_EQ(fold.size(), 0u);
@@ -268,8 +297,8 @@ TEST(RecorderFold, ClearThenReuse) {
   EXPECT_EQ(fold.fingerprint(), fresh.fingerprint());
   EXPECT_EQ(fold.delivery_latency().count(), 0u);
   EXPECT_FALSE(fold.inflight_depth().has_value());
-  // The block keeps its storage for the next trial.
-  EXPECT_EQ(fold.reserved_bytes(), block_bytes);
+  // The deltas keep their storage for the next trial.
+  EXPECT_EQ(fold.reserved_bytes(), delta_bytes);
 
   EventRecorder log(EventLog::kKeep);
   EXPECT_EQ(broadcast(small, fold), broadcast(small, log));
@@ -287,7 +316,7 @@ TEST(RecorderFold, ClearReleasesTheDeltasOfAVeryLongRun) {
   EXPECT_GE(fold.reserved_bytes(),
             static_cast<std::size_t>(last) * sizeof(std::int64_t));
   fold.clear();
-  EXPECT_LE(fold.reserved_bytes(), EventRecorder::kBlock * sizeof(Event));
+  EXPECT_EQ(fold.reserved_bytes(), 0u);
   // A sweep of short runs keeps its deltas from run to run.
   fold.record_delivery(1, 0, 0, 0, 100);
   ASSERT_TRUE(fold.inflight_depth().has_value());
@@ -336,6 +365,199 @@ TEST(RecorderFold, PoolWorkersFoldAsOneLogKeepingRun) {
     EXPECT_EQ(pooled[t], snapshot(r, log)) << "trial " << t;
     EXPECT_EQ(sizes[t], log.size()) << "trial " << t;
   }
+}
+
+// One case per path by which the engine's bucket fold receives events.
+
+TEST(RecorderFold, JitterPastTheRingGrowsIt) {
+  const WeightedGraph g = regular_graph(256, 12);
+  DynamicSpec spec;
+  spec.jitter_spread = 16;
+  spec.jitter_seed = 5;
+  DynamicPlan plan(g.num_nodes(), g.num_edges(), spec);
+  SimOptions opts;
+  opts.dynamics = &plan;
+  EventRecorder fold;
+  const SimResult r = expect_fold_matches_log(fold, broadcast_under(g, opts));
+  EXPECT_TRUE(r.completed);
+  // An exchange outlasted the first ring of max_latency + 1 buckets.
+  EXPECT_GT(fold.delivery_latency().max(),
+            static_cast<std::uint64_t>(g.max_latency()) + 1);
+}
+
+TEST(RecorderFold, ChurnRejoinWithReset) {
+  const WeightedGraph g = regular_graph(256, 13);
+  DynamicSpec spec;
+  spec.churn_prob = 0.5;
+  spec.churn_window = 12;
+  spec.churn_absence = 6;
+  spec.churn_mode = 1;  // a returning node starts over
+  spec.seed = 3;
+  DynamicPlan plan(g.num_nodes(), g.num_edges(), spec);
+  SimOptions opts;
+  opts.dynamics = &plan;
+  EventRecorder fold;
+  expect_fold_matches_log(fold, broadcast_under(g, opts));
+  EXPECT_GT(fold.count(EventKind::kCrashDrop), 0u);
+}
+
+TEST(RecorderFold, Drift) {
+  const WeightedGraph g = regular_graph(256, 14);
+  DynamicSpec spec;
+  spec.drift_step = 64;
+  spec.drift_bound = 4096;
+  spec.seed = 5;
+  DynamicPlan plan(g.num_nodes(), g.num_edges(), spec);
+  SimOptions opts;
+  opts.dynamics = &plan;
+  EventRecorder fold;
+  const SimResult r = expect_fold_matches_log(fold, broadcast_under(g, opts));
+  EXPECT_TRUE(r.completed);
+}
+
+TEST(RecorderFold, Adversary) {
+  const WeightedGraph g = regular_graph(256, 15);
+  DynamicSpec spec;
+  spec.adv_slow = 4096;  // cut-crossing exchanges take 4x as long
+  spec.adv_source = 0;
+  DynamicPlan plan(g.num_nodes(), g.num_edges(), spec);
+  SimOptions opts;
+  opts.dynamics = &plan;
+  EventRecorder fold;
+  const SimResult r = expect_fold_matches_log(fold, broadcast_under(g, opts));
+  EXPECT_TRUE(r.completed);
+  EXPECT_GT(fold.delivery_latency().max(),
+            static_cast<std::uint64_t>(g.max_latency()));
+}
+
+TEST(RecorderFold, Blocking) {
+  const WeightedGraph g = regular_graph(256, 16);
+  SimOptions opts;
+  opts.blocking = true;
+  EventRecorder fold;
+  const SimResult r = expect_fold_matches_log(fold, broadcast_under(g, opts));
+  EXPECT_TRUE(r.completed);
+}
+
+TEST(RecorderFold, InDegreeCapRejectsInitiations) {
+  const WeightedGraph g = regular_graph(256, 17);
+  SimOptions opts;
+  opts.max_incoming_per_round = 1;
+  EventRecorder fold;
+  const SimResult r = expect_fold_matches_log(fold, broadcast_under(g, opts));
+  EXPECT_GT(r.exchanges_rejected, 0u);
+  EXPECT_EQ(fold.activations(), r.activations);
+}
+
+TEST(RecorderFold, RoundCapLeavesExchangesInFlight) {
+  const WeightedGraph g = regular_graph(256, 18);
+  SimOptions opts;
+  opts.max_rounds = 4;
+  EventRecorder fold;
+  const SimResult r = expect_fold_matches_log(fold, broadcast_under(g, opts));
+  EXPECT_FALSE(r.completed);
+  // Every activation is folded, landed or not.
+  EXPECT_EQ(fold.activations(), r.activations);
+  EXPECT_GT(2 * fold.activations(), fold.deliveries() + fold.drops());
+}
+
+TEST(RecorderFold, IdleStop) {
+  Rng rng(7);
+  WeightedGraph g = make_erdos_renyi(64, 0.15, rng);
+  assign_random_uniform_latency(g, 1, 6, rng);
+  DirectedGraph overlay(g.num_nodes());
+  for (const Edge& e : g.edges()) {
+    overlay.add_arc(e.u, e.v, e.latency);
+    overlay.add_arc(e.v, e.u, e.latency);
+  }
+  const Latency k = 6;
+  const NetworkView view(g, true);
+  Round budget = 0;
+  EventRecorder fold;
+  const SimResult r = expect_fold_matches_log(fold, [&](EventRecorder& rec) {
+    RRBroadcast proto(view, overlay, k, own_id_rumors(g.num_nodes()));
+    budget = proto.budget();
+    SimOptions opts;
+    opts.recorder = &rec;
+    return run_gossip(g, proto, opts);
+  });
+  // The run went idle before RR broadcast's budget + k timer.
+  EXPECT_LT(r.rounds, budget + k);
+  EXPECT_TRUE(r.completed);
+}
+
+TEST(RecorderFold, TkScheduleWithPhases) {
+  Rng rng(9);
+  WeightedGraph g = make_erdos_renyi(40, 0.2, rng);
+  assign_random_uniform_latency(g, 1, 4, rng);
+  const auto run = [&](EventRecorder& rec) {
+    MetricsRegistry metrics;
+    ObsContext obs{&rec, &metrics};
+    return run_tk_schedule(g, 4, own_id_rumors(g.num_nodes()), &obs).sim;
+  };
+  EventRecorder fold;
+  expect_fold_matches_log(fold, run);
+  EXPECT_GT(fold.count(EventKind::kPhaseBegin), 0u);
+  EXPECT_GT(fold.deliveries(), 0u);
+}
+
+TEST(RecorderFold, RumorSetPayload) {
+  // Snapshot handles make this record larger than a boolean one.
+  static_assert(sizeof(detail::EngineDelivery<PushPullGossip::Payload>) >
+                sizeof(detail::EngineDelivery<bool>));
+  const WeightedGraph g = regular_graph(128, 19);
+  EventRecorder fold;
+  const SimResult r = expect_fold_matches_log(fold, [&](EventRecorder& rec) {
+    const NetworkView view(g, false);
+    PushPullGossip proto(view, GossipGoal::kAllToAll, 0,
+                         own_id_rumors(g.num_nodes()), Rng(3));
+    SimOptions opts;
+    opts.recorder = &rec;
+    return run_gossip(g, proto, opts);
+  });
+  EXPECT_TRUE(r.completed);
+}
+
+/// Push-pull broadcast whose deliveries throw from round `fail_at` on.
+class FailingBroadcast : public PushPullBroadcast {
+ public:
+  FailingBroadcast(const NetworkView& view, Round fail_at)
+      : PushPullBroadcast(view, 0, Rng(11)), fail_at_(fail_at) {}
+  void deliver(NodeId u, NodeId peer, Payload payload, EdgeId e, Round start,
+               Round now, Leg leg) {
+    if (now >= fail_at_) throw std::runtime_error("delivery failed");
+    PushPullBroadcast::deliver(u, peer, payload, e, start, now, leg);
+  }
+
+ private:
+  Round fail_at_;
+};
+
+TEST(RecorderFold, ARunThatThrowsKeepsEveryActivation) {
+  // The recorder holds every activation the run made and the legs of
+  // every bucket that drained in full: the legs of round fail_at's
+  // bucket, which threw while draining, are not recorded.
+  const WeightedGraph g = regular_graph(256, 20);
+  const NetworkView view(g, false);
+  constexpr Round kFailAt = 5;
+  EventRecorder fold;
+  EventRecorder log(EventLog::kKeep);
+  for (EventRecorder* rec : {&fold, &log}) {
+    FailingBroadcast proto(view, kFailAt);
+    SimOptions opts;
+    opts.recorder = rec;
+    EXPECT_THROW(run_gossip(g, proto, opts), std::runtime_error);
+  }
+  expect_same(fold, log);
+  const auto capped = [&](Round max_rounds) {
+    EventRecorder rec;
+    SimOptions opts;
+    opts.max_rounds = max_rounds;
+    return broadcast_under(g, opts)(rec);
+  };
+  EXPECT_EQ(fold.activations(), capped(kFailAt).activations);
+  EXPECT_EQ(fold.deliveries(), capped(kFailAt - 1).messages_delivered);
+  EXPECT_GT(fold.deliveries(), 0u);
 }
 
 }  // namespace
