@@ -17,6 +17,7 @@
 #include "core/eid.h"
 #include "graph/generators.h"
 #include "graph/latency_models.h"
+#include "obs/metrics.h"
 #include "sim/parallel.h"
 #include "util/args.h"
 #include "util/table.h"
@@ -47,8 +48,9 @@ EidSample sample_eid(const WeightedGraph& g, Latency diameter_estimate,
       [&](std::size_t, Rng rng, TrialWorkspace& ws) {
         EidOptions opts;
         opts.diameter_estimate = diameter_estimate;
-        opts.workspace = &ws;
-        return run_eid(g, opts, own_id_rumors(g.num_nodes()), rng).sim;
+        CompositeContext ctx;
+        ctx.workspace = &ws;
+        return run_eid(g, opts, own_id_rumors(g.num_nodes()), rng, &ctx).sim;
       });
   return EidSample{agg.mean_rounds(), agg.all_completed()};
 }
@@ -122,8 +124,9 @@ int main(int argc, char** argv) {
     const TrialAggregate general = run_trials(
         g_trials, g_threads, seed + 78,
         [&](std::size_t trial, Rng rng, TrialWorkspace& ws) {
-          const DoublingOutcome out =
-              run_general_eid(c.g, 0, rng, 1, nullptr, &ws);
+          CompositeContext ctx;
+          ctx.workspace = &ws;
+          const DoublingOutcome out = run_general_eid(c.g, 0, rng, 1, &ctx);
           final_k[trial] = out.final_estimate;
           attempts[trial] = out.attempts;
           return out.sim;

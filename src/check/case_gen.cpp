@@ -9,10 +9,14 @@
 #include "graph/generators.h"
 #include "graph/io.h"
 #include "graph/latency_models.h"
+#include "obs/metrics.h"
 #include "sim/dynamics.h"
 
 namespace latgossip {
 namespace {
+
+/// Budgets are drawn from [1, kBudgetSpan].
+constexpr std::uint64_t kBudgetSpan = 128;
 
 enum class Family : std::uint8_t {
   kPath = 0,
@@ -230,6 +234,13 @@ TestCase random_case(Rng& rng, const CaseProfile& profile) {
         tc.dynamics.drop_prob = 0.05 + 0.3 * rng.uniform_double();
     }
   }
+  // About one composite case in four runs under a round budget small
+  // enough to cut most runs mid-phase. Drawn after every field a
+  // composite case reads, so those stay as before.
+  if (check_proto_is_composite(tc.proto))
+    tc.max_rounds = rng.bernoulli(0.25)
+                        ? 1 + static_cast<Round>(rng.uniform(kBudgetSpan))
+                        : kUnlimitedRounds;
   return tc;
 }
 
@@ -255,12 +266,12 @@ bool case_valid(const TestCase& tc) {
   if (tc.num_nodes == 0) return false;
   if (tc.source >= tc.num_nodes) return false;
   if (tc.tk_estimate < 1) return false;
-  // Composite protocols own their SimOptions internally, and a lost
-  // exchange breaks standalone DTG's invariant, so every engine-model
-  // knob must stay off for them — enforced here (not by generator
-  // convention alone) so a future case family can't silently hand one a
-  // fault/jitter/dynamics knob it would ignore on one side of the
-  // differential check but not the other.
+  // Composites take no scenario yet, and standalone DTG throws on a
+  // lost exchange (case_gen.h), so every engine-model knob must stay off
+  // for them — enforced here (not by generator convention alone) so a
+  // future case family can't silently hand one a fault/jitter/dynamics
+  // knob it would ignore on one side of the differential check but not
+  // the other.
   if (!check_proto_takes_knobs(tc.proto)) {
     if (tc.blocking || tc.max_incoming_per_round > 0 || tc.dynamics.any())
       return false;
@@ -292,6 +303,8 @@ std::string describe(const TestCase& tc) {
   if (tc.proto == CheckProto::kBiased) out << " rho=" << tc.rho;
   if (tc.proto == CheckProto::kUnified)
     out << " latencies=" << (tc.latencies_known ? "known" : "unknown");
+  if (check_proto_is_composite(tc.proto) && tc.max_rounds != kUnlimitedRounds)
+    out << " budget=" << tc.max_rounds;
   if (tc.blocking) out << " blocking";
   if (tc.max_incoming_per_round > 0)
     out << " max_in=" << tc.max_incoming_per_round;

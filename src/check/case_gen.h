@@ -8,11 +8,13 @@
 // generated from a single RNG, so a (profile, seed) pair reproduces the
 // exact case — latgossip_check prints the case seed of any failure.
 //
-// Composite protocols (unified, EID, T(k)) own their SimOptions
-// internally, and the local broadcasts run DTG standalone, where a lost
-// exchange breaks the script's invariant. So the fault/blocking/jitter
+// Composite protocols (unified, EID, T(k)) take no scenario yet: their
+// phases would need the scenario plan on the composite clock, and DTG,
+// which they and the standalone local broadcasts run, throws when an
+// exchange with a linked neighbour is lost. So the fault/blocking/jitter
 // knobs and scenarios apply only to the protocols before kLocalDtg;
-// random_case() keeps them off elsewhere.
+// random_case() keeps them off elsewhere. What composites do take is a
+// round budget over all their internal runs.
 
 #include <cstdint>
 #include <iosfwd>
@@ -60,11 +62,13 @@ struct TestCase {
   /// kUnified only: run the known-latency branch (Section 5) instead of
   /// the unknown-latency one.
   bool latencies_known = false;
+  /// A simple protocol's engine cap; a composite's round budget
+  /// (CompositeContext::rounds_left), kUnlimitedRounds unless drawn.
+  Round max_rounds = 2000;
 
   // Engine-model knobs (check_proto_takes_knobs protocols only).
   bool blocking = false;
   std::size_t max_incoming_per_round = 0;
-  Round max_rounds = 2000;
   /// Scenario (sim/dynamics_spec.h): random crashes, link loss, jitter,
   /// drift, churn and the adversary, all off by default. The same
   /// protocols only, like the knobs above — case_valid() rejects other

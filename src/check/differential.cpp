@@ -219,15 +219,17 @@ DiffReport diff_simple(const TestCase& tc, const WeightedGraph& g,
   return rep;
 }
 
-/// Run a composite algorithm once; `body(obs)` does the actual call and
-/// returns its outcome struct. The oracle side wraps the call in a
-/// ScopedOracleEngine so every internal dispatch_gossip() is rerouted.
+/// Run a composite algorithm once under the case's round budget;
+/// `body(ctx)` does the actual call and returns its outcome struct. The
+/// oracle side wraps the call in a ScopedOracleEngine so every internal
+/// dispatch_gossip() is rerouted.
 template <typename Body>
-auto run_composite_once(bool use_oracle, EventRecorder& rec, Body&& body) {
-  ObsContext obs{&rec, nullptr};
+auto run_composite_once(const TestCase& tc, bool use_oracle,
+                        CompositeContext& ctx, Body&& body) {
+  ctx.rounds_left = tc.max_rounds;
   std::optional<ScopedOracleEngine> guard;
   if (use_oracle) guard.emplace();
-  return body(&obs);
+  return body(&ctx);
 }
 
 void composite_invariants(DiffReport& rep, const WeightedGraph& g,
@@ -244,22 +246,24 @@ DiffReport diff_composite(const TestCase& tc, const WeightedGraph& g) {
   EventRecorder engine_rec(EventLog::kKeep);
   EventRecorder oracle_rec(EventLog::kKeep);
   EventRecorder fold_rec;
+  CompositeContext engine_ctx(&engine_rec);
+  CompositeContext oracle_ctx(&oracle_rec);
+  CompositeContext fold_ctx(&fold_rec);
   // The engine once more, into a folding recorder, for compare_folded.
   const auto fold = [&](auto& body) {
-    run_composite_once(false, fold_rec, body);
+    run_composite_once(tc, false, fold_ctx, body);
   };
 
   switch (tc.proto) {
     case CheckProto::kUnified: {
-      auto body = [&](ObsContext* obs) {
+      auto body = [&](CompositeContext* ctx) {
         Rng rng(tc.seed);
         UnifiedOptions uo;
         uo.latencies_known = tc.latencies_known;
-        uo.obs = obs;
-        return run_unified(g, uo, rng);
+        return run_unified(g, uo, rng, ctx);
       };
-      const UnifiedOutcome e = run_composite_once(false, engine_rec, body);
-      const UnifiedOutcome o = run_composite_once(true, oracle_rec, body);
+      const UnifiedOutcome e = run_composite_once(tc, false, engine_ctx, body);
+      const UnifiedOutcome o = run_composite_once(tc, true, oracle_ctx, body);
       fold(body);
       rep.engine_result = e.sim;
       rep.oracle_result = o.sim;
@@ -269,12 +273,12 @@ DiffReport diff_composite(const TestCase& tc, const WeightedGraph& g) {
       break;
     }
     case CheckProto::kEid: {
-      auto body = [&](ObsContext* obs) {
+      auto body = [&](CompositeContext* ctx) {
         Rng rng(tc.seed);
-        return run_general_eid(g, /*n_hat=*/0, rng, /*initial_guess=*/1, obs);
+        return run_general_eid(g, /*n_hat=*/0, rng, /*initial_guess=*/1, ctx);
       };
-      const DoublingOutcome e = run_composite_once(false, engine_rec, body);
-      const DoublingOutcome o = run_composite_once(true, oracle_rec, body);
+      const DoublingOutcome e = run_composite_once(tc, false, engine_ctx, body);
+      const DoublingOutcome o = run_composite_once(tc, true, oracle_ctx, body);
       fold(body);
       rep.engine_result = e.sim;
       rep.oracle_result = o.sim;
@@ -289,12 +293,12 @@ DiffReport diff_composite(const TestCase& tc, const WeightedGraph& g) {
       break;
     }
     case CheckProto::kTk: {
-      auto body = [&](ObsContext* obs) {
+      auto body = [&](CompositeContext* ctx) {
         return run_tk_schedule(g, tc.tk_estimate, own_id_rumors(tc.num_nodes),
-                               obs);
+                               ctx);
       };
-      const TkOutcome e = run_composite_once(false, engine_rec, body);
-      const TkOutcome o = run_composite_once(true, oracle_rec, body);
+      const TkOutcome e = run_composite_once(tc, false, engine_ctx, body);
+      const TkOutcome o = run_composite_once(tc, true, oracle_ctx, body);
       fold(body);
       rep.engine_result = e.sim;
       rep.oracle_result = o.sim;
@@ -311,6 +315,10 @@ DiffReport diff_composite(const TestCase& tc, const WeightedGraph& g) {
   rep.oracle_fingerprint = oracle_rec.fingerprint();
   compare_field(rep, "event fingerprint", rep.engine_fingerprint,
                 rep.oracle_fingerprint);
+  compare_field(rep, "clock", engine_ctx.clock(), oracle_ctx.clock());
+  compare_field(rep, "rounds left", engine_ctx.rounds_left,
+                oracle_ctx.rounds_left);
+  rep.budget_cut = engine_ctx.rounds_left == 0;
   compare_folded(rep, fold_rec, oracle_rec);
   composite_invariants(rep, g, engine_rec, "engine");
   composite_invariants(rep, g, oracle_rec, "oracle");

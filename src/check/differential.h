@@ -7,11 +7,12 @@
 //
 // Simple protocols are instantiated twice from the same seed and driven
 // by run_gossip() vs run_gossip_oracle() directly. Composite algorithms
-// (unified, EID, T(k)) are run end-to-end twice, the second time under a
-// ScopedOracleEngine so every internal dispatch_gossip() lands on the
-// oracle; because both engines consume protocol and fault randomness in
-// exactly the same order when they conform, whole-composite outcomes
-// must match bit for bit.
+// (unified, EID, T(k)) are run end-to-end twice under the case's round
+// budget, the second time under a ScopedOracleEngine so every internal
+// dispatch_gossip() lands on the oracle; because both engines consume
+// protocol and fault randomness in exactly the same order when they
+// conform, whole-composite outcomes, the context's clock and the budget
+// left must match bit for bit.
 //
 // Scenarios (crashes, loss, jitter, drift, churn, adversary) reach the
 // two sides differently: the engine runs the DynamicPlan built from the
@@ -35,6 +36,8 @@ struct DiffReport {
   SimResult oracle_result;
   std::uint64_t engine_fingerprint = 0;
   std::uint64_t oracle_fingerprint = 0;
+  /// A composite whose round budget ran out (TestCase::max_rounds).
+  bool budget_cut = false;
 };
 
 /// Execute `tc` on both engines and compare. `bug` (tests only) plants a

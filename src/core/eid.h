@@ -30,8 +30,7 @@
 
 namespace latgossip {
 
-struct ObsContext;     // obs/metrics.h
-class TrialWorkspace;  // sim/workspace.h
+class CompositeContext;  // obs/metrics.h
 
 struct EidOptions {
   Latency diameter_estimate = 0;  ///< D (required, >= 1)
@@ -40,19 +39,6 @@ struct EidOptions {
   /// (LinkRule::kUniformUnheard) instead of the deterministic script
   /// (Section 5.1 lists both as viable; the paper builds on DTG).
   bool randomized_local_broadcast = false;
-  /// Optional observability sinks (obs/metrics.h). Phases tagged:
-  /// "eid/local_broadcast" (the O(log n) DTG discovery executions),
-  /// "eid/spanner" (local computation, zero simulated rounds), and
-  /// "eid/rr_broadcast" — the split Theorem 19's O(D log^3 n)
-  /// accounting needs. The recorder (if any) is wired into every
-  /// internal run_gossip().
-  ObsContext* obs = nullptr;
-  /// Optional per-thread workspace (sim/workspace.h): threaded into
-  /// every internal run_gossip() so the engine calendar queue is
-  /// recycled across the O(log n) discovery executions and the RR
-  /// phase. Protocol objects are still built per phase (they consume
-  /// the rumor sets by move).
-  TrialWorkspace* workspace = nullptr;
 };
 
 struct EidOutcome {
@@ -64,26 +50,31 @@ struct EidOutcome {
 };
 
 /// One EID execution with estimate `options.diameter_estimate`, starting
-/// from `initial_rumors` (own ids are added automatically).
+/// from `initial_rumors` (own ids are added automatically). Every
+/// internal run goes through `ctx` (optional, obs/metrics.h), under the
+/// phases "eid/local_broadcast" (the O(log n) DTG discovery
+/// executions), "eid/spanner" (local computation, zero simulated
+/// rounds) and "eid/rr_broadcast" — the split Theorem 19's
+/// O(D log^3 n) accounting needs. Protocol objects are still built per
+/// phase (they consume the rumor sets by move).
 EidOutcome run_eid(const WeightedGraph& g, const EidOptions& options,
-                   std::vector<Bitset> initial_rumors, Rng& rng);
+                   std::vector<Bitset> initial_rumors, Rng& rng,
+                   CompositeContext* ctx = nullptr);
 
 /// One attempt of General EID: EID(k) with k =
 /// `options.diameter_estimate` on `rumors` (in place), its cost added
 /// to `sim`. Returns the Termination Check's broadcast primitive, RR
 /// Broadcast from fresh own-id rumors on this attempt's spanner
-/// (Section 5.3), run with the options' recorder and workspace.
+/// (Section 5.3), run through `ctx` as well.
 HeardSetsFn run_eid_attempt(const WeightedGraph& g, const EidOptions& options,
                             std::vector<Bitset>& rumors, SimResult& sim,
-                            Rng& rng);
+                            Rng& rng, CompositeContext* ctx = nullptr);
 
 /// Guess-and-double EID with the Termination Check (Algorithm 4).
-/// `obs` (optional) threads through every EID attempt and additionally
-/// tags "eid/termination_check". `workspace` (optional) is forwarded
-/// into every internal simulation as EidOptions::workspace.
+/// `ctx` (optional) threads through every EID attempt and additionally
+/// tags "eid/termination_check".
 DoublingOutcome run_general_eid(const WeightedGraph& g, std::size_t n_hat,
                                 Rng& rng, Latency initial_guess = 1,
-                                ObsContext* obs = nullptr,
-                                TrialWorkspace* workspace = nullptr);
+                                CompositeContext* ctx = nullptr);
 
 }  // namespace latgossip

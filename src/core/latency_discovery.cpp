@@ -3,6 +3,7 @@
 #include <stdexcept>
 
 #include "core/eid.h"
+#include "obs/metrics.h"
 #include "sim/dispatch.h"
 
 namespace latgossip {
@@ -34,14 +35,15 @@ void ProbeProtocol::deliver(NodeId, NodeId, Payload, EdgeId e, Round start,
 bool ProbeProtocol::done(Round r) const { return r >= deadline_; }
 
 DiscoveryOutcome discover_latencies(const WeightedGraph& g,
-                                    Latency wait_budget) {
+                                    Latency wait_budget,
+                                    CompositeContext* ctx) {
+  PhaseScope phase(ctx, "eid/latency_discovery");
   NetworkView view(g, /*latencies_known=*/false);
   ProbeProtocol probe(view, wait_budget);
-  SimOptions opts;
-  opts.max_rounds = static_cast<Round>(g.max_degree()) + wait_budget + 1;
-  opts.stop_when_idle = false;  // run the full window
   DiscoveryOutcome out;
-  out.sim = dispatch_gossip(g, probe, opts);
+  out.sim = run_in_context(
+      g, probe, ctx, static_cast<Round>(g.max_degree()) + wait_budget + 1,
+      /*stop_when_idle=*/false);  // run the full window
   out.edge_latencies = probe.edge_latencies();
   for (const auto& lat : out.edge_latencies)
     if (lat.has_value()) ++out.edges_discovered;
@@ -49,19 +51,19 @@ DiscoveryOutcome discover_latencies(const WeightedGraph& g,
 }
 
 DoublingOutcome run_unknown_latency_eid(const WeightedGraph& g,
-                                        std::size_t n_hat, Rng& rng) {
+                                        std::size_t n_hat, Rng& rng,
+                                        CompositeContext* ctx) {
   EidOptions options;
   options.n_hat = n_hat;
   const AttemptFn attempt = [&](Latency k, std::vector<Bitset>& rumors,
                                 SimResult& sim) {
     // Probe phase with budget k: Δ + k rounds; afterwards every latency
     // <= k is known, which is all EID(k) ever reads.
-    sim.accumulate(discover_latencies(g, k).sim);
+    sim.accumulate(discover_latencies(g, k, ctx).sim);
     options.diameter_estimate = k;
-    return run_eid_attempt(g, options, rumors, sim, rng);
+    return run_eid_attempt(g, options, rumors, sim, rng, ctx);
   };
-  return run_guess_and_double(g, 1, attempt, /*obs=*/nullptr,
-                              "eid/termination_check");
+  return run_guess_and_double(g, 1, attempt, ctx, "eid/termination_check");
 }
 
 }  // namespace latgossip

@@ -24,6 +24,8 @@
 
 namespace latgossip {
 
+class CompositeContext;  // obs/metrics.h
+
 class ProbeProtocol {
  public:
   using Payload = bool;  // probes carry no information
@@ -54,16 +56,20 @@ struct DiscoveryOutcome {
   std::size_t edges_discovered = 0;
 };
 
-/// Run the probe phase with the given wait budget.
+/// Run the probe phase with the given wait budget, through `ctx`
+/// (optional, obs/metrics.h) as phase "eid/latency_discovery".
 DiscoveryOutcome discover_latencies(const WeightedGraph& g,
-                                    Latency wait_budget);
+                                    Latency wait_budget,
+                                    CompositeContext* ctx = nullptr);
 
 /// The (D+Δ)-branch of Theorem 20: guess-and-double k; per attempt, probe
 /// with budget k (Δ + k rounds), then EID(k) — valid because the probes
 /// revealed every latency <= k and EID(k) touches no slower edge — then
-/// the Termination Check. `sim` covers probes, EID attempts and checks.
-/// The run is not recorded.
+/// the Termination Check. `sim` covers probes, EID attempts and checks;
+/// `ctx` (optional) takes them all, tagged as General EID's phases plus
+/// the probes'.
 DoublingOutcome run_unknown_latency_eid(const WeightedGraph& g,
-                                        std::size_t n_hat, Rng& rng);
+                                        std::size_t n_hat, Rng& rng,
+                                        CompositeContext* ctx = nullptr);
 
 }  // namespace latgossip

@@ -72,12 +72,11 @@ CheckOutcome run_termination_check(const WeightedGraph& g,
 DoublingOutcome run_guess_and_double(const WeightedGraph& g,
                                      Latency initial_guess,
                                      const AttemptFn& attempt,
-                                     ObsContext* obs,
+                                     CompositeContext* ctx,
                                      std::string_view check_phase) {
   if (initial_guess < 1)
     throw std::invalid_argument("guess and double: initial guess must be >= 1");
   const std::size_t n = g.num_nodes();
-  MetricsRegistry* metrics = obs ? obs->metrics : nullptr;
   DoublingOutcome out;
   out.rumors = own_id_rumors(n);
   if (n <= 1) {
@@ -89,15 +88,14 @@ DoublingOutcome run_guess_and_double(const WeightedGraph& g,
   // is at most (n-1) * max latency.
   const Latency k_limit =
       2 * static_cast<Latency>(n) * std::max<Latency>(g.max_latency(), 1);
-  for (Latency k = initial_guess; !out.success && k <= k_limit; k *= 2) {
+  // A spent round budget ends the doubling unsuccessfully.
+  const auto budget_left = [ctx] { return !ctx || ctx->rounds_left > 0; };
+  for (Latency k = initial_guess; !out.success && k <= k_limit && budget_left();
+       k *= 2) {
     ++out.attempts;
     const HeardSetsFn broadcast = attempt(k, out.rumors, out.sim);
-    PhaseScope phase(obs, check_phase);
-    const Round clock = metrics ? metrics->clock() : 0;
+    PhaseScope phase(ctx, check_phase);
     const CheckOutcome check = run_termination_check(g, out.rumors, broadcast);
-    // A primitive that tags its own phases (T(k)'s DTG passes) has
-    // charged the rounds already; the scope then only marks the trace.
-    if (metrics && metrics->clock() == clock) phase.add(check.sim);
     out.sim.accumulate(check.sim);
     if (!check.unanimous) out.checks_unanimous = false;
     if (!check.failed) {

@@ -41,7 +41,7 @@
 
 namespace latgossip {
 
-struct ObsContext;  // obs/metrics.h
+class CompositeContext;  // obs/metrics.h
 
 /// One fresh broadcast pass: returns per-node heard-from sets (own id
 /// included) and the rounds it consumed.
@@ -78,14 +78,14 @@ using AttemptFn = std::function<HeardSetsFn(
 
 /// Guess and double from own-id rumors: for k = initial_guess, twice
 /// that, ... up to 2·n·ℓmax, run the attempt at k and then the check
-/// with its primitive, and stop at the first check that passes. A graph
-/// of at most one node succeeds at once. `obs` (optional) tags each
-/// check as phase `check_phase`, charged with the check's rounds unless
-/// the primitive advanced the metrics clock itself.
+/// with its primitive, and stop at the first check that passes, or
+/// once `ctx`'s round budget is spent (success false). A graph of at
+/// most one node succeeds at once. `ctx` (optional) tags each check as
+/// phase `check_phase`.
 DoublingOutcome run_guess_and_double(const WeightedGraph& g,
                                      Latency initial_guess,
                                      const AttemptFn& attempt,
-                                     ObsContext* obs,
+                                     CompositeContext* ctx,
                                      std::string_view check_phase);
 
 }  // namespace latgossip

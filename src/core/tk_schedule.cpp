@@ -46,18 +46,15 @@ std::size_t ceil_log2(std::size_t x) {
 /// "tk/dtg_ell_<ℓ>" (one phase per recursion level; repeated passes at
 /// the same ℓ accumulate into the same phase entry).
 SimResult dtg_pass(const WeightedGraph& g, Latency ell,
-                   std::vector<Bitset>& rumors, ObsContext* obs) {
-  PhaseScope phase(obs, "tk/dtg_ell_" + std::to_string(ell));
+                   std::vector<Bitset>& rumors, CompositeContext* ctx) {
+  PhaseScope phase(ctx, "tk/dtg_ell_" + std::to_string(ell));
   NetworkView view(g, /*latencies_known=*/true);
   DtgLocalBroadcast dtg(view, ell, std::move(rumors));
-  SimOptions opts;
-  // DTG acts only on superround boundaries; disable idle-stop.
-  opts.stop_when_idle = false;
   const auto logn = static_cast<Round>(ceil_log2(g.num_nodes()) + 2);
-  opts.max_rounds = static_cast<Round>(ell) * 64 * logn * logn;
-  if (obs) opts.recorder = obs->recorder;
-  const SimResult sim = dispatch_gossip(g, dtg, opts);
-  phase.add(sim);
+  // DTG acts only on superround boundaries; disable idle-stop.
+  const SimResult sim =
+      run_in_context(g, dtg, ctx, static_cast<Round>(ell) * 64 * logn * logn,
+                     /*stop_when_idle=*/false);
   rumors = dtg.take_rumors();
   return sim;
 }
@@ -66,32 +63,32 @@ SimResult dtg_pass(const WeightedGraph& g, Latency ell,
 
 TkOutcome run_tk_schedule(const WeightedGraph& g, Latency k,
                           std::vector<Bitset> initial_rumors,
-                          ObsContext* obs) {
+                          CompositeContext* ctx) {
   const std::size_t n = g.num_nodes();
   if (initial_rumors.size() != n)
     throw std::invalid_argument("T(k): rumor vector size mismatch");
   TkOutcome out;
   out.rumors = std::move(initial_rumors);
   for (Latency ell : tk_pattern(next_power_of_two(k)))
-    out.sim.accumulate(dtg_pass(g, ell, out.rumors, obs));
+    out.sim.accumulate(dtg_pass(g, ell, out.rumors, ctx));
   out.sim.completed = all_sets_full(out.rumors);
   return out;
 }
 
 DoublingOutcome run_path_discovery(const WeightedGraph& g,
-                                   ObsContext* obs) {
+                                   CompositeContext* ctx) {
   const AttemptFn attempt = [&](Latency k, std::vector<Bitset>& rumors,
                                 SimResult& sim) -> HeardSetsFn {
-    TkOutcome tk = run_tk_schedule(g, k, std::move(rumors), obs);
+    TkOutcome tk = run_tk_schedule(g, k, std::move(rumors), ctx);
     sim.accumulate(tk.sim);
     rumors = std::move(tk.rumors);
     // The check's primitive: another T(k) pass from own-id rumors.
-    return [&g, k, obs] {
-      TkOutcome pass = run_tk_schedule(g, k, own_id_rumors(g.num_nodes()), obs);
+    return [&g, k, ctx] {
+      TkOutcome pass = run_tk_schedule(g, k, own_id_rumors(g.num_nodes()), ctx);
       return std::make_pair(std::move(pass.rumors), pass.sim);
     };
   };
-  return run_guess_and_double(g, 1, attempt, obs, "tk/termination_check");
+  return run_guess_and_double(g, 1, attempt, ctx, "tk/termination_check");
 }
 
 }  // namespace latgossip

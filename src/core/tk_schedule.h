@@ -20,7 +20,7 @@
 
 namespace latgossip {
 
-struct ObsContext;  // obs/metrics.h
+class CompositeContext;  // obs/metrics.h
 
 /// The sequence of ℓ parameters of T(k). `k` must be a power of two.
 std::vector<Latency> tk_pattern(Latency k);
@@ -34,20 +34,19 @@ struct TkOutcome {
 };
 
 /// Execute the schedule T(k) (k rounded up to a power of two) starting
-/// from `initial_rumors`. Requires the known-latency model. `obs`
-/// (optional, obs/metrics.h) tags each ℓ-DTG pass as phase
+/// from `initial_rumors`. Requires the known-latency model. Every ℓ-DTG
+/// pass runs through `ctx` (optional, obs/metrics.h) as phase
 /// "tk/dtg_ell_<ℓ>" — the recursion-level split behind Lemma 25's
-/// O(D log^2 n log D) accounting — and wires the recorder into every
-/// pass.
+/// O(D log^2 n log D) accounting.
 TkOutcome run_tk_schedule(const WeightedGraph& g, Latency k,
                           std::vector<Bitset> initial_rumors,
-                          ObsContext* obs = nullptr);
+                          CompositeContext* ctx = nullptr);
 
 /// Path Discovery (Algorithm 6): guess-and-double over T(k) with the
-/// Termination Check, broadcast primitive = another T(k) pass. `obs`
+/// Termination Check, broadcast primitive = another T(k) pass. `ctx`
 /// additionally tags "tk/termination_check", a trace marker: the
-/// check's passes charge their own "tk/dtg_ell_<ℓ>" phases.
+/// check's passes charge their own, innermost "tk/dtg_ell_<ℓ>" phases.
 DoublingOutcome run_path_discovery(const WeightedGraph& g,
-                                   ObsContext* obs = nullptr);
+                                   CompositeContext* ctx = nullptr);
 
 }  // namespace latgossip

@@ -14,7 +14,7 @@
 
 namespace latgossip {
 
-struct ObsContext;  // obs/metrics.h
+class CompositeContext;  // obs/metrics.h
 
 enum class UnifiedWinner { kPushPull, kSpanner };
 
@@ -34,14 +34,15 @@ struct UnifiedOptions {
   bool latencies_known = false;
   std::size_t n_hat = 0;          ///< 0 = exact n
   Round push_pull_cap = 2'000'000; ///< give-up bound for the push-pull run
-  /// Optional observability sinks (obs/metrics.h): the push-pull and
-  /// spanner branches are tagged as phases "unified/push_pull" and
-  /// "unified/spanner", with EID's internal phases nested under them.
-  ObsContext* obs = nullptr;
 };
 
-/// All-to-all information dissemination via both branches.
+/// All-to-all information dissemination via both branches. Both run
+/// through `ctx` (optional, obs/metrics.h), as phases
+/// "unified/push_pull" and "unified/spanner" with EID's internal phases
+/// nested under the latter. Each branch gets the context's whole round
+/// budget, as the paper runs them in parallel; the clock sums both.
 UnifiedOutcome run_unified(const WeightedGraph& g,
-                           const UnifiedOptions& options, Rng& rng);
+                           const UnifiedOptions& options, Rng& rng,
+                           CompositeContext* ctx = nullptr);
 
 }  // namespace latgossip

@@ -67,7 +67,7 @@ void json_append_sim_result(std::string& out, const SimResult& result);
 /// events on the receiving node's track spanning [start, completion];
 /// activations as instant ("i") events on the initiator's track; phase
 /// boundaries as duration ("B"/"E") events on a dedicated phases track
-/// timestamped with the metrics virtual clock.
+/// timestamped with the composite context's clock (obs/metrics.h).
 std::string to_chrome_trace_json(const EventRecorder& rec);
 
 /// CSV of activation events: "round,initiator,responder,edge" header

@@ -1,25 +1,28 @@
 #pragma once
-// Named metrics registry + protocol phase attribution.
+// Named metrics registry, protocol phase attribution, and the one
+// context every composite algorithm takes.
 //
 // A MetricsRegistry holds named monotonic counters and log2-bucket
 // histograms (Histogram, in obs/recorder.h, whose recorder folds two of
 // them), plus per-phase simulation accounting. Protocols tag their
-// phases with a PhaseScope RAII guard:
+// phases with a PhaseScope RAII guard, and run each internal
+// simulation through run_in_context() (sim/dispatch.h):
 //
-//   PhaseScope phase(obs, "eid/local_broadcast");
-//   const SimResult sim = run_gossip(g, proto, opts);
-//   phase.add(sim);   // rounds/messages/bits attributed to this phase
+//   PhaseScope phase(ctx, "eid/local_broadcast");
+//   const SimResult sim = run_in_context(g, proto, ctx, bound);
 //
-// Multi-phase protocols restart engine rounds at 0 in every phase, so
-// the registry keeps a cumulative *virtual clock* — the sum of all
-// rounds added through scopes — which is what phase boundaries are
-// stamped with (and what the Chrome trace export uses as timestamps).
+// A run's cost goes to the innermost open phase, and its rounds to the
+// context's clock. Multi-phase protocols restart engine rounds at 0 in
+// every run, so the clock — the sum of every run's rounds — is the
+// virtual timeline phase boundaries are stamped with (and what the
+// Chrome trace export uses as timestamps).
 //
-// ObsContext bundles the two observability sinks (event recorder +
-// metrics registry) so protocol entry points take a single optional
-// pointer. Both members are optional; a null ObsContext* is a no-op
-// everywhere. Like the recorder, a registry is not thread-safe: use one
-// per trial.
+// CompositeContext bundles what a composite's internal runs share: the
+// event recorder, the metrics registry, the per-thread workspace, the
+// round budget and the clock. Every member is optional; a null
+// CompositeContext* runs each phase bare (no recording, no budget).
+// Like the recorder, a context and a registry are not thread-safe: use
+// one per trial.
 //
 // Phase accounting answers the paper's per-phase questions directly:
 // Theorem 19/20's O(D log^3 n) EID cost splits into discovery /
@@ -28,6 +31,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <limits>
 #include <map>
 #include <optional>
 #include <string>
@@ -89,74 +93,89 @@ class MetricsRegistry {
   }
   const std::map<std::string, PhaseStats>& phases() const { return phases_; }
 
-  /// Cumulative simulated rounds across every PhaseScope::add(); the
-  /// virtual timeline phase boundaries and trace exports live on.
-  Round clock() const noexcept { return clock_; }
-  void advance_clock(Round delta) noexcept { clock_ += delta; }
-
   void clear() {
     counters_.clear();
     histograms_.clear();
     phases_.clear();
-    clock_ = 0;
   }
 
  private:
   std::map<std::string, Counter> counters_;
   std::map<std::string, Histogram> histograms_;
   std::map<std::string, PhaseStats> phases_;
-  Round clock_ = 0;
 };
 
-/// The two observability sinks, both optional. Protocol entry points
-/// accept `ObsContext* obs = nullptr`; a null pointer (or null members)
-/// disables that sink with no per-event cost — in particular, a null
-/// recorder keeps run_gossip() on the compile-time NoHooks fast path.
-struct ObsContext {
-  EventRecorder* recorder = nullptr;
-  MetricsRegistry* metrics = nullptr;
+class TrialWorkspace;  // sim/workspace.h
+
+/// A budget no run reaches: what a context holds unless its caller sets
+/// one.
+inline constexpr Round kUnlimitedRounds = std::numeric_limits<Round>::max();
+
+/// What a composite algorithm's internal runs share. Entry points take
+/// `CompositeContext* ctx = nullptr`; a null recorder keeps every run on
+/// run_gossip()'s compile-time NoHooks fast path.
+class CompositeContext {
+ public:
+  CompositeContext() = default;
+  explicit CompositeContext(EventRecorder* rec, MetricsRegistry* reg = nullptr)
+      : recorder(rec), metrics(reg) {}
+
+  EventRecorder* recorder = nullptr;   ///< wired into every internal run
+  MetricsRegistry* metrics = nullptr;  ///< phase rows, when set
+  /// Per-thread scratch (sim/workspace.h) every internal run reuses.
+  TrialWorkspace* workspace = nullptr;
+  /// Rounds the internal runs may still take, summed over runs: each
+  /// run is capped at what is left and takes its rounds off.
+  Round rounds_left = kUnlimitedRounds;
+
+  /// Every charged run's rounds, summed: the virtual timeline phase
+  /// boundaries are stamped with.
+  Round clock() const noexcept { return clock_; }
+
+  /// Attribute one finished run: its counters to the innermost open
+  /// phase, its rounds to the clock and off the budget.
+  void charge(const SimResult& sim) noexcept {
+    if (phase_ != nullptr) phase_->add(sim);
+    clock_ += sim.rounds;
+    rounds_left -= sim.rounds;
+  }
+
+ private:
+  friend class PhaseScope;
+  Round clock_ = 0;
+  PhaseStats* phase_ = nullptr;  ///< innermost open phase's row
 };
 
 /// RAII phase guard. Opens the phase on construction (stamping the
-/// registry's virtual clock into the recorder), attributes SimResults
-/// via add(), and closes the phase on destruction. Null-safe: a null or
-/// empty ObsContext makes every operation a no-op.
+/// context's clock into the recorder) as the innermost one, which every
+/// run charged until it closes is attributed to, and closes it on
+/// destruction. Null-safe: a null or empty context makes it a no-op.
 class PhaseScope {
  public:
-  PhaseScope(ObsContext* obs, std::string_view name)
-      : recorder_(obs ? obs->recorder : nullptr),
-        metrics_(obs ? obs->metrics : nullptr),
-        name_(name) {
-    if (metrics_) ++metrics_->phase(name_).entries;
-    if (recorder_) record_boundary(/*begin=*/true);
+  PhaseScope(CompositeContext* ctx, std::string_view name)
+      : ctx_(ctx), name_(name) {
+    if (ctx_ == nullptr) return;
+    outer_ = ctx_->phase_;
+    if (ctx_->metrics) {
+      PhaseStats& row = ctx_->metrics->phase(name_);
+      ++row.entries;
+      ctx_->phase_ = &row;
+    }
+    if (ctx_->recorder) ctx_->recorder->record_phase_begin(name_, ctx_->clock_);
   }
 
   PhaseScope(const PhaseScope&) = delete;
   PhaseScope& operator=(const PhaseScope&) = delete;
 
   ~PhaseScope() {
-    if (recorder_) record_boundary(/*begin=*/false);
-  }
-
-  /// Attribute one simulation run to this phase and advance the
-  /// registry's virtual clock by its rounds.
-  void add(const SimResult& sim) {
-    if (!metrics_) return;
-    metrics_->phase(name_).add(sim);
-    metrics_->advance_clock(sim.rounds);
+    if (ctx_ == nullptr) return;
+    if (ctx_->recorder) ctx_->recorder->record_phase_end(name_, ctx_->clock_);
+    ctx_->phase_ = outer_;
   }
 
  private:
-  void record_boundary(bool begin) {
-    const Round clock = metrics_ ? metrics_->clock() : 0;
-    if (begin)
-      recorder_->record_phase_begin(name_, clock);
-    else
-      recorder_->record_phase_end(name_, clock);
-  }
-
-  EventRecorder* recorder_;
-  MetricsRegistry* metrics_;
+  CompositeContext* ctx_;
+  PhaseStats* outer_ = nullptr;
   std::string name_;
 };
 

@@ -230,7 +230,7 @@ class EventRecorder {
   }
 
   /// Intern `name` and open a phase at virtual time `clock` (phases use
-  /// the MetricsRegistry's cumulative clock, not per-run rounds; see
+  /// the composite context's cumulative clock, not per-run rounds; see
   /// obs/metrics.h PhaseScope).
   void record_phase_begin(std::string_view name, Round clock) {
     add(Event::make(clock, clock, intern_phase(name), kInvalidNode,

@@ -48,7 +48,7 @@ namespace latgossip {
 /// Bumped whenever an intentional engine/model change alters event
 /// streams or SimResults for existing configurations — the store-wide
 /// cache invalidation lever.
-inline constexpr std::string_view kStoreModelVersion = "latgossip.model.v2";
+inline constexpr std::string_view kStoreModelVersion = "latgossip.model.v3";
 
 /// 128-bit content-address. Value-type; hashes/compares cheaply.
 struct StoreKey {

@@ -103,7 +103,7 @@ void validate_run(const RunSpec& spec, std::size_t num_nodes) {
   if (spec.dynamics.any() && !single_phase(spec.protocol))
     throw std::invalid_argument(
         "--dynamics only applies to --proto=pushpull|flooding; composite "
-        "protocols own their SimOptions");
+        "protocols take no scenario yet");
 }
 
 std::string protocol_label(const RunSpec& spec) {
@@ -148,11 +148,13 @@ RunOutcome execute(const RunSpec& spec, const WeightedGraph& g,
     thread_local EventRecorder logging(EventLog::kKeep);
     EventRecorder& recorder = tracing ? logging : folding;
     recorder.clear();
-    // Composite protocols stamp phase boundaries with the registry's
-    // clock, so recording always carries a registry.
     MetricsRegistry metrics;
-    ObsContext obs{&recorder, &metrics};
-    ObsContext* obs_ptr = recording ? &obs : nullptr;
+    // A composite's internal runs share the trial's recorder, workspace
+    // and round budget.
+    CompositeContext ctx(recording ? &recorder : nullptr,
+                         manifest ? &metrics : nullptr);
+    ctx.workspace = &ws;
+    ctx.rounds_left = spec.max_rounds;
     SimOptions opts;
     opts.max_rounds = spec.max_rounds;
     opts.workspace = &ws;
@@ -179,14 +181,13 @@ RunOutcome execute(const RunSpec& spec, const WeightedGraph& g,
       result = run_gossip(g, proto, opts);
       if (want_freshness) freshness = freshness_of(proto, n, result.rounds);
     } else if (spec.protocol == "eid") {
-      result = run_general_eid(g, 0, rng, 1, obs_ptr, &ws).sim;
+      result = run_general_eid(g, 0, rng, 1, &ctx).sim;
     } else if (spec.protocol == "tk") {
-      result = run_path_discovery(g, obs_ptr).sim;
+      result = run_path_discovery(g, &ctx).sim;
     } else {
       UnifiedOptions uopts;
       uopts.latencies_known = spec.known_latencies;
-      uopts.obs = obs_ptr;
-      const UnifiedOutcome unified = run_unified(g, uopts, rng);
+      const UnifiedOutcome unified = run_unified(g, uopts, rng, &ctx);
       result = unified.sim;
       out.winners[t] =
           unified.winner == UnifiedWinner::kPushPull ? "push-pull" : "spanner";

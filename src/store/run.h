@@ -69,6 +69,8 @@ struct RunSpec {
   // Kept at the parsers' width so validate_run() sees them unnarrowed.
   std::int64_t source = 0;
   std::int64_t trials = 1;
+  /// A single-phase run's cap; a composite's budget over all its
+  /// internal runs (each unified branch gets all of it).
   Round max_rounds = 5'000'000;
   std::size_t threads = 0;  ///< 0 = default_concurrency()
   std::uint64_t seed = 1;

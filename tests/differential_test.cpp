@@ -37,6 +37,7 @@ struct Coverage {
   int adversarial = 0;
   int unified_known = 0;    ///< unified's known-latency branch
   int unified_unknown = 0;  ///< and its unknown-latency one
+  int budget_cut = 0;       ///< composites their round budget cut
 };
 
 void sweep(Rng& rng, const CaseProfile& profile, int cases,
@@ -57,6 +58,7 @@ void sweep(Rng& rng, const CaseProfile& profile, int cases,
     if (tc.dynamics.adv_active()) ++cov->adversarial;
     if (tc.proto == CheckProto::kUnified)
       ++(tc.latencies_known ? cov->unified_known : cov->unified_unknown);
+    if (rep.budget_cut) ++cov->budget_cut;
   }
 }
 
@@ -82,6 +84,7 @@ TEST(Differential, QuickProfileSweep) {
   EXPECT_GT(cov.adversarial, 10);
   EXPECT_GT(cov.unified_known, 10);
   EXPECT_GT(cov.unified_unknown, 10);
+  EXPECT_GT(cov.budget_cut, 50);
 }
 
 // Model-variant stress: every case runs blocking or in-degree-capped or
@@ -145,11 +148,12 @@ TEST(Differential, ForcedDynamics) {
   }
 }
 
-// Composite protocols own their SimOptions internally, and standalone
-// DTG's script assumes every exchange with a linked neighbor lands, so
-// random cases must keep every engine-model knob off for both — and
-// case_valid must reject a hand-built case that smuggles one in (this
-// used to be convention only; now it is an enforced contract).
+// Composite protocols take no scenario yet (their phases would need the
+// plan on the composite clock), and standalone DTG's script assumes
+// every exchange with a linked neighbor lands (it throws on a lost
+// one), so random cases must keep every engine-model knob off for both
+// — and case_valid must reject a hand-built case that smuggles one in
+// (this used to be convention only; now it is an enforced contract).
 TEST(Differential, CompositeCasesKeepKnobsOff) {
   Rng rng(0xc0de);
   CaseProfile profile;

@@ -10,6 +10,7 @@
 #include "graph/builder.h"
 #include "graph/generators.h"
 #include "graph/latency_models.h"
+#include "obs/metrics.h"
 
 namespace latgossip {
 namespace {
@@ -117,6 +118,22 @@ TEST(GeneralEid, Lemma18NoEarlyTermination) {
   ASSERT_TRUE(out.success);
   EXPECT_TRUE(all_sets_full(out.rumors));  // part 1 of Lemma 18
   EXPECT_TRUE(out.checks_unanimous);       // part 2 of Lemma 18
+}
+
+TEST(GeneralEid, SpentBudgetStopsTheDoubling) {
+  // The heavy bridge needs k >= 20, far past a 100-round budget: the
+  // run stops where the budget ran out, mid-attempt, unsuccessful.
+  const auto g = build_graph(4, {{0, 1, 1}, {1, 2, 20}, {2, 3, 1}});
+  CompositeContext ctx;
+  ctx.rounds_left = 100;
+  Rng rng(12);
+  const DoublingOutcome out = run_general_eid(g, 0, rng, 1, &ctx);
+  EXPECT_FALSE(out.success);
+  EXPECT_FALSE(out.sim.completed);
+  EXPECT_EQ(out.sim.rounds, 100);
+  EXPECT_EQ(ctx.clock(), 100);
+  EXPECT_EQ(ctx.rounds_left, 0);
+  EXPECT_LT(out.attempts, 6u);
 }
 
 TEST(GeneralEid, SingleNodeTrivial) {

@@ -233,38 +233,49 @@ TEST(Metrics, HistogramBuckets) {
 TEST(Metrics, PhaseScopeStampsClockAndRecorder) {
   EventRecorder rec(EventLog::kKeep);
   MetricsRegistry metrics;
-  ObsContext obs{&rec, &metrics};
+  CompositeContext ctx(&rec, &metrics);
+  ctx.rounds_left = 40;
   SimResult fake;
   fake.rounds = 10;
   fake.activations = 4;
   {
-    PhaseScope p(&obs, "phase_a");
-    p.add(fake);
+    PhaseScope p(&ctx, "phase_a");
+    ctx.charge(fake);
   }
   {
-    PhaseScope p(&obs, "phase_b");
-    p.add(fake);
+    PhaseScope p(&ctx, "phase_b");
+    {
+      // A run goes to the innermost open phase only.
+      PhaseScope inner(&ctx, "phase_b/inner");
+      ctx.charge(fake);
+    }
+    ctx.charge(fake);
   }
-  EXPECT_EQ(metrics.clock(), 20);
+  EXPECT_EQ(ctx.clock(), 30);
+  EXPECT_EQ(ctx.rounds_left, 10);
   EXPECT_EQ(metrics.phases().at("phase_a").rounds, 10);
   EXPECT_EQ(metrics.phases().at("phase_a").entries, 1u);
   EXPECT_EQ(metrics.phases().at("phase_b").activations, 4u);
-  // Recorder saw begin/end pairs stamped with the virtual clock:
+  EXPECT_EQ(metrics.phases().at("phase_b/inner").rounds, 10);
+  // Recorder saw begin/end pairs stamped with the context's clock:
   // phase_b opens at clock 10, after phase_a's rounds accumulated.
-  ASSERT_EQ(rec.size(), 4u);
+  ASSERT_EQ(rec.size(), 6u);
   EXPECT_EQ(rec.events()[0].kind(), EventKind::kPhaseBegin);
   EXPECT_EQ(rec.events()[2].round(), 10);
   EXPECT_EQ(rec.phase_name(rec.events()[2].a()), "phase_b");
+  EXPECT_EQ(rec.events()[5].round(), 30);
 }
 
-TEST(Metrics, NullObsContextIsNoOp) {
+TEST(Metrics, NullContextIsNoOp) {
   PhaseScope p(nullptr, "ghost");
-  SimResult fake;
-  fake.rounds = 5;
-  p.add(fake);  // must not crash
-  ObsContext empty;
-  PhaseScope q(&empty, "ghost");
-  q.add(fake);
+  CompositeContext empty;
+  {
+    PhaseScope q(&empty, "ghost");
+    SimResult fake;
+    fake.rounds = 5;
+    empty.charge(fake);  // no registry, no recorder: only the clock
+  }
+  EXPECT_EQ(empty.clock(), 5);
 }
 
 TEST(Metrics, RecordSimResultAndEventHistograms) {
@@ -301,6 +312,7 @@ WeightedGraph golden_graph() {
 constexpr std::uint64_t kGoldenPushPull = 0x1ecb33cdce522dd6ULL;
 constexpr std::uint64_t kGoldenEid = 0x35b57819e65cd3e3ULL;
 constexpr std::uint64_t kGoldenTk = 0xfcf84fe9fa795ce6ULL;
+constexpr std::uint64_t kGoldenUnknownLatencyEid = 0xa42fedc96c2f46f2ULL;
 
 TEST(GoldenFingerprint, SeededPushPull) {
   const WeightedGraph g = golden_graph();
@@ -489,9 +501,9 @@ TEST(GoldenFingerprint, SeededGeneralEid) {
   const WeightedGraph g = golden_graph();
   EventRecorder rec;
   MetricsRegistry metrics;
-  ObsContext obs{&rec, &metrics};
+  CompositeContext ctx(&rec, &metrics);
   Rng rng(5);
-  const auto out = run_general_eid(g, 0, rng, 1, &obs);
+  const auto out = run_general_eid(g, 0, rng, 1, &ctx);
   ASSERT_TRUE(out.success);
   EXPECT_EQ(rec.fingerprint(), kGoldenEid);
   // All four EID phases were tagged.
@@ -499,16 +511,16 @@ TEST(GoldenFingerprint, SeededGeneralEid) {
   EXPECT_TRUE(metrics.phases().count("eid/spanner"));
   EXPECT_TRUE(metrics.phases().count("eid/rr_broadcast"));
   EXPECT_TRUE(metrics.phases().count("eid/termination_check"));
-  // Phase rounds account for the whole run on the virtual clock.
-  EXPECT_EQ(metrics.clock(), out.sim.rounds);
+  // Phase rounds account for the whole run on the context's clock.
+  EXPECT_EQ(ctx.clock(), out.sim.rounds);
 }
 
 TEST(GoldenFingerprint, SeededPathDiscovery) {
   const WeightedGraph g = golden_graph();
   EventRecorder rec;
   MetricsRegistry metrics;
-  ObsContext obs{&rec, &metrics};
-  const auto out = run_path_discovery(g, &obs);
+  CompositeContext ctx(&rec, &metrics);
+  const auto out = run_path_discovery(g, &ctx);
   ASSERT_TRUE(out.success);
   EXPECT_EQ(rec.fingerprint(), kGoldenTk);
   // The stream spans multiple engine runs, so rounds restart.
@@ -521,10 +533,17 @@ TEST(GoldenFingerprint, SeededPathDiscovery) {
 }
 
 TEST(GoldenFingerprint, SeededUnknownLatencyEid) {
-  // The unknown-latency branch takes no recorder, so its totals over
-  // every probe phase, EID attempt and check are the pin.
+  // Every probe phase, EID attempt and check, recorded and phase-tagged
+  // like General EID's, with the probes as their own phase.
+  EventRecorder rec;
+  MetricsRegistry metrics;
+  CompositeContext ctx(&rec, &metrics);
   Rng rng(5);
-  const auto out = run_unknown_latency_eid(golden_graph(), 0, rng);
+  const auto out = run_unknown_latency_eid(golden_graph(), 0, rng, &ctx);
+  EXPECT_EQ(rec.fingerprint(), kGoldenUnknownLatencyEid);
+  EXPECT_TRUE(metrics.phases().count("eid/latency_discovery"));
+  EXPECT_TRUE(metrics.phases().count("eid/termination_check"));
+  EXPECT_EQ(ctx.clock(), out.sim.rounds);
   EXPECT_EQ(out.sim.rounds, 3787);
   EXPECT_EQ(out.sim.activations, 114358u);
   EXPECT_EQ(out.sim.payload_bits, 449721200u);
@@ -642,15 +661,15 @@ TEST(Export, CsvByteCompatibleWithSimTrace) {
 TEST(Export, ChromeTraceStructure) {
   EventRecorder rec(EventLog::kKeep);
   MetricsRegistry metrics;
-  ObsContext obs{&rec, &metrics};
+  CompositeContext ctx(&rec, &metrics);
   {
-    PhaseScope p(&obs, "demo");
+    PhaseScope p(&ctx, "demo");
     rec.record_activation(0, 1, 0, 0);
     rec.record_delivery(1, 0, 0, 0, 3);
     rec.record_drop(2, 0, 1, 0, 2, false);
     SimResult r;
     r.rounds = 3;
-    p.add(r);
+    ctx.charge(r);
   }
   const std::string json = to_chrome_trace_json(rec);
   EXPECT_EQ(json.rfind("{\"traceEvents\":[", 0), 0u);

@@ -205,9 +205,9 @@ TEST(RecorderFold, EidRunWithPhasesIsNonMonotone) {
   assign_random_uniform_latency(g, 1, 6, grng);
   const auto run = [&](EventRecorder& rec) {
     MetricsRegistry metrics;
-    ObsContext obs{&rec, &metrics};
+    CompositeContext ctx(&rec, &metrics);
     Rng rng(5);
-    return run_general_eid(g, 0, rng, 1, &obs).sim;
+    return run_general_eid(g, 0, rng, 1, &ctx).sim;
   };
   EventRecorder fold;
   EventRecorder log(EventLog::kKeep);
@@ -492,8 +492,8 @@ TEST(RecorderFold, TkScheduleWithPhases) {
   assign_random_uniform_latency(g, 1, 4, rng);
   const auto run = [&](EventRecorder& rec) {
     MetricsRegistry metrics;
-    ObsContext obs{&rec, &metrics};
-    return run_tk_schedule(g, 4, own_id_rumors(g.num_nodes()), &obs).sim;
+    CompositeContext ctx(&rec, &metrics);
+    return run_tk_schedule(g, 4, own_id_rumors(g.num_nodes()), &ctx).sim;
   };
   EventRecorder fold;
   expect_fold_matches_log(fold, run);

@@ -117,16 +117,16 @@ TEST(Relabel, GeneralEidIsEdgeIdPermutationInvariant) {
     const WeightedGraph permuted = permute_edge_ids(g, perm);
 
     EventRecorder base_rec;
-    ObsContext base_obs{&base_rec, nullptr};
+    CompositeContext base_ctx(&base_rec);
     Rng base_rng(seed);
     const DoublingOutcome base =
-        run_general_eid(g, 0, base_rng, 1, &base_obs);
+        run_general_eid(g, 0, base_rng, 1, &base_ctx);
 
     EventRecorder perm_rec(EventLog::kKeep);
-    ObsContext perm_obs{&perm_rec, nullptr};
+    CompositeContext perm_ctx(&perm_rec);
     Rng perm_rng(seed);
     const DoublingOutcome shuffled =
-        run_general_eid(permuted, 0, perm_rng, 1, &perm_obs);
+        run_general_eid(permuted, 0, perm_rng, 1, &perm_ctx);
 
     EXPECT_EQ(base.sim, shuffled.sim) << "trial " << trial;
     EXPECT_EQ(base.final_estimate, shuffled.final_estimate);

@@ -3,7 +3,8 @@
 // GraphSpec existed, the one RunSpec validation, single trials as a
 // batch of one, cache sharing between serve cells and execute()
 // batches, spread curves replayed from the store, the store keys and
-// manifest protocol name of flooding cells, and the one JSON
+// manifest protocol name of flooding cells, composites that agree
+// across thread counts and with their own manifests, and the one JSON
 // writer for the SimResult object manifests and store records share.
 
 #include <gtest/gtest.h>
@@ -13,6 +14,7 @@
 #include <optional>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/push_pull.h"
@@ -415,6 +417,75 @@ TEST(RunExecutor, FloodingCellsKeepTheirStoreKeys) {
     EXPECT_NE(line.find(R"("protocol":"flooding/dense")"), std::string::npos)
         << line;
   EXPECT_EQ(records, 2u);
+  std::filesystem::remove_all(dir);
+}
+
+// Composites run on the pool worker's workspace with one context per
+// trial, so a batch is the same at any thread count, and every manifest
+// record accounts for the whole run: each delivery is recorded, and the
+// phase rows add up to the run's counters.
+TEST(RunExecutor, CompositesAgreeAcrossThreadsAndWithTheirManifests) {
+  const WeightedGraph g = generate_graph(serve_spec(
+      R"({"family":"er","n":20,"p":0.25,"seed":3,"lat":"range",)"
+      R"("lat_lo":1,"lat_hi":4})"));
+  ASSERT_TRUE(g.is_connected());
+  const std::string dir = scratch_dir("composites");
+  std::filesystem::create_directories(dir);
+  for (const auto& [protocol, known] :
+       {std::pair{"eid", false}, std::pair{"tk", false},
+        std::pair{"unified", false}, std::pair{"unified", true}}) {
+    RunSpec spec = pushpull_spec(7, 4);
+    spec.protocol = protocol;
+    spec.known_latencies = known;
+    const std::string label =
+        std::string(protocol) + (known ? "_known" : "");
+    std::vector<RunOutcome> runs;
+    for (const std::size_t threads : {1, 2}) {
+      spec.threads = threads;
+      RunSinks sinks;
+      sinks.manifest_path =
+          dir + "/" + label + "_t" + std::to_string(threads) + ".jsonl";
+      runs.push_back(execute(spec, g, sinks));
+
+      std::ifstream manifest(sinks.manifest_path);
+      std::size_t records = 0;
+      for (std::string line; std::getline(manifest, line); ++records) {
+        const std::optional<JsonValue> rec = json_parse(line);
+        ASSERT_TRUE(rec) << line;
+        const JsonValue* result = rec->get("result");
+        const JsonValue* metrics = rec->get("metrics");
+        ASSERT_TRUE(result && metrics) << line;
+        const JsonValue* latency =
+            metrics->get("histograms")->get("delivery_latency");
+        ASSERT_TRUE(latency) << label;
+        EXPECT_EQ(latency->get_u64("count", 0),
+                  result->get_u64("messages_delivered", 1))
+            << label << " trial " << records;
+        std::uint64_t activations = 0;
+        std::uint64_t payload_bits = 0;
+        for (const auto& [name, row] : metrics->get("phases")->members()) {
+          activations += row.get_u64("activations", 0);
+          payload_bits += row.get_u64("payload_bits", 0);
+        }
+        EXPECT_EQ(activations, result->get_u64("activations", 0)) << label;
+        EXPECT_EQ(payload_bits, result->get_u64("payload_bits", 0)) << label;
+      }
+      EXPECT_EQ(records, 4u) << label;
+    }
+    const TrialAggregate& one = runs[0].agg;
+    const TrialAggregate& two = runs[1].agg;
+    EXPECT_EQ(one.trials, two.trials) << label;
+    EXPECT_EQ(one.fingerprint, two.fingerprint) << label;
+    EXPECT_NE(one.fingerprint, 0u) << label;
+    EXPECT_EQ(one.num_completed, two.num_completed) << label;
+    EXPECT_EQ(one.rounds.mean(), two.rounds.mean()) << label;
+    EXPECT_EQ(one.rounds.variance(), two.rounds.variance()) << label;
+    EXPECT_EQ(one.activations.mean(), two.activations.mean()) << label;
+    EXPECT_EQ(one.messages_delivered.mean(), two.messages_delivered.mean())
+        << label;
+    EXPECT_EQ(one.payload_bits.mean(), two.payload_bits.mean()) << label;
+    EXPECT_EQ(runs[0].winners, runs[1].winners) << label;
+  }
   std::filesystem::remove_all(dir);
 }
 

@@ -287,7 +287,7 @@ TEST(StoreKeySuite, GoldenDigests) {
   cell.source = 3;
   cell.max_rounds = 1000;
   const StoreKey ck = cell_key(cell, 0xabcdef0123456789ULL);
-  EXPECT_EQ(ck.hex(), "fe5d5c26922beba71e6c2f5cfbce977d");
+  EXPECT_EQ(ck.hex(), "4896cd173f2f00fd3fcf1c0ca99f6492");
 }
 
 TEST(StoreKeySuite, GraphDigestSensitivity) {

@@ -77,6 +77,24 @@ TEST(Unified, PushPullCapGivesUpButSpannerStillFinishes) {
   EXPECT_TRUE(out.sim.completed);
 }
 
+TEST(Unified, EachBranchGetsTheWholeBudget) {
+  // The branches run in parallel, so each may spend the whole budget;
+  // the clock counts both.
+  auto g = make_ring_of_cliques(3, 3, 2);
+  for (const bool known : {false, true}) {
+    CompositeContext ctx;
+    ctx.rounds_left = 5;
+    UnifiedOptions opts;
+    opts.latencies_known = known;
+    Rng rng(11);
+    const UnifiedOutcome out = run_unified(g, opts, rng, &ctx);
+    EXPECT_EQ(out.push_pull_rounds, 5) << "known=" << known;
+    EXPECT_EQ(out.spanner_rounds, 5) << "known=" << known;
+    EXPECT_FALSE(out.sim.completed) << "known=" << known;
+    EXPECT_EQ(ctx.clock(), 10) << "known=" << known;
+  }
+}
+
 TEST(Unified, SimCountsBothBranches) {
   // The phases split each branch's cost (the known-latency spanner
   // branch through EID's own phases), so together they are the
@@ -84,12 +102,11 @@ TEST(Unified, SimCountsBothBranches) {
   const auto g = make_ring_of_cliques(3, 4, 3);
   for (const bool known : {false, true}) {
     MetricsRegistry metrics;
-    ObsContext obs{nullptr, &metrics};
+    CompositeContext ctx(nullptr, &metrics);
     UnifiedOptions opts;
     opts.latencies_known = known;
-    opts.obs = &obs;
     Rng rng(1);
-    const UnifiedOutcome out = run_unified(g, opts, rng);
+    const UnifiedOutcome out = run_unified(g, opts, rng, &ctx);
     std::size_t activations = 0;
     std::size_t payload_bits = 0;
     for (const auto& [name, phase] : metrics.phases()) {

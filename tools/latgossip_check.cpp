@@ -27,6 +27,10 @@
 //                    --shrink=0 disables)
 //   --out=PATH       write the (shrunk) counterexample dump to PATH
 //
+// About one composite case in four runs under a small round budget; the
+// summary counts composite cases, those with a budget, and those the
+// budget cut.
+//
 // Exit status: 0 = no divergence, 1 = divergence found, 2 = bad usage.
 
 #include <chrono>
@@ -38,6 +42,7 @@
 #include "check/case_gen.h"
 #include "check/differential.h"
 #include "check/shrink.h"
+#include "obs/metrics.h"
 #include "util/args.h"
 #include "util/rng.h"
 
@@ -115,14 +120,24 @@ int main(int argc, char** argv) {
 
   Rng rng(seed);
   std::int64_t ran = 0;
+  std::int64_t composites = 0;
+  std::int64_t budgeted = 0;
+  std::int64_t budget_cut = 0;
   while (timed ? std::chrono::steady_clock::now() < deadline : ran < cases) {
     const TestCase tc = random_case(rng, profile);
     const DiffReport rep = run_differential(tc);
     if (!rep.ok) return report_failure(tc, rep, do_shrink, out_path);
     ++ran;
+    if (check_proto_is_composite(tc.proto)) {
+      ++composites;
+      if (tc.max_rounds != kUnlimitedRounds) ++budgeted;
+      if (rep.budget_cut) ++budget_cut;
+    }
     if (ran % 1000 == 0)
       std::cout << ran << " cases, no divergence\n" << std::flush;
   }
+  std::cout << composites << " composite cases, " << budgeted
+            << " with a round budget, " << budget_cut << " cut by it\n";
   std::cout << "checked " << ran << " cases: engine and oracle agree\n";
   return 0;
 }

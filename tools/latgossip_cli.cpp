@@ -55,8 +55,14 @@
 // churn-mode=retain|reset|mixed] (node leave/rejoin; the source is
 // always spared), adv=SLOW (adversary slows frontier-crossing edges by
 // SLOW/1024), seed=S. Only single-phase protocols (pushpull, flooding)
-// accept it — composite protocols own their SimOptions. With --store,
-// the scenario's exact canonical form is part of every cell key.
+// accept it — composite protocols take no scenario yet: their phases
+// would need the scenario plan on their shared clock, and DTG a rule
+// for an exchange a linked neighbour lost. With --store, the
+// scenario's exact canonical form is part of every cell key.
+//
+// --max-rounds caps a single-phase run; for eid, tk and unified it is a
+// budget over all of the composite's internal runs (each unified
+// branch gets all of it, as the branches run in parallel).
 // Runs report the node-age freshness of the final state: per informed
 // node, rounds since it last gained a rumor ("node age max/mean",
 // recorded in manifests as node_age_* metrics).
